@@ -50,9 +50,6 @@ class RunConfig:
     csv: str = ""
     site: str = ""
 
-    _POSITIVE = ("eps", "delta", "s3_order", "vol_order", "annulus_points",
-                 "outer_points", "taylor_degree", "ode_steps", "threads")
-
     def validate(self):
         for name in ("eps", "delta"):
             if getattr(self, name) <= 0.0:

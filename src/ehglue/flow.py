@@ -18,10 +18,10 @@ from scipy.integrate import quad
 
 from .curvature import curvature_at
 from .fields import eh_metric
-from .glue import GlueParams, GluedMetric
+from .glue import GlueParams, GluedMetric, inner_max_residual
 from .lattice import BackgroundField
-from .quadrature import line_fit, s3_quadrature
-from .sym2 import inverse_metric
+from .quadrature import line_fit
+from .sym2 import inner_product
 
 OMEGA_REFERENCE = 7.7036     # extrapolated lattice constant (cutoff 40)
 
@@ -249,16 +249,9 @@ def ricci_decay_proxy(times, policy: ProxyPolicy | None = None,
         eps = epsilon_of_t(t, policy.lam, omega=policy.omega)
         delta = policy.delta_of_t(t)
         gm = GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff), bg)
-        worst = 0.0
-        for frac in policy.radial_fractions:
-            nodes = s3_quadrature(policy.s3_order, frac * delta).nodes
-            gj = gm.jets(nodes, order=2)
-            curv = curvature_at(gj)
-            ginv = curv.ginv
-            sq = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv,
-                           curv.ricci, curv.ricci, optimize=False)
-            worst = max(worst, float(np.sqrt(np.max(sq))))
-        sups.append(worst)
+        sups.append(max(inner_max_residual(gm, "ricci", frac * delta,
+                                           policy.s3_order)
+                        for frac in policy.radial_fractions))
         epss.append(eps)
         dels.append(delta)
     sups = np.asarray(sups)
@@ -301,9 +294,7 @@ def weighted_norm_sample(h_fn, w: WeightSpec, points: np.ndarray,
     def norm(x, t, vals):
         g = metric_fn(x, t) if metric_fn is not None else \
             np.broadcast_to(np.eye(4), vals.shape).copy()
-        gi = inverse_metric(g)
-        return np.sqrt(np.einsum("...ik,...jl,...ij,...kl->...",
-                                 gi, gi, vals, vals, optimize=False))
+        return np.sqrt(inner_product(g, vals, vals))
 
     for t in times:
         if t > -w.lam:

@@ -23,7 +23,7 @@ from .fields import eh_metric, kernel_mode
 from .jets import DIM, DomainError, Jet2, jet_radius
 from .lattice import BackgroundField
 from .quadrature import line_fit, s3_quadrature
-from .sym2 import Sym2Jet, inverse_metric
+from .sym2 import Sym2Jet, inverse_metric, pair
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,18 @@ class GlueParams:
         return self.eps <= self.delta ** 2 / 10.0 and self.delta <= 0.1
 
 
+def _nearest_site(x: np.ndarray):
+    """(x, nearest lattice site, offset from it, its length) per point."""
+    x = np.asarray(x, dtype=float)
+    site = np.rint(x)
+    y = x - site
+    return x, site, y, np.sqrt(np.einsum("...i,...i->...", y, y))
+
+
 def region_tag(x: np.ndarray, params: GlueParams) -> np.ndarray:
     """0 = inner (r ≤ δ/2), 1 = annulus, 2 = outer (r ≥ δ), per point,
     measured from the nearest lattice site."""
-    x = np.asarray(x, dtype=float)
-    site = np.rint(x)
-    r = np.sqrt(np.einsum("...i,...i->...", x - site, x - site))
+    r = _nearest_site(x)[3]
     return np.where(r <= 0.5 * params.delta, 0,
                     np.where(r >= params.delta, 2, 1))
 
@@ -127,6 +133,33 @@ def cutoff_jet(x: np.ndarray, delta: float, center: np.ndarray) -> Jet2:
 # glued metric and obstruction tensor
 # ---------------------------------------------------------------------------
 
+def outer_metric(bg: Sym2Jet, eps: float) -> Sym2Jet:
+    """The outer branch I + ½ eps⁴ · (background) of the glued metric."""
+    out = bg.scaled(0.5 * eps ** 4)
+    out.val = out.val + np.eye(DIM)
+    return out
+
+
+def _put(out: Sym2Jet, mask: np.ndarray, jets: Sym2Jet):
+    """out[mask] = jets, to the jet depth of out."""
+    out.val[mask] = jets.val
+    if out.d1 is not None:
+        out.d1[mask] = jets.d1
+    if out.d2 is not None:
+        out.d2[mask] = jets.d2
+
+
+def _per_parity(fields: dict, y: np.ndarray, odd: np.ndarray,
+                order: int) -> Sym2Jet:
+    """fields[odd] evaluated at the offsets y from each point's site."""
+    out = Sym2Jet.zeros(y.shape[:-1], order)
+    for is_odd in (False, True):
+        m = odd == is_odd
+        if np.any(m):
+            _put(out, m, fields[is_odd].jets(y[m], order))
+    return out
+
+
 class GluedMetric:
     """Piecewise field with exact jets, valid on the background's domain."""
 
@@ -139,93 +172,58 @@ class GluedMetric:
         self._mode1 = {False: kernel_mode(1, params.eps),
                        True: kernel_mode(1, params.eps, reflected=True)}
 
-    # -- helpers -----------------------------------------------------------
-
-    def _split(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        site = np.rint(x)
-        y = x - site
-        r = np.sqrt(np.einsum("...i,...i->...", y, y))
-        if np.any(r < 1e-6 * self.params.eps):
-            raise DomainError("glued metric evaluated at a lattice point")
-        odd = (np.abs(site).sum(axis=-1).astype(np.int64) & 1).astype(bool)
-        return x, site, y, r, odd
-
     def _outer_jets(self, x: np.ndarray, order: int,
                     bg: Sym2Jet | None = None) -> Sym2Jet:
         if bg is None:
             bg = self.background.jets(x, order=order, which="combined")
-        out = bg.scaled(0.5 * self.params.eps ** 4)
-        out.val = out.val + np.eye(DIM)
-        return out
+        return outer_metric(bg, self.params.eps)
 
-    def _cap_jets(self, y: np.ndarray, odd: np.ndarray, order: int) -> Sym2Jet:
-        out = Sym2Jet.zeros(y.shape[:-1], order)
-        for is_odd in (False, True):
-            m = odd == is_odd
-            if not np.any(m):
-                continue
-            jets = self._cap[is_odd].jets(y[m], order)
-            out.val[m] = jets.val
-            if order >= 1:
-                out.d1[m] = jets.d1
-            if order >= 2:
-                out.d2[m] = jets.d2
-        return out
+    def _piecewise(self, x: np.ndarray, order: int, bg: Sym2Jet | None,
+                   caps: dict, far) -> Sym2Jet:
+        """caps[parity of the nearest site] within δ/2 of it, far(background
+        jets) beyond δ, and the cutoff blend of the two in between.
 
-    def _mode1_jets(self, y: np.ndarray, odd: np.ndarray, order: int) -> Sym2Jet:
-        out = Sym2Jet.zeros(y.shape[:-1], order)
-        for is_odd in (False, True):
-            m = odd == is_odd
-            if not np.any(m):
-                continue
-            jets = self._mode1[is_odd].jets(y[m], order)
-            out.val[m] = jets.val
-            if order >= 1:
-                out.d1[m] = jets.d1
-            if order >= 2:
-                out.d2[m] = jets.d2
-        return out
-
-    def _blend(self, inner: Sym2Jet, outer: Sym2Jet, chi: Jet2) -> Sym2Jet:
-        one_minus = Jet2(1.0 - chi.value, -chi.grad, -chi.hess)
-        return inner.scaled_by_jet(one_minus) + outer.scaled_by_jet(chi)
-
-    # -- public -------------------------------------------------------------
-
-    def jets(self, x: np.ndarray, order: int = 2,
-             bg: Sym2Jet | None = None) -> Sym2Jet:
-        x, site, y, r, odd = self._split(x)
+        ``bg``, when given, holds the background jets at every point of x.
+        """
+        x, site, y, r = _nearest_site(x)
+        if np.any(r < 1e-6 * self.params.eps):
+            raise DomainError("glued metric evaluated at a lattice point")
+        odd = (np.abs(site).sum(axis=-1).astype(np.int64) & 1).astype(bool)
         delta = self.params.delta
         out = Sym2Jet.zeros(x.shape[:-1], order)
         inner_m = r <= 0.5 * delta
         outer_m = r >= delta
         ann_m = ~inner_m & ~outer_m
 
-        def put(mask, jets):
-            out.val[mask] = jets.val
-            if order >= 1:
-                out.d1[mask] = jets.d1
-            if order >= 2:
-                out.d2[mask] = jets.d2
+        def cap_at(mask):
+            return _per_parity(caps, y[mask], odd[mask], order)
 
-        def bg_slice(mask):
+        def far_at(mask):
             if bg is None:
-                return None
-            return Sym2Jet(bg.val[mask],
-                           bg.d1[mask] if order >= 1 else None,
-                           bg.d2[mask] if order >= 2 else None)
+                return far(self.background.jets(x[mask], order=order))
+            return far(Sym2Jet(bg.val[mask],
+                               bg.d1[mask] if order >= 1 else None,
+                               bg.d2[mask] if order >= 2 else None))
 
         if np.any(inner_m):
-            put(inner_m, self._cap_jets(y[inner_m], odd[inner_m], order))
+            _put(out, inner_m, cap_at(inner_m))
         if np.any(outer_m):
-            put(outer_m, self._outer_jets(x[outer_m], order, bg_slice(outer_m)))
+            _put(out, outer_m, far_at(outer_m))
         if np.any(ann_m):
-            cap = self._cap_jets(y[ann_m], odd[ann_m], order)
-            far = self._outer_jets(x[ann_m], order, bg_slice(ann_m))
+            cap = cap_at(ann_m)
+            far_jets = far_at(ann_m)
             chi = cutoff_jet(x[ann_m], delta, site[ann_m])
-            put(ann_m, self._blend(cap, far, chi))
+            one_minus = Jet2(1.0 - chi.value, -chi.grad, -chi.hess)
+            _put(out, ann_m, cap.scaled_by_jet(one_minus)
+                 + far_jets.scaled_by_jet(chi))
         return out
+
+    # -- public -------------------------------------------------------------
+
+    def jets(self, x: np.ndarray, order: int = 2,
+             bg: Sym2Jet | None = None) -> Sym2Jet:
+        return self._piecewise(x, order, bg, self._cap,
+                               lambda b: outer_metric(b, self.params.eps))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.jets(x, order=0).val
@@ -234,38 +232,8 @@ class GluedMetric:
                          bg: Sym2Jet | None = None,
                          g: Sym2Jet | None = None) -> Sym2Jet:
         """Trace-free part w.r.t. the glued metric of ½ eps ∂_eps(glued)."""
-        x, site, y, r, odd = self._split(x)
-        delta = self.params.delta
-        shape = x.shape[:-1]
-        u = Sym2Jet.zeros(shape, order)
-        inner_m = r <= 0.5 * delta
-        outer_m = r >= delta
-        ann_m = ~inner_m & ~outer_m
-
-        def put(mask, jets):
-            u.val[mask] = jets.val
-            if order >= 1:
-                u.d1[mask] = jets.d1
-            if order >= 2:
-                u.d2[mask] = jets.d2
-
-        def bg_at(mask):
-            if bg is None:
-                return self.background.jets(x[mask], order=order)
-            return Sym2Jet(bg.val[mask],
-                           bg.d1[mask] if order >= 1 else None,
-                           bg.d2[mask] if order >= 2 else None)
-
-        if np.any(inner_m):
-            put(inner_m, self._mode1_jets(y[inner_m], odd[inner_m], order))
-        if np.any(outer_m):
-            put(outer_m, bg_at(outer_m).scaled(self.params.eps ** 4))
-        if np.any(ann_m):
-            mode = self._mode1_jets(y[ann_m], odd[ann_m], order)
-            far = bg_at(ann_m).scaled(self.params.eps ** 4)
-            chi = cutoff_jet(x[ann_m], delta, site[ann_m])
-            put(ann_m, self._blend(mode, far, chi))
-
+        u = self._piecewise(x, order, bg, self._mode1,
+                            lambda b: b.scaled(self.params.eps ** 4))
         if g is None:
             g = self.jets(x, order=order, bg=bg)
         return remove_trace(u, g)
@@ -277,31 +245,23 @@ class GluedMetric:
 def remove_trace(u: Sym2Jet, g: Sym2Jet) -> Sym2Jet:
     """u - ¼ (tr_g u) g with jets (order limited by the inputs)."""
     order = min(u.order, g.order)
+    g = Sym2Jet(g.val, g.d1 if order >= 1 else None,
+                g.d2 if order >= 2 else None)
     ginv = inverse_metric(g.val)
     tr = np.einsum("...ij,...ij->...", ginv, u.val, optimize=False)
-    trj = Jet2(tr, None, None)
+    quarter = Jet2(0.25 * tr, None, None)
     if order >= 1:
         dginv = inverse_d1(g, ginv)
-        dtr = (np.einsum("...ijk,...ij->...k", dginv, u.val, optimize=False)
-               + np.einsum("...ij,...ijk->...k", ginv, u.d1, optimize=False))
-        trj.grad = dtr
+        quarter.grad = 0.25 * (
+            np.einsum("...ijk,...ij->...k", dginv, u.val, optimize=False)
+            + np.einsum("...ij,...ijk->...k", ginv, u.d1, optimize=False))
     if order >= 2:
         ddginv = inverse_d2(g, ginv, dginv)
-        ddtr = (np.einsum("...ijkl,...ij->...kl", ddginv, u.val, optimize=False)
-                + np.einsum("...ijk,...ijl->...kl", dginv, u.d1, optimize=False)
-                + np.einsum("...ijl,...ijk->...kl", dginv, u.d1, optimize=False)
-                + np.einsum("...ij,...ijkl->...kl", ginv, u.d2, optimize=False))
-        trj.hess = ddtr
-    if order == 0:
-        return Sym2Jet(u.val - 0.25 * tr[..., None, None] * g.val)
-    quarter = Jet2(0.25 * trj.value, 0.25 * trj.grad,
-                   0.25 * trj.hess if order >= 2 else None)
-    if order == 1:
-        scaled = Sym2Jet(
-            quarter.value[..., None, None] * g.val,
-            quarter.value[..., None, None, None] * g.d1
-            + quarter.grad[..., None, None, :] * g.val[..., :, :, None])
-        return u - scaled
+        quarter.hess = 0.25 * (
+            np.einsum("...ijkl,...ij->...kl", ddginv, u.val, optimize=False)
+            + np.einsum("...ijk,...ijl->...kl", dginv, u.d1, optimize=False)
+            + np.einsum("...ijl,...ijk->...kl", dginv, u.d1, optimize=False)
+            + np.einsum("...ij,...ijkl->...kl", ginv, u.d2, optimize=False))
     return u - g.scaled_by_jet(quarter)
 
 
@@ -317,13 +277,6 @@ class DecayScan:
     fitted_prefactor: float
 
 
-def _sup_norm_on_sphere(values: np.ndarray, metric_vals: np.ndarray) -> float:
-    ginv = inverse_metric(metric_vals)
-    sq = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, values, values,
-                   optimize=False)
-    return float(np.sqrt(np.max(sq)))
-
-
 def decay_scan(glued: GluedMetric, field: str, radii, s3_order: int = 8) -> DecayScan:
     """Sup over spheres of |Ric| or |Δ_L obstruction|, with a log-log fit.
 
@@ -332,32 +285,24 @@ def decay_scan(glued: GluedMetric, field: str, radii, s3_order: int = 8) -> Deca
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2:
         raise ValueError("decay scan needs at least two radii")
-    sups = []
-    for rho in radii:
-        nodes = s3_quadrature(s3_order, rho).nodes
-        g = glued.jets(nodes, order=2)
-        curv = curvature_at(g)
-        if field == "ricci":
-            vals = curv.ricci
-        elif field == "lichnerowicz":
-            ob = glued.obstruction_jets(nodes, order=2)
-            vals = lichnerowicz(g, ob, curv)
-        else:
-            raise ValueError("field must be 'ricci' or 'lichnerowicz'")
-        sups.append(_sup_norm_on_sphere(vals, g.val))
-    sups = np.asarray(sups)
+    sups = np.asarray([inner_max_residual(glued, field, rho, s3_order)
+                       for rho in radii])
     slope, intercept = line_fit(np.log(radii), np.log(np.maximum(sups, 1e-300)))
     return DecayScan(radii, sups, slope, float(np.exp(intercept)))
 
 
 def inner_max_residual(glued: GluedMetric, field: str, rho: float,
                        s3_order: int = 6) -> float:
-    scan_nodes = s3_quadrature(s3_order, rho).nodes
-    g = glued.jets(scan_nodes, order=2)
+    """Sup over the sphere |x| = rho of the glued-metric norm of Ric
+    (field "ricci") or of Δ_L applied to the obstruction tensor (field
+    "lichnerowicz"); the sphere sup behind every decay scan."""
+    if field not in ("ricci", "lichnerowicz"):
+        raise ValueError("field must be 'ricci' or 'lichnerowicz'")
+    nodes = s3_quadrature(s3_order, rho).nodes
+    g = glued.jets(nodes, order=2)
     curv = curvature_at(g)
     if field == "ricci":
         vals = curv.ricci
     else:
-        ob = glued.obstruction_jets(scan_nodes, order=2)
-        vals = lichnerowicz(g, ob, curv)
-    return _sup_norm_on_sphere(vals, g.val)
+        vals = lichnerowicz(g, glued.obstruction_jets(nodes, order=2), curv)
+    return float(np.sqrt(np.max(pair(curv.ginv, vals, vals))))

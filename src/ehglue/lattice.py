@@ -42,6 +42,7 @@ import numpy as np
 from .fields import farfield_jets, farfield_scalars, farfield_pattern
 from .jets import DIM, DomainError
 from .quadrature import KahanAccumulator, kahan_sum
+from .report import atomic_write
 from .sym2 import Sym2Jet
 
 # ---------------------------------------------------------------------------
@@ -578,6 +579,9 @@ class BackgroundCache:
         return os.path.join(self.directory, f"{header['kind']}-{key}.ehbg")
 
     def load(self, header: dict) -> np.ndarray | None:
+        """The stored payload, or None when the entry is missing or damaged
+        (bad magic, undecodable or incomplete header, checksum or size
+        mismatch); a damaged entry is rebuilt like a missing one."""
         path = self.path_for(header)
         if not os.path.exists(path):
             return None
@@ -585,26 +589,26 @@ class BackgroundCache:
             magic = fh.read(len(self.MAGIC))
             if magic != self.MAGIC:
                 return None
-            meta = json.loads(fh.readline().decode())
+            line = fh.readline()
             payload = fh.read()
-        if hashlib.sha256(payload).hexdigest() != meta["checksum"]:
+        try:
+            meta = json.loads(line.decode())
+            if hashlib.sha256(payload).hexdigest() != meta["checksum"]:
+                return None
+            arr = np.frombuffer(payload, dtype="<f8").reshape(meta["shape"])
+        except (ValueError, KeyError, TypeError):
             return None
-        arr = np.frombuffer(payload, dtype="<f8").reshape(meta["shape"])
         return arr.copy()
 
     def store(self, header: dict, payload: np.ndarray) -> str:
-        os.makedirs(self.directory, exist_ok=True)
         data = np.ascontiguousarray(payload, dtype="<f8")
         meta = dict(header)
         meta["shape"] = list(data.shape)
         meta["checksum"] = hashlib.sha256(data.tobytes()).hexdigest()
         path = self.path_for(header)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
-            fh.write(data.tobytes())
-        os.replace(tmp, path)
+        atomic_write(path, self.MAGIC
+                     + (json.dumps(meta, sort_keys=True) + "\n").encode()
+                     + data.tobytes())
         return path
 
 
@@ -612,11 +616,6 @@ def default_cache_dir() -> str:
     return os.environ.get(
         "EH_GLUE_CACHE_DIR",
         os.path.join(os.path.expanduser("~"), ".cache", "eh-glue"))
-
-
-def grid_spec(points: np.ndarray) -> str:
-    data = np.ascontiguousarray(points, dtype="<f8").tobytes()
-    return hashlib.sha256(data).hexdigest()[:32]
 
 
 class BackgroundField:

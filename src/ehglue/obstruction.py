@@ -22,12 +22,12 @@ import numpy as np
 
 from .curvature import christoffel, covariant_d1, curvature_at, div_trace
 from .fields import eh_metric, farfield_jets, kernel_mode
-from .glue import GlueParams, GluedMetric
-from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
+from .glue import GlueParams, GluedMetric, outer_metric
+from .jets import DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import BackgroundField, flux_term_exact, parity_of
 from .quadrature import (KahanAccumulator, chunked_kahan_dot, kahan_sum,
                          s3_quadrature)
-from .sym2 import Sym2Jet, inverse_metric
+from .sym2 import Sym2Jet, inverse_metric, pair
 
 _E = dict(optimize=False)
 
@@ -58,8 +58,10 @@ def normal_covariant(h: Sym2Jet, gam: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...ijk->...ij", nu, nabla, **_E)
 
 
-def pair(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, a, b, **_E)
+def _exact_gap(bg: BackgroundField, nodes: np.ndarray, eps: float,
+              cap: Sym2Jet) -> Sym2Jet:
+    """The gap (outer expression) - (cap metric) at nodes, to first order."""
+    return outer_metric(bg.jets(nodes, order=1, which="combined"), eps) - cap
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +172,7 @@ def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
     nu, area, _ = surface_geometry(gj, nodes)
 
     if exact_gap:
-        bgj = bg.jets(nodes, order=1, which="combined")
-        hbar = bgj.scaled(0.5 * eps ** 4)
-        hbar.val = hbar.val + np.eye(DIM)
-        hbar = hbar - gj
+        hbar = _exact_gap(bg, nodes, eps, gj)
     else:
         bgj = bg.jets(nodes, order=1, which="combined", exclude_origin=True)
         hbar = bgj.scaled(0.5 * eps ** 4)
@@ -263,10 +262,7 @@ def z_flux(params: GlueParams, s3_order: int = 24,
         if zero_gap:
             hbar = Sym2Jet.zeros(nodes.shape[:-1], 1)
         else:
-            bgj = bg.jets(nodes, order=1, which="combined")
-            hbar = bgj.scaled(0.5 * eps ** 4)
-            hbar.val = hbar.val + np.eye(DIM)
-            hbar = hbar - gj
+            hbar = _exact_gap(bg, nodes, eps, gj)
         _, _, z_vec = div_trace(gj, hbar)
         mode = kernel_mode(1, eps).jets(nodes, order=0)
         integrand = 2.0 * np.einsum("...ij,...i,...j->...", mode.val, z_vec,
@@ -285,11 +281,7 @@ def gauge_vector_sup(params: GlueParams, s3_order: int = 12,
     nodes = s3_quadrature(s3_order, params.delta).nodes
     eps = params.eps
     gj = eh_metric(eps).jets(nodes, order=1)
-    bgj = bg.jets(nodes, order=1, which="combined")
-    hbar = bgj.scaled(0.5 * eps ** 4)
-    hbar.val = hbar.val + np.eye(DIM)
-    hbar = hbar - gj
-    _, _, z_vec = div_trace(gj, hbar)
+    _, _, z_vec = div_trace(gj, _exact_gap(bg, nodes, eps, gj))
     sq = np.einsum("...ij,...i,...j->...", gj.val, z_vec, z_vec, **_E)
     return float(np.sqrt(np.max(sq)))
 
@@ -410,15 +402,3 @@ def projection_integrals(eps_list, delta: float, lattice_cutoff: int = 32,
             inner_residual=inner_res,
         ))
     return results
-
-
-def ric_projection_o1(params: GlueParams, **kw) -> ProjectionResult:
-    return projection_integrals([params.eps], params.delta,
-                                params.lattice_cutoff, mode=params.mode,
-                                **kw)[0]
-
-
-def ric_projection_g(params: GlueParams, **kw) -> float:
-    return projection_integrals([params.eps], params.delta,
-                                params.lattice_cutoff, mode=params.mode,
-                                **kw)[0].onto_metric

