@@ -12,7 +12,8 @@ import argparse
 import numpy as np
 
 from ehglue.glue import GlueParams
-from ehglue.lattice import BackgroundField, omega_partial
+from ehglue.lattice import (BackgroundCache, BackgroundField,
+                            default_cache_dir, omega_partial)
 from ehglue.obstruction import flux_integral, projection_integrals
 
 
@@ -24,7 +25,9 @@ def main():
                     default=(0.02, 0.05, 0.07, 0.1))
     args = ap.parse_args()
 
-    bg = BackgroundField(args.cutoff)
+    # far tables come from the lattice cache ($EH_GLUE_CACHE_DIR), as in the CLI
+    bg = BackgroundField(args.cutoff,
+                         cache=BackgroundCache(default_cache_dir()))
     omega = omega_partial(max(args.cutoff, 32)).extrapolated
     print(f"omega = {omega:.6f}, delta = {args.delta}")
 

@@ -185,43 +185,39 @@ def farfield_pattern(reflected: bool) -> np.ndarray:
     return pat
 
 
-def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym2Jet:
-    """Far-field tensor at points y (vectorized closed-form derivatives).
+def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
+                         order: int = 2) -> tuple:
+    """The three far-field scalars n_c(y)/ρ^6 at points y with exact jets.
 
-    Components are -n_c(y)/ρ^6 arranged by :func:`farfield_pattern`; first
-    and second derivatives are assembled from the explicit product rule, so
-    this is cheap enough to run over (points × lattice sites) batches.
+    Returns (values (..., 3), gradients (..., 3, 4), Hessians (..., 3, 4, 4)),
+    the derivatives ``None`` above ``order``; derivatives come from the
+    explicit product rule, so this is cheap enough to run over (points ×
+    lattice sites) batches.
     """
     y = np.asarray(y, dtype=float)
-    shape = y.shape[:-1]
     rho2 = np.einsum("...i,...i->...", y, y)
     inv2 = 1.0 / rho2
     inv6 = inv2 * inv2 * inv2
     inv8 = inv6 * inv2
 
     scal = farfield_scalars(reflected)
-    pat = farfield_pattern(reflected)
-
     n_vals = np.stack([np.einsum("...i,ij,...j->...", y, M, y) for M in scal], axis=-1)
-    out = Sym2Jet.zeros(shape, order)
-    out.val = -np.einsum("...n,nij->...ij", n_vals * inv6[..., None], pat,
-                         optimize=False)
+    vals = n_vals * inv6[..., None]
     if order == 0:
-        return out
+        return vals, None, None
 
     # ∂_k (n/ρ^6) = (∂_k n)/ρ^6 - 6 n y_k / ρ^8
     n_grads = np.stack([2.0 * np.einsum("ij,...j->...i", M, y) for M in scal], axis=-2)
     g_scal = (n_grads * inv6[..., None, None]
               - 6.0 * n_vals[..., :, None] * y[..., None, :] * inv8[..., None, None])
-    out.d1 = -np.einsum("...nk,nij->...ijk", g_scal, pat, optimize=False)
     if order == 1:
-        return out
+        return vals, g_scal, None
 
     # ∂_l ∂_k (n/ρ^6) = (∂²n)_{kl}/ρ^6 - 6[(∂_k n) y_l + (∂_l n) y_k + n δ_{kl}]/ρ^8
     #                   + 48 n y_k y_l / ρ^10
     inv10 = inv8 * inv2
     eye = np.eye(DIM)
-    h_scal = np.empty(shape + (3, DIM, DIM))
+    h_scal = np.empty(y.shape[:-1] + (3, DIM, DIM))
     for c, M in enumerate(scal):
         cross = (n_grads[..., c, :, None] * y[..., None, :]
                  + y[..., :, None] * n_grads[..., c, None, :])
@@ -231,8 +227,27 @@ def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym
                                 + 48.0 * n_vals[..., c, None, None]
                                 * y[..., :, None] * y[..., None, :]
                                 * inv10[..., None, None])
-    out.d2 = -np.einsum("...nkl,nij->...ijkl", h_scal, pat, optimize=False)
-    return out
+    return vals, g_scal, h_scal
+
+
+def farfield_expand(scalar_jets: tuple, reflected: bool) -> Sym2Jet:
+    """Tensor jets -Σ_n pattern[n]·(n-th scalar) from scalar jets laid out as
+    :func:`farfield_scalar_jets` returns them.  Each pattern entry is 0 or
+    ±1 with disjoint supports, so every component is exactly ± one scalar."""
+    vals, grads, hesses = scalar_jets
+    pat = farfield_pattern(reflected)
+    return Sym2Jet(
+        -np.einsum("...n,nij->...ij", vals, pat, optimize=False),
+        None if grads is None else
+        -np.einsum("...nk,nij->...ijk", grads, pat, optimize=False),
+        None if hesses is None else
+        -np.einsum("...nkl,nij->...ijkl", hesses, pat, optimize=False))
+
+
+def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym2Jet:
+    """Far-field tensor at points y: components -n_c(y)/ρ^6 arranged by
+    :func:`farfield_pattern`, with exact first and second derivatives."""
+    return farfield_expand(farfield_scalar_jets(y, reflected, order), reflected)
 
 
 def farfield_tensor(reflected: bool = False) -> TensorField:

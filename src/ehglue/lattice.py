@@ -39,7 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import farfield_jets, farfield_scalars, farfield_pattern
+from .fields import (farfield_expand, farfield_jets, farfield_pattern,
+                     farfield_scalar_jets, farfield_scalars)
 from .jets import DIM, DomainError
 from .quadrature import KahanAccumulator, kahan_sum
 from .report import atomic_write
@@ -492,73 +493,62 @@ def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
 # ---------------------------------------------------------------------------
 
 class _PolyJet:
-    """Evaluate scalar polynomials (shared exponent table) with jets."""
+    """Evaluate scalar polynomials (shared exponent table) with jets.
+
+    The derivative tables ∂_d (c x^mu) = c mu_d x^(mu - e_d) live on the
+    same monomial space; each order keeps only the monomial columns where
+    its table has a nonzero entry, and gathers its basis from a power table.
+    """
 
     def __init__(self, exps: np.ndarray, coeffs: np.ndarray):
         self.exps = exps
         self.coeffs = coeffs          # (n_poly, n_mono)
-        # derivative coefficient tables share the same monomial space:
-        # ∂_d (c x^mu) = c mu_d x^(mu - e_d); build index maps once.
-        self.lower = np.full((exps.shape[0], 4), -1, dtype=np.int64)
-        index = {tuple(e): i for i, e in enumerate(exps)}
-        for i, e in enumerate(exps):
-            for d in range(4):
-                if e[d] > 0:
-                    key = tuple(e - (np.arange(4) == d))
-                    self.lower[i, d] = index.get(key, -1)
+        self.kmax = int(exps.max())
+        # column of each monomial by its base-(kmax+1) code; the table holds
+        # every monomial up to its degree, so mu - e_d has a column
+        place = (self.kmax + 1) ** np.arange(3, -1, -1)
+        code = exps @ place
+        column = np.empty((self.kmax + 1) ** 4, dtype=np.int64)
+        column[code] = np.arange(exps.shape[0])
 
-    def _basis(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        kmax = int(self.exps.max())
-        pw = np.ones(x.shape[:-1] + (4, kmax + 1))
-        for g in range(1, kmax + 1):
-            pw[..., g] = pw[..., g - 1] * x
-        cols = [pw[..., 0, e[0]] * pw[..., 1, e[1]] * pw[..., 2, e[2]]
-                * pw[..., 3, e[3]] for e in self.exps]
-        return np.stack(cols, axis=-1)
+        def derived(table):           # (..., n_mono) -> (..., 4, n_mono)
+            out = np.zeros(table.shape[:-1] + (4, table.shape[-1]))
+            for d in range(4):
+                src = np.flatnonzero(exps[:, d])
+                out[..., d, column[code[src] - place[d]]] = (
+                    exps[src, d] * table[..., src])
+            return out
+
+        self.tables = []              # per order: (exponents, coefficients)
+        table = coeffs
+        for _ in range(3):
+            cols = np.flatnonzero(np.any(table.reshape(-1, table.shape[-1]),
+                                         axis=0))
+            self.tables.append((exps[cols], table[..., cols]))
+            table = derived(table)
 
     def evaluate(self, x: np.ndarray, order: int = 2):
         """Returns (values, grads, hesses) stacked per polynomial."""
-        basis = self._basis(x)
-        vals = np.einsum("...m,pm->...p", basis, self.coeffs, optimize=False)
-        grads = hesses = None
-        if order >= 1:
-            dcoef = self._derived_coeffs()
-            grads = np.einsum("...m,pdm->...pd", basis, dcoef, optimize=False)
-        if order >= 2:
-            ddcoef = self._second_coeffs()
-            hesses = np.einsum("...m,pdem->...pde", basis, ddcoef, optimize=False)
-        return vals, grads, hesses
-
-    def _derived_coeffs(self) -> np.ndarray:
-        if not hasattr(self, "_dc"):
-            n_poly, n_mono = self.coeffs.shape
-            dc = np.zeros((n_poly, 4, n_mono))
-            for i, e in enumerate(self.exps):
-                for d in range(4):
-                    tgt = self.lower[i, d]
-                    if tgt >= 0:
-                        dc[:, d, tgt] += e[d] * self.coeffs[:, i]
-            self._dc = dc
-        return self._dc
-
-    def _second_coeffs(self) -> np.ndarray:
-        if not hasattr(self, "_ddc"):
-            dc = self._derived_coeffs()
-            n_poly, _, n_mono = dc.shape
-            ddc = np.zeros((n_poly, 4, 4, n_mono))
-            for i, e in enumerate(self.exps):
-                for d in range(4):
-                    tgt = self.lower[i, d]
-                    if tgt >= 0:
-                        ddc[:, :, d, tgt] += e[d] * dc[:, :, i]
-            self._ddc = ddc
-        return self._ddc
+        x = np.asarray(x, dtype=float)
+        pw = np.ones(x.shape[:-1] + (4, self.kmax + 1))
+        for g in range(1, self.kmax + 1):
+            pw[..., g] = pw[..., g - 1] * x
+        out = [None, None, None]
+        for k, spec in enumerate(("...m,pm->...p", "...m,pdm->...pd",
+                                  "...m,pdem->...pde")[:order + 1]):
+            exps, table = self.tables[k]
+            basis = (pw[..., 0, exps[:, 0]] * pw[..., 1, exps[:, 1]]
+                     * pw[..., 2, exps[:, 2]] * pw[..., 3, exps[:, 3]])
+            out[k] = np.einsum(spec, basis, table, optimize=False)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # accelerated background field
 # ---------------------------------------------------------------------------
+
+POINT_BLOCK_O2 = 256      # points per BackgroundField.jets block at order 2
+POINT_BLOCK = 4096        # points per block at orders 0 and 1
 
 @dataclass
 class BackgroundCache:
@@ -644,8 +634,6 @@ class BackgroundField:
         for odd in (False, True):
             exps, table = self._load_or_build_far(odd)
             self._poly[odd] = _PolyJet(exps, table)
-        self._pattern = {odd: farfield_pattern(reflected=odd)
-                         for odd in (False, True)}
 
     # -- far table ---------------------------------------------------------
 
@@ -674,8 +662,7 @@ class BackgroundField:
     # -- evaluation ---------------------------------------------------------
 
     def jets(self, x: np.ndarray, order: int = 2, which: str = "combined",
-             exclude_origin: bool = False,
-             point_chunk: int | None = None) -> Sym2Jet:
+             exclude_origin: bool = False) -> Sym2Jet:
         """Background jets at x; which ∈ {"even", "odd", "combined"}."""
         x = _lattice_point_guard(x)
         shape = x.shape[:-1]
@@ -683,15 +670,14 @@ class BackgroundField:
         if np.any(r > self.max_radius):
             raise DomainError(
                 f"background expansion used beyond |x| = {self.max_radius:.3f}")
-        if point_chunk is None:
-            point_chunk = 256 if order >= 2 else 4096
+        block = POINT_BLOCK_O2 if order >= 2 else POINT_BLOCK
         out = Sym2Jet.zeros(shape, order)
         parities = {"even": [False], "odd": [True],
                     "combined": [False, True]}[which]
         flat = x.reshape(-1, 4)
         for odd in parities:
-            for lo in range(0, flat.shape[0], point_chunk):
-                blk = flat[lo:lo + point_chunk]
+            for lo in range(0, flat.shape[0], block):
+                blk = flat[lo:lo + block]
                 sl = slice(lo, lo + blk.shape[0])
                 jets = self._eval_parity(blk, odd, order, exclude_origin)
                 out.val.reshape(-1, 4, 4)[sl] += jets.val
@@ -703,25 +689,17 @@ class BackgroundField:
 
     def _eval_parity(self, x: np.ndarray, odd: bool, order: int,
                      exclude_origin: bool) -> Sym2Jet:
+        """Near-site scalar jets summed in site order plus the far
+        polynomial's, expanded through the pattern once per point."""
         sites = self._near[odd]
         if exclude_origin and not odd:
             sites = sites[np.any(sites != 0, axis=-1)]
-        y = x[:, None, :] - sites.astype(float)
-        near = farfield_jets(y, reflected=odd, order=order)
-        total = Sym2Jet(kahan_sum(near.val, axis=-3),
-                        kahan_sum(near.d1, axis=-4) if order >= 1 else None,
-                        kahan_sum(near.d2, axis=-5) if order >= 2 else None)
-
-        vals, grads, hesses = self._poly[odd].evaluate(x, order)
-        pat = self._pattern[odd]
-        total.val += -np.einsum("...n,nij->...ij", vals, pat, optimize=False)
-        if order >= 1:
-            total.d1 += -np.einsum("...nk,nij->...ijk", grads, pat,
-                                   optimize=False)
-        if order >= 2:
-            total.d2 += -np.einsum("...nkl,nij->...ijkl", hesses, pat,
-                                   optimize=False)
-        return total
+        near = farfield_scalar_jets(x[:, None, :] - sites.astype(float),
+                                    reflected=odd, order=order)
+        far = self._poly[odd].evaluate(x, order)
+        return farfield_expand(tuple(
+            None if n is None else kahan_sum(n, axis=1) + f
+            for n, f in zip(near, far)), reflected=odd)
 
 
 def _canonical_exponents(degree: int) -> np.ndarray:

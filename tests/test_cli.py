@@ -155,3 +155,38 @@ def test_cache_regeneration_bit_identical(tmp_path):
     BackgroundField(4, n0=1, degree=8, cache=cache)
     second = {f: (cache_dir / f).read_bytes() for f in sorted(os.listdir(cache_dir))}
     assert first == second
+
+
+def test_report_diff_flags_moved_numbers_and_flipped_gates(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "report_diff.py")
+    base = Report("demo", {"cutoff": 8})
+    base.add("x", 1.0, expected=1.0, tolerance=0.1)
+    base.add("y", [2.0, 3.0])
+    base.add("w", float("nan"))
+    moved = Report("demo", {"cutoff": 8})
+    moved.add("x", 1.0 + 1e-9, expected=1.0, tolerance=0.1)
+    moved.add("y", [2.0, 3.5])
+    moved.add("w", 1.0)
+    moved.require("z", False)
+    paths = []
+    for name, rep in (("a", base), ("b", moved)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            fh.write(rep.to_json())
+
+    def diff(*args):
+        return subprocess.run([sys.executable, script, *args],
+                              capture_output=True, text=True)
+
+    same = diff(paths[0], paths[0])
+    assert same.returncode == 0 and same.stdout == ""
+    out = diff(*paths, "--rtol", "1e-6")
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert any(line.startswith("changed results.y[1]:") for line in lines)
+    assert any(line.startswith("changed results.w:") for line in lines)
+    assert not any("results.x:" in line for line in lines)
+    assert "gate all_passed: True -> False" in lines
+    assert "gate pass.z: absent -> False" in lines
+    assert diff(*paths, "--rtol", "1e-12").stdout.count("results.x:") == 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ehglue.fields import (alpha_forms, eh_metric, eh_hat_metric,
-                           farfield_jets, farfield_tensor, kernel_mode,
+                           farfield_jets, farfield_pattern,
+                           farfield_scalar_jets, farfield_tensor, kernel_mode,
                            map_collection, point_generators,
                            symmetry_check, vector_fields, REFLECTION)
 from ehglue.jets import DomainError
@@ -122,6 +123,28 @@ def test_farfield_jets_match_finite_differences(rng):
         fd = (farfield_jets(y + e, True, 0).val
               - farfield_jets(y - e, True, 0).val) / (2 * h)
         assert np.max(np.abs(fd - jets.d1[..., k])) < 1e-7
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_farfield_jets_are_pattern_expansion_of_scalars(rng, order, reflected):
+    # every component is bit for bit minus (pattern sign) times one scalar
+    # jet, and the components outside the three pattern supports are zero
+    y = rng.normal(size=(5, 7, 4))
+    jets = farfield_jets(y, reflected, order)
+    scalars = farfield_scalar_jets(y, reflected, order)
+    pat = farfield_pattern(reflected)
+    assert np.array_equal(np.abs(pat).sum(axis=0) <= 1, np.ones((4, 4), bool))
+    for k, (tensor, scal) in enumerate(zip((jets.val, jets.d1, jets.d2),
+                                           scalars)):
+        if k > order:
+            assert tensor is None and scal is None
+            continue
+        support = np.abs(pat).sum(axis=0) > 0
+        assert np.all(tensor[:, :, ~support] == 0.0)
+        for n, i, j in zip(*np.nonzero(pat)):
+            expected = -pat[n, i, j] * scal[:, :, n]
+            assert tensor[:, :, i, j].tobytes() == expected.tobytes()
 
 
 def test_kernel_mode_closed_form_at_axis():

@@ -1,10 +1,12 @@
 import json
 import os
+from itertools import product
 
 import numpy as np
 import pytest
 
-from ehglue.fields import farfield_jets
+from ehglue import lattice
+from ehglue.fields import farfield_jets, farfield_pattern
 from ehglue.jets import DomainError
 from ehglue.lattice import (BackgroundCache, BackgroundField,
                             background_partial, background_values,
@@ -163,6 +165,100 @@ def test_far_taylor_keeps_harmonic_tracefree_structure(background8):
     assert np.max(np.abs(tr)) < 1e-11
     div = np.einsum("piji->pj", jets.d1)
     assert np.max(np.abs(div)) < 1e-10
+
+
+def _dense_poly_jets(exps, table, x):
+    """Oracle: every monomial's value, gradient and Hessian (from x**k)
+    against the full coefficient table."""
+    pw = x[:, :, None] ** np.arange(exps.max() + 1)
+
+    def mono(e):
+        ok = np.all(e >= 0, axis=-1)
+        picked = pw[:, np.arange(4), np.maximum(e, 0)]
+        return np.prod(picked, axis=-1) * ok
+
+    eye = np.eye(4, dtype=np.int64)
+    basis = mono(exps)
+    d1 = np.stack([exps[:, d] * mono(exps - eye[d]) for d in range(4)], 1)
+    d2 = np.stack([np.stack([exps[:, d] * (exps[:, e] - eye[d, e])
+                             * mono(exps - eye[d] - eye[e])
+                             for e in range(4)], 1) for d in range(4)], 1)
+    return (np.einsum("pm,nm->pn", basis, table),
+            np.einsum("pdm,nm->pnd", d1, table),
+            np.einsum("pdem,nm->pnde", d2, table))
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_compact_polynomial_matches_dense_oracle(background8, rng, odd):
+    poly = background8._poly[odd]
+    assert poly.exps.shape[0] == poly.coeffs.shape[1] == 1820
+    d = rng.normal(size=(16, 4))
+    x = d / np.linalg.norm(d, axis=1, keepdims=True) \
+        * rng.uniform(0.05, 1.15, size=(16, 1))
+    oracle = _dense_poly_jets(poly.exps, poly.coeffs, x)
+    for order in (0, 1, 2):
+        got = poly.evaluate(x, order)
+        for k in range(3):
+            if k > order:
+                assert got[k] is None
+                continue
+            scale = np.max(np.abs(oracle[k]))
+            assert np.max(np.abs(got[k] - oracle[k])) <= 1e-14 * scale
+
+
+def test_background_jets_equal_tensor_route_and_agree_across_orders(
+        background8):
+    # near sites summed as full far-field tensors, then the far polynomial
+    # expanded through the pattern: the scalar channel matches it bit for bit
+    x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1],
+                  [-0.4, 0.3, 0.2, -0.1]])
+    for which, exclude_origin in product(("even", "odd", "combined"),
+                                         (False, True)):
+        parities = {"even": [False], "odd": [True],
+                    "combined": [False, True]}[which]
+        ref = [np.zeros((3, 4, 4)), np.zeros((3, 4, 4, 4)),
+               np.zeros((3, 4, 4, 4, 4))]
+        for odd in parities:
+            sites = near_sites(1, odd, exclude_origin and not odd)
+            near = farfield_jets(x[:, None, :] - sites, odd, order=2)
+            far = background8._poly[odd].evaluate(x, 2)
+            pat = farfield_pattern(odd)
+            for k, (tensor, spec) in enumerate(zip(
+                    (near.val, near.d1, near.d2),
+                    ("pn,nij->pij", "pnk,nij->pijk", "pnkl,nij->pijkl"))):
+                ref[k] += (lattice.kahan_sum(tensor, axis=1)
+                           - np.einsum(spec, far[k], pat))
+        jets = [background8.jets(x, order, which, exclude_origin)
+                for order in (0, 1, 2)]
+        for k in range(3):
+            for jet in jets[k:]:
+                got = (jet.val, jet.d1, jet.d2)[k]
+                assert got.tobytes() == ref[k].tobytes()
+
+
+def test_far_table_under_current_header_loads_without_rebuild(
+        tmp_path, monkeypatch):
+    # the cache key and the canonical (3, n_monomials) payload are fixed: a
+    # table stored under this header is a hit and nothing is rebuilt
+    fresh = BackgroundField(4, n0=1, degree=8)
+    cache = BackgroundCache(str(tmp_path))
+    for odd in (False, True):
+        header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
+                  "degree": 8, "parity": "odd" if odd else "even",
+                  "grid": "taylor-origin"}
+        assert fresh._poly[odd].coeffs.shape == (3, 495)
+        cache.store(header, fresh._poly[odd].coeffs)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("far table rebuilt despite a stored entry")
+
+    monkeypatch.setattr(lattice, "farfield_taylor", no_build)
+    loaded = BackgroundField(4, n0=1, degree=8, cache=cache)
+    pts = np.array([[0.2, 0.1, 0.0, -0.1], [-0.05, 0.3, 0.25, 0.1]])
+    for order in (0, 1, 2):
+        a, b = fresh.jets(pts, order), loaded.jets(pts, order)
+        for k in ("val", "d1", "d2")[:order + 1]:
+            assert getattr(a, k).tobytes() == getattr(b, k).tobytes()
 
 
 def test_background_field_exact_point_symmetry(background8):
