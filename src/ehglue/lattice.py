@@ -39,8 +39,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import (farfield_expand, farfield_jets, farfield_pattern,
-                     farfield_scalar_jets, farfield_scalars)
+# perfbench/micro.py rebinds lattice.farfield_jets and lattice.kahan_sum
+from .fields import (farfield_expand, farfield_jets, farfield_scalar_jets,
+                     farfield_scalars)
 from .jets import DIM, DomainError
 from .quadrature import KahanAccumulator, kahan_sum
 from .report import atomic_write
@@ -162,6 +163,21 @@ PAIR_MAPS = {
 }
 
 
+PARITIES = {"even": (False,), "odd": (True,), "combined": (False, True)}
+
+# pairs of points × sites per direct-sum block; bounds the order-2 temporaries
+DIRECT_BLOCK = 1 << 15
+
+
+def _parities(which: str) -> tuple:
+    """Parity classes summed for ``which``: False = even sites with the plain
+    kernel, True = odd sites with the reflected one."""
+    if which not in PARITIES:
+        raise ValueError(f"unknown parity class {which!r}; expected one of "
+                         + ", ".join(PARITIES))
+    return PARITIES[which]
+
+
 def _lattice_point_guard(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     frac = x - np.rint(x)
@@ -172,104 +188,50 @@ def _lattice_point_guard(x: np.ndarray):
 
 def background_partial(x: np.ndarray, cutoff: int, which: str = "combined",
                        order: int = 0, paired: bool = False,
-                       exclude_origin: bool = False,
-                       site_chunk: int = 1 << 17) -> Sym2Jet:
+                       exclude_origin: bool = False) -> Sym2Jet:
     """Direct symmetric-cube partial sum of the translated far-field tensors.
 
     which: "even" (plain kernel on even sites), "odd" (reflected kernel on
     odd sites) or "combined".  ``paired`` groups each site with its orbit
     under the cancellation map before accumulating, which makes the shell
     contributions absolutely summable; the value differs only by rounding.
-    Deterministic: fixed slab-major enumeration with compensated
-    accumulation.
+    The three far-field scalar jets are summed over the sites and expanded
+    through the pattern once per parity at the end.  Deterministic: fixed
+    slab-major enumeration, a pairwise sum along each block's site axis and
+    compensated accumulation across blocks and slabs.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    parities = _parities(which)
     x = _lattice_point_guard(x)
-    shape = np.asarray(x).shape[:-1]
-    acc_val = KahanAccumulator(shape + (DIM, DIM))
-    acc_d1 = KahanAccumulator(shape + (DIM, DIM, DIM)) if order >= 1 else None
-    acc_d2 = KahanAccumulator(shape + (DIM, DIM, DIM, DIM)) if order >= 2 else None
-
-    def accumulate(sites: np.ndarray, odd: bool):
-        if sites.size == 0:
-            return
-        for lo in range(0, sites.shape[0], site_chunk):
-            blk = sites[lo:lo + site_chunk]
-            y = x[..., None, :] - blk.astype(float)
-            jets = farfield_jets(y, reflected=odd, order=order)
-            acc_val.add(kahan_sum(jets.val, axis=-3))
-            if order >= 1:
-                acc_d1.add(kahan_sum(jets.d1, axis=-4))
-            if order >= 2:
-                acc_d2.add(kahan_sum(jets.d2, axis=-5))
-
+    site_axis = x.ndim - 1
+    block = max(1, DIRECT_BLOCK // max(1, x.size // DIM))
+    acc = {odd: [KahanAccumulator(x.shape[:-1] + (3,) + (DIM,) * k)
+                 for k in range(order + 1)] for odd in parities}
     for sites in slab_sites(cutoff):
         if exclude_origin:
             sites = sites[np.any(sites != 0, axis=-1)]
         odd = parity_of(sites)
-        for is_odd in (False, True):
-            if which == "even" and is_odd:
-                continue
-            if which == "odd" and not is_odd:
-                continue
+        for is_odd in parities:
             part = sites[odd == is_odd]
             if paired:
                 part = _orbit_fold(part, is_odd)
-            accumulate(part, is_odd)
-    return Sym2Jet(acc_val.total,
-                   acc_d1.total if order >= 1 else None,
-                   acc_d2.total if order >= 2 else None)
+            for lo in range(0, part.shape[0], block):
+                jets = farfield_scalar_jets(
+                    x[..., None, :] - part[lo:lo + block], is_odd, order)
+                for a, jet in zip(acc[is_odd], jets):
+                    # contiguous site axis: np.sum reduces it pairwise
+                    a.add(np.moveaxis(jet, site_axis, -1).copy().sum(axis=-1))
+    parts = [farfield_expand(tuple(a.total for a in acc[odd])
+                             + (None,) * (2 - order), odd) for odd in parities]
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
 def background_values(x, cutoff: int, which: str = "combined",
                       paired: bool = False,
                       exclude_origin: bool = False) -> np.ndarray:
-    """Lean value-only direct partial sum at a single point (or few points).
-
-    Same summation semantics as :func:`background_partial` at order 0, with
-    per-site work kept minimal so cube cutoffs of 64-128 stay affordable.
-    """
-    x = _lattice_point_guard(x)
-    single = x.ndim == 1
-    pts = x.reshape(-1, 4)
-    acc = KahanAccumulator((pts.shape[0], DIM, DIM))
-    pats = {odd: farfield_pattern(reflected=odd) for odd in (False, True)}
-    scals = {odd: farfield_scalars(reflected=odd) for odd in (False, True)}
-    for sites in slab_sites(cutoff):
-        if exclude_origin:
-            sites = sites[np.any(sites != 0, axis=-1)]
-        odd = parity_of(sites)
-        for is_odd in (False, True):
-            if (which == "even" and is_odd) or (which == "odd" and not is_odd):
-                continue
-            part = sites[odd == is_odd]
-            if paired:
-                part = _orbit_fold(part, is_odd)
-            if part.size == 0:
-                continue
-            a = part.astype(float)
-            for p, pt in enumerate(pts):
-                y = pt - a
-                rho2 = np.einsum("sj,sj->s", y, y)
-                inv6 = (1.0 / rho2) ** 3
-                # in paired mode orbit members are adjacent, so the pairwise
-                # np.sum below combines them before the large-scale reduction
-                nv = np.stack([np.einsum("si,ij,sj->s", y, M, y,
-                                         optimize=False) * inv6
-                               for M in scals[is_odd]], axis=-1)
-                chunked = np.empty((3,))
-                for c in range(3):
-                    s = KahanAccumulator()
-                    col = nv[:, c]
-                    for lo in range(0, col.shape[0], 1 << 18):
-                        s.add(np.sum(col[lo:lo + (1 << 18)]))
-                    chunked[c] = s.result()
-                upd = np.zeros((pts.shape[0], DIM, DIM))
-                upd[p] = -np.einsum("n,nij->ij", chunked, pats[is_odd])
-                acc.add(upd)
-    out = acc.total
-    return out[0] if single else out
+    """Value-only :func:`background_partial` at one point (4,) or a batch."""
+    return background_partial(x, cutoff, which, 0, paired, exclude_origin).val
 
 
 def _orbit_fold(sites: np.ndarray, odd: bool) -> np.ndarray:
@@ -664,6 +626,7 @@ class BackgroundField:
     def jets(self, x: np.ndarray, order: int = 2, which: str = "combined",
              exclude_origin: bool = False) -> Sym2Jet:
         """Background jets at x; which ∈ {"even", "odd", "combined"}."""
+        parities = _parities(which)
         x = _lattice_point_guard(x)
         shape = x.shape[:-1]
         r = np.sqrt(np.einsum("...i,...i->...", x, x))
@@ -672,8 +635,6 @@ class BackgroundField:
                 f"background expansion used beyond |x| = {self.max_radius:.3f}")
         block = POINT_BLOCK_O2 if order >= 2 else POINT_BLOCK
         out = Sym2Jet.zeros(shape, order)
-        parities = {"even": [False], "odd": [True],
-                    "combined": [False, True]}[which]
         flat = x.reshape(-1, 4)
         for odd in parities:
             for lo in range(0, flat.shape[0], block):

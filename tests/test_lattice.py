@@ -13,6 +13,7 @@ from ehglue.lattice import (BackgroundCache, BackgroundField,
                             flux_term_exact, gegenbauer_terms,
                             interaction_weight, lattice_moments, near_sites,
                             omega_partial, parity_of, slab_sites)
+from ehglue.quadrature import KahanAccumulator, kahan_sum
 from ehglue.report import atomic_write
 
 
@@ -113,6 +114,66 @@ def test_background_invariance_defect_shrinks():
     assert defects[8] < defects[4]
 
 
+def _tensor_route_partial(x, cutoff, which, exclude_origin):
+    """Oracle: full far-field tensors at order 2, Kahan-summed over each
+    slab's sites and across slabs."""
+    parities = {"even": [False], "odd": [True],
+                "combined": [False, True]}[which]
+    acc = [KahanAccumulator((x.shape[0],) + (4,) * k)
+           for k in (2, 3, 4)]
+    for sites in slab_sites(cutoff):
+        if exclude_origin:
+            sites = sites[np.any(sites != 0, axis=-1)]
+        for odd in parities:
+            part = sites[parity_of(sites) == odd]
+            jets = farfield_jets(x[:, None, :] - part, odd, order=2)
+            for a, tensor in zip(acc, (jets.val, jets.d1, jets.d2)):
+                a.add(kahan_sum(tensor, axis=1))
+    return [a.total for a in acc]
+
+
+def test_direct_sum_matches_tensor_route_oracle():
+    x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1],
+                  [-0.4, 0.3, 0.2, -0.1]])
+    for which, exclude_origin in product(("even", "odd", "combined"),
+                                         (False, True)):
+        oracle = _tensor_route_partial(x, 3, which, exclude_origin)
+        for order, paired in product((0, 1, 2), (False, True)):
+            got = background_partial(x, 3, which, order, paired,
+                                     exclude_origin)
+            for k, part in enumerate((got.val, got.d1, got.d2)):
+                if k > order:
+                    assert part is None
+                    continue
+                scale = np.max(np.abs(oracle[k]))
+                assert np.max(np.abs(part - oracle[k])) <= 1e-14 * scale
+            if order == 0:
+                values = background_values(x, 3, which, paired,
+                                           exclude_origin)
+                assert values.tobytes() == got.val.tobytes()
+                single = background_values(x[1], 3, which, paired,
+                                           exclude_origin)
+                one = background_partial(x[1], 3, which, 0, paired,
+                                         exclude_origin)
+                assert single.shape == (4, 4)
+                assert single.tobytes() == one.val.tobytes()
+
+
+def test_direct_sums_reject_unknown_parity_and_bad_cutoff(background8):
+    x = np.array([0.25, 0.1, 0.0, -0.05])
+    with pytest.raises(ValueError):
+        background_partial(x, 2, which="bogus")
+    with pytest.raises(ValueError):
+        background_values(x, 2, which="Odd")
+    with pytest.raises(ValueError):
+        background8.jets(x[None], which="bogus")
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError):
+            background_values(x, cutoff)
+        with pytest.raises(ValueError):
+            background_partial(x[None], cutoff, order=1)
+
+
 def test_background_rejects_lattice_points():
     with pytest.raises(DomainError):
         background_values(np.array([1.0, 0.0, 0.0, 0.0]), 4)
@@ -142,10 +203,13 @@ def test_lattice_moments_fold_matches_direct():
         assert mom[(beta, e)] == pytest.approx(direct, rel=1e-12)
 
 
-def test_far_taylor_matches_direct_sum(background8):
+@pytest.mark.parametrize("which", ["even", "odd", "combined"])
+@pytest.mark.parametrize("exclude_origin", [False, True])
+def test_far_taylor_matches_direct_sum(background8, which, exclude_origin):
     pts = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1]])
-    direct = background_partial(pts, 8, order=2)
-    accel = background8.jets(pts, order=2)
+    direct = background_partial(pts, 8, which, order=2,
+                                exclude_origin=exclude_origin)
+    accel = background8.jets(pts, 2, which, exclude_origin)
     assert np.max(np.abs(direct.val - accel.val)) < 1e-9
     assert np.max(np.abs(direct.d1 - accel.d1)) < 1e-8
     assert np.max(np.abs(direct.d2 - accel.d2)) < 1e-6
