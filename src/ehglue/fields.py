@@ -185,49 +185,68 @@ def farfield_pattern(reflected: bool) -> np.ndarray:
     return pat
 
 
+def farfield_numerators(y: np.ndarray, reflected: bool = False,
+                        order: int = 1) -> tuple:
+    """The numerators n_c(y) = yᵀM_c y of :func:`farfield_scalars` in closed
+    form, and above order 0 their gradients 2M_c y, component axes first.
+
+    Each row of M_c has one nonzero entry ±1, so every gradient is a signed
+    permutation of 2y.  Takes y component-first, (4, ...), and returns
+    (values (3, ...), gradients (3, 4, ...) or ``None``).
+    """
+    sgn = -1.0 if reflected else 1.0
+    y1, y2, y3, y4 = y
+    n = np.empty((3,) + y.shape[1:])
+    n[0] = y1 * y1 + y2 * y2 - y3 * y3 - y4 * y4
+    n[1] = 2.0 * (y1 * y3 + sgn * (y2 * y4))
+    n[2] = 2.0 * (y1 * y4 - sgn * (y2 * y3))
+    if order == 0:
+        return n, None
+    scal = np.stack(farfield_scalars(reflected))
+    perm = np.abs(scal).argmax(axis=-1)                   # (3, 4)
+    sign = np.take_along_axis(scal, perm[..., None], axis=-1)[..., 0]
+    return n, (2.0 * y)[perm] * sign.reshape(sign.shape + (1,) * (y.ndim - 1))
+
+
 def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
                          order: int = 2) -> tuple:
     """The three far-field scalars n_c(y)/ρ^6 at points y with exact jets.
 
     Returns (values (..., 3), gradients (..., 3, 4), Hessians (..., 3, 4, 4)),
-    the derivatives ``None`` above ``order``; derivatives come from the
-    explicit product rule, so this is cheap enough to run over (points ×
-    lattice sites) batches.
+    the derivatives ``None`` above ``order``.  The numerators come in closed
+    form from :func:`farfield_numerators`, the derivatives from the explicit
+    product rule; the work runs component-first, so every array operation
+    spans the whole batch, and the results are views of that layout.  This
+    is cheap enough to run over (points × lattice sites) batches.
     """
     y = np.asarray(y, dtype=float)
-    rho2 = np.einsum("...i,...i->...", y, y)
-    inv2 = 1.0 / rho2
+    yt = np.moveaxis(y, -1, 0)
+    inv2 = 1.0 / np.einsum("...i,...i->...", y, y)
     inv6 = inv2 * inv2 * inv2
-    inv8 = inv6 * inv2
-
-    scal = farfield_scalars(reflected)
-    n_vals = np.stack([np.einsum("...i,ij,...j->...", y, M, y) for M in scal], axis=-1)
-    vals = n_vals * inv6[..., None]
+    n, dn = farfield_numerators(yt, reflected, min(order, 1))
+    vals = np.moveaxis(n * inv6, 0, -1)
     if order == 0:
         return vals, None, None
 
     # ∂_k (n/ρ^6) = (∂_k n)/ρ^6 - 6 n y_k / ρ^8
-    n_grads = np.stack([2.0 * np.einsum("ij,...j->...i", M, y) for M in scal], axis=-2)
-    g_scal = (n_grads * inv6[..., None, None]
-              - 6.0 * n_vals[..., :, None] * y[..., None, :] * inv8[..., None, None])
+    w8 = -6.0 * inv6 * inv2
+    nw8 = n * w8
+    grads = np.moveaxis(dn * inv6 + nw8[:, None] * yt, (0, 1), (-2, -1))
     if order == 1:
-        return vals, g_scal, None
+        return vals, grads, None
 
     # ∂_l ∂_k (n/ρ^6) = (∂²n)_{kl}/ρ^6 - 6[(∂_k n) y_l + (∂_l n) y_k + n δ_{kl}]/ρ^8
-    #                   + 48 n y_k y_l / ρ^10
-    inv10 = inv8 * inv2
-    eye = np.eye(DIM)
-    h_scal = np.empty(y.shape[:-1] + (3, DIM, DIM))
-    for c, M in enumerate(scal):
-        cross = (n_grads[..., c, :, None] * y[..., None, :]
-                 + y[..., :, None] * n_grads[..., c, None, :])
-        h_scal[..., c, :, :] = (2.0 * M * inv6[..., None, None]
-                                - 6.0 * (cross + n_vals[..., c, None, None] * eye)
-                                * inv8[..., None, None]
-                                + 48.0 * n_vals[..., c, None, None]
-                                * y[..., :, None] * y[..., None, :]
-                                * inv10[..., None, None])
-    return vals, g_scal, h_scal
+    #                   + 48 n y_k y_l / ρ^10,   with the constant ∂²n = 2M_c;
+    # the y-dependent terms are u_k y_l + u_l y_k, u = -6 ∂n/ρ^8 + 24 n y/ρ^10
+    u = dn * w8 + (n * (24.0 * inv6 * inv2 * inv2))[:, None] * yt
+    hess = u[:, :, None] * yt
+    hess += np.swapaxes(hess, 1, 2)   # numpy buffers the overlapping operand
+    scal = np.stack(farfield_scalars(reflected))
+    c, p, q = np.nonzero(scal)
+    hess[c, p, q] += np.multiply.outer(2.0 * scal[c, p, q], inv6)
+    diag = np.arange(DIM)
+    hess[:, diag, diag] += nw8[:, None]
+    return vals, grads, np.moveaxis(hess, (0, 1, 2), (-3, -2, -1))
 
 
 def farfield_expand(scalar_jets: tuple, reflected: bool) -> Sym2Jet:

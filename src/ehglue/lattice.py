@@ -5,7 +5,8 @@ far-field tensor: the plain kernel on even sites and the reflected kernel on
 odd sites.  The conditionally convergent background field is defined through
 symmetric cube partial sums max|a_i| ≤ N; this module provides
 
-* the scalar obstruction constant as cube partial sums with Richardson
+* the scalar obstruction constant as cube partial sums, folded onto a
+  fundamental domain of the weight's symmetry group, with Richardson
   extrapolation at the measured convergence order,
 * the exact closed-form single-site flux weights,
 * direct (site-by-site) background partial sums, optionally grouped into
@@ -60,6 +61,24 @@ def slab_sites(cutoff: int):
         out = np.empty((rest.shape[0], 4), dtype=np.int64)
         out[:, 0] = a1
         out[:, 1:] = rest
+        yield out
+
+
+def parity_slabs(cutoff: int, odd: bool):
+    """Yield the sites of one parity class of the cube max|a_i| ≤ cutoff as
+    (m, 4) int arrays, one slab a1 = const at a time, each in
+    :func:`slab_sites` order.  The last three coordinates are split by
+    parity once, and the parity of a site is that of a1 plus theirs."""
+    rng = np.arange(-cutoff, cutoff + 1)
+    rest = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    rest_odd = parity_of(rest)
+    split = {p: rest[rest_odd == p] for p in (False, True)}
+    for a1 in rng:
+        tail = split[bool(a1 & 1) != odd]
+        out = np.empty((tail.shape[0], 4), dtype=np.int64)
+        out[:, 0] = a1
+        out[:, 1:] = tail
         yield out
 
 
@@ -120,19 +139,44 @@ def omega_partial(cutoff: int) -> OmegaResult:
     Terms decay like |a|^{-6} so the series converges absolutely; the cube
     partial sums are extrapolated by Richardson at the convergence order
     measured from the three partials at cutoff/4, cutoff/2, cutoff (the
-    observed cube-tail order is close to 2).
+    observed cube-tail order is close to 2).  The sum runs over the
+    fundamental domain of :func:`omega_domain`, each site weighted by its
+    orbit size, and each shell is summed pairwise in enumeration order.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    shell_acc = KahanAccumulator((cutoff + 1,))
-    for sites in slab_sites(cutoff):
-        odd = parity_of(sites)
-        term = np.where(odd, interaction_weight(sites), 0.0)
-        shell = np.abs(sites).max(axis=-1)
-        shell_acc.add(np.bincount(shell, weights=term, minlength=cutoff + 1))
-    partials = np.cumsum(shell_acc.total)
+    sites, orbit = omega_domain(cutoff)
+    shell = sites.max(axis=-1)
+    by_shell = np.argsort(shell, kind="stable")
+    term = (orbit * interaction_weight(sites))[by_shell]
+    bounds = np.searchsorted(shell[by_shell], np.arange(cutoff + 2))
+    partials = np.cumsum([np.sum(term[lo:hi])
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
     ext, unc, order = _richardson(partials, cutoff)
     return OmegaResult(cutoff, partials, ext, unc, order)
+
+
+def omega_domain(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd sites of a fundamental domain of the cube max|a_i| ≤ cutoff under
+    the order-128 symmetry group of :func:`interaction_weight`, with the
+    size of each site's orbit.
+
+    The group is generated by the 2^4 sign flips, the swaps within {1, 2}
+    and within {3, 4}, and the exchange of those two pairs; parity and the
+    shell max|a_i| are invariant.  The domain is 0 ≤ a1 ≤ a2, 0 ≤ a3 ≤ a4,
+    (a1, a2) ≤ (a3, a4) lexicographically, enumerated in that order.  An
+    orbit has 2^#nonzero · (1+[a1≠a2]) · (1+[a3≠a4]) · (1+[pairs differ])
+    sites, a power of two, so weighting a term by it is exact.
+    """
+    pairs = np.stack(np.triu_indices(cutoff + 1), axis=-1)   # lexicographic
+    i, j = np.triu_indices(pairs.shape[0])
+    sites = np.concatenate([pairs[i], pairs[j]], axis=-1)
+    sites = sites[parity_of(sites)]
+    orbit = (2.0 ** np.count_nonzero(sites, axis=-1)
+             * (1 + (sites[:, 0] != sites[:, 1]))
+             * (1 + (sites[:, 2] != sites[:, 3]))
+             * (1 + np.any(sites[:, :2] != sites[:, 2:], axis=-1)))
+    return sites, orbit
 
 
 def _richardson(partials: np.ndarray, n: int):
@@ -197,8 +241,8 @@ def background_partial(x: np.ndarray, cutoff: int, which: str = "combined",
     contributions absolutely summable; the value differs only by rounding.
     The three far-field scalar jets are summed over the sites and expanded
     through the pattern once per parity at the end.  Deterministic: fixed
-    slab-major enumeration, a pairwise sum along each block's site axis and
-    compensated accumulation across blocks and slabs.
+    slab-major enumeration per parity, a pairwise sum along each block's
+    site axis and compensated accumulation across blocks and slabs.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -206,24 +250,23 @@ def background_partial(x: np.ndarray, cutoff: int, which: str = "combined",
     x = _lattice_point_guard(x)
     site_axis = x.ndim - 1
     block = max(1, DIRECT_BLOCK // max(1, x.size // DIM))
-    acc = {odd: [KahanAccumulator(x.shape[:-1] + (3,) + (DIM,) * k)
-                 for k in range(order + 1)] for odd in parities}
-    for sites in slab_sites(cutoff):
-        if exclude_origin:
-            sites = sites[np.any(sites != 0, axis=-1)]
-        odd = parity_of(sites)
-        for is_odd in parities:
-            part = sites[odd == is_odd]
+    parts = []
+    for is_odd in parities:
+        acc = [KahanAccumulator(x.shape[:-1] + (3,) + (DIM,) * k)
+               for k in range(order + 1)]
+        for part in parity_slabs(cutoff, is_odd):
+            if exclude_origin:
+                part = part[np.any(part != 0, axis=-1)]
             if paired:
                 part = _orbit_fold(part, is_odd)
             for lo in range(0, part.shape[0], block):
                 jets = farfield_scalar_jets(
                     x[..., None, :] - part[lo:lo + block], is_odd, order)
-                for a, jet in zip(acc[is_odd], jets):
+                for a, jet in zip(acc, jets):
                     # contiguous site axis: np.sum reduces it pairwise
                     a.add(np.moveaxis(jet, site_axis, -1).copy().sum(axis=-1))
-    parts = [farfield_expand(tuple(a.total for a in acc[odd])
-                             + (None,) * (2 - order), odd) for odd in parities]
+        parts.append(farfield_expand(tuple(a.total for a in acc)
+                                     + (None,) * (2 - order), is_odd))
     return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
@@ -302,8 +345,9 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
     folds onto the nonnegative orthant with weight 2^(#nonzero coords).
     """
     rng = np.arange(0, cutoff + 1)
-    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    a = np.stack([g.ravel() for g in grids], axis=-1).astype(np.int64)
+    a = np.stack([g.ravel() for g in np.meshgrid(rng, rng, rng, rng,
+                                                 indexing="ij")],
+                 axis=-1).astype(np.int64)
     keep = (a.max(axis=-1) > n0) & (parity_of(a) == odd)
     a = a[keep]
     weight = 2.0 ** (a != 0).sum(axis=-1)
@@ -339,115 +383,99 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
     return out
 
 
-def _taylor_requests(degree: int) -> list[tuple]:
-    """Enumerate the Gegenbauer/multinomial assembly plan up to a degree.
+def _taylor_plan(degree: int) -> tuple:
+    """The Gegenbauer/multinomial assembly plan up to a degree, as arrays.
 
-    Each entry is (k, j, gamma_float, e, beta, c_beta, nu, c_nu); the three
-    numerator parts reuse one plan.
+    Row r stands for one term w · A^m B^j of T_k expanded by the multinomial
+    theorem, in the order (k, Gegenbauer term, β, ν); returns (k, e, β, ν, w)
+    with e = 6 + 2k - 2j and w = coeff · c_β · c_ν.  The three numerator
+    parts reuse one plan.
     """
-    plan = []
+    ks, es, betas, nus, ws = [], [], [], [], []
     geg = gegenbauer_terms(degree)
     for k in range(degree + 1):
-        for (pa, pb), coeff in geg[k].items():
-            j = pb
-            m = pa
+        for (m, j), coeff in geg[k].items():
             assert m + 2 * j == k
-            e = 6 + 2 * k - 2 * j
-            for beta in _multi_indices(m):
-                c_beta = _multinomial(m, beta)
-                for nu in _multi_indices(j):
-                    c_nu = _multinomial(j, nu)
-                    plan.append((k, j, float(coeff), e, beta, c_beta, nu, c_nu))
-    return plan
+            beta = np.asarray(_multi_indices(m))
+            nu = np.asarray(_multi_indices(j))
+            c_beta = np.array([_multinomial(m, b) for b in beta])
+            c_nu = np.array([_multinomial(j, n) for n in nu])
+            betas.append(np.repeat(beta, len(nu), axis=0))
+            nus.append(np.tile(nu, (len(beta), 1)))
+            ws.append(float(coeff) * np.repeat(c_beta, len(nu))
+                      * np.tile(c_nu, len(beta)))
+            ks.append(np.full(len(beta) * len(nu), k))
+            es.append(np.full(len(beta) * len(nu), 6 + 2 * k - 2 * j))
+    return tuple(np.concatenate(a) for a in (ks, es, betas, nus, ws))
 
 
 def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
     """Exact Taylor coefficients (about 0, degree ≤ K) of the three scalar
     far sums Σ_far n_c(x-a)/|x-a|^6 for one parity class.
 
+    Each plan row meets each nonzero entry n_pq of each M_c in three
+    branches: the moment a^(β+e_p+e_q) into x^(β+2ν) with weight w·n_pq,
+    a^(β+e_q) into x^(β+2ν+e_p) with -2w·n_pq (when k+1 ≤ K), and a^β into
+    x^(β+2ν+e_p+e_q) with w·n_pq (when k+2 ≤ K); a branch whose moment
+    index has an odd entry vanishes.  Every coefficient is Kahan-summed over
+    its contributions in plan order, and the monomials are numbered in
+    order of first contribution.
+
     Returns (exponents (n_mono, 4) int array, coeffs (3, n_mono)).
     """
-    plan = _taylor_requests(degree)
-    scal = farfield_scalars(reflected=odd)
-    pairs = [(p, q, M[p, q]) for M in scal for p in range(4) for q in range(4)]
+    k, e, beta, nu, w = _taylor_plan(degree)
+    scal = np.stack(farfield_scalars(reflected=odd))
+    eye = np.eye(DIM, dtype=np.int64)
+    # the nonzero entries (c, p, q) of the three matrices, row-major per c,
+    # and per entry the moment and monomial shifts of the three branches
+    c, p, q = np.nonzero(scal)
+    moment_shift = np.stack([eye[p] + eye[q], eye[q], 0 * eye[q]], axis=1)
+    mono_shift = np.stack([0 * eye[p], eye[p], eye[p] + eye[q]], axis=1)
+    bits = 1 << np.arange(DIM)
+    # contributions in plan order (plan row, matrix entry, branch); a moment
+    # index is all even when β and the shift have the same odd entries
+    row, entry, branch = np.nonzero(
+        ((beta % 2) @ bits)[:, None, None] == (moment_shift % 2) @ bits)
+    keep = k[row] + branch <= degree
+    row, entry, branch = row[keep], entry[keep], branch[keep]
+    radix = 2 * degree + 7            # exceeds every index entry and every e
+    b = beta[row] + moment_shift[entry, branch]
+    _, first, key_of = np.unique(
+        np.column_stack([b, e[row]]) @ radix ** np.arange(DIM, -1, -1),
+        return_index=True, return_inverse=True)
+    requests = [(tuple(b[i].tolist()), int(e[row[i]])) for i in first]
+    del b                             # free it while the moments are summed
+    moments = lattice_moments(cutoff, n0, set(requests), odd)
+    scale = w[row] * np.array([1.0, -2.0, 1.0])[branch] * scal[c, p, q][entry]
+    value = scale * np.array([moments[r] for r in requests])[key_of]
+    mu = beta[row] + 2 * nu[row] + mono_shift[entry, branch]
 
-    # collect the needed moments first
-    requests: set[tuple[tuple, int]] = set()
-    for k, j, coeff, e, beta, c_beta, nu, c_nu in plan:
-        base = tuple(beta)
-        for c, M in enumerate(scal):
-            for p in range(4):
-                for q in range(4):
-                    if M[p, q] == 0.0:
-                        continue
-                    if k <= degree:
-                        b = list(base)
-                        b[p] += 1
-                        b[q] += 1
-                        if not any(v & 1 for v in b):
-                            requests.add((tuple(b), e))
-                    if k + 1 <= degree:
-                        b = list(base)
-                        b[q] += 1
-                        if not any(v & 1 for v in b):
-                            requests.add((tuple(b), e))
-                    if k + 2 <= degree:
-                        if not any(v & 1 for v in base):
-                            requests.add((base, e))
-    moments = lattice_moments(cutoff, n0, requests, odd)
+    # monomials numbered by first contribution
+    _, first, mono_of = np.unique(mu @ radix ** np.arange(DIM - 1, -1, -1),
+                                  return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    exps = mu[np.sort(first)]
+    target = c[entry] * first.size + rank[mono_of]
 
-    mono_index: dict[tuple, int] = {}
-    exps: list[tuple] = []
-
-    def idx(mu: tuple) -> int:
-        if mu not in mono_index:
-            mono_index[mu] = len(exps)
-            exps.append(mu)
-        return mono_index[mu]
-
-    coeffs: list[dict[int, KahanAccumulator]] = [dict(), dict(), dict()]
-
-    def bump(c: int, mu: tuple, val: float):
-        i = idx(mu)
-        if i not in coeffs[c]:
-            coeffs[c][i] = KahanAccumulator()
-        coeffs[c][i].add(val)
-
-    for k, j, coeff, e, beta, c_beta, nu, c_nu in plan:
-        base_mu = tuple(beta[i] + 2 * nu[i] for i in range(4))
-        w = coeff * c_beta * c_nu
-        for c, M in enumerate(scal):
-            for p in range(4):
-                for q in range(4):
-                    npq = M[p, q]
-                    if npq == 0.0:
-                        continue
-                    if k <= degree:
-                        b = list(beta)
-                        b[p] += 1
-                        b[q] += 1
-                        if not any(v & 1 for v in b):
-                            bump(c, base_mu, w * npq * moments[(tuple(b), e)])
-                    if k + 1 <= degree:
-                        b = list(beta)
-                        b[q] += 1
-                        if not any(v & 1 for v in b):
-                            mu = list(base_mu)
-                            mu[p] += 1
-                            bump(c, tuple(mu), -2.0 * w * npq * moments[(tuple(b), e)])
-                    if k + 2 <= degree:
-                        if not any(v & 1 for v in beta):
-                            mu = list(base_mu)
-                            mu[p] += 1
-                            mu[q] += 1
-                            bump(c, tuple(mu), w * npq * moments[(tuple(beta), e)])
-
-    n_mono = len(exps)
-    table = np.zeros((3, n_mono))
-    for c in range(3):
-        for i, acc in coeffs[c].items():
-            table[c, i] = acc.result()
-    return np.asarray(exps, dtype=np.int64), table
+    # round r adds the r-th contribution of every target, as a per-target
+    # Kahan accumulation in plan order would
+    by_target = np.argsort(target, kind="stable")
+    counts = np.bincount(target, minlength=3 * first.size)
+    nth = np.empty_like(target)
+    nth[by_target] = np.arange(target.size) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    by_round = np.argsort(nth, kind="stable")
+    edges = np.searchsorted(nth[by_round], np.arange(nth.max() + 2))
+    total = np.zeros(3 * first.size)
+    comp = np.zeros(3 * first.size)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        idx = target[by_round[lo:hi]]
+        y = value[by_round[lo:hi]] - comp[idx]
+        t = total[idx] + y
+        comp[idx] = (t - total[idx]) - y
+        total[idx] = t
+    return exps, total.reshape(3, first.size)
 
 
 # ---------------------------------------------------------------------------

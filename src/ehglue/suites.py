@@ -8,6 +8,8 @@ loosen them at run time.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import RunConfig
@@ -420,7 +422,10 @@ def run_flow(cfg: RunConfig) -> Report:
             passed=abs(c_val - peak * np.sqrt(32.0 * omega)) < 1e-12)
 
     policy = ProxyPolicy(lattice_cutoff=min(cfg.cutoff, 16), omega=omega)
-    proxy = ricci_decay_proxy((-1e4, -1e5, -1e6), policy)
+    # the proxy's background keeps its own cutoff and the default degree 12
+    bg = shared_background(replace(cfg, cutoff=policy.lattice_cutoff,
+                                   taylor_degree=12))
+    proxy = ricci_decay_proxy((-1e4, -1e5, -1e6), policy, bg)
     rep.add("proxy_exponent", proxy.exponent, budget=0.1,
             passed=proxy.exponent <= -0.9)
     # times ascend toward -1e4, so decay toward t -> -inf means increasing

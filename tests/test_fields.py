@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ehglue.fields import (alpha_forms, eh_metric, eh_hat_metric,
-                           farfield_jets, farfield_pattern,
-                           farfield_scalar_jets, farfield_tensor, kernel_mode,
+                           farfield_jets, farfield_numerators,
+                           farfield_pattern, farfield_scalar_jets,
+                           farfield_scalars, farfield_tensor, kernel_mode,
                            map_collection, point_generators,
                            symmetry_check, vector_fields, REFLECTION)
 from ehglue.jets import DomainError
@@ -145,6 +146,55 @@ def test_farfield_jets_are_pattern_expansion_of_scalars(rng, order, reflected):
         for n, i, j in zip(*np.nonzero(pat)):
             expected = -pat[n, i, j] * scal[:, :, n]
             assert tensor[:, :, i, j].tobytes() == expected.tobytes()
+
+
+def _quadratic_form_scalar_jets(y, reflected):
+    """Oracle: the numerators as quadratic forms n_c = yᵀM_c y, ∂n_c = 2M_c y
+    and ∂²n_c = 2M_c through einsum over the matrices, one scalar at a time
+    through the quotient rule for n_c/ρ^6."""
+    mats = farfield_scalars(reflected)
+    inv2 = 1.0 / np.einsum("...i,...i->...", y, y)
+    inv6 = inv2 * inv2 * inv2
+    inv8 = inv6 * inv2
+    inv10 = inv8 * inv2
+    n = np.stack([np.einsum("...i,ij,...j->...", y, M, y) for M in mats], -1)
+    dn = np.stack([2.0 * np.einsum("ij,...j->...i", M, y) for M in mats], -2)
+    grads = (dn * inv6[..., None, None]
+             - 6.0 * n[..., None] * y[..., None, :] * inv8[..., None, None])
+    hess = np.empty(y.shape[:-1] + (3, 4, 4))
+    for c, M in enumerate(mats):
+        cross = (dn[..., c, :, None] * y[..., None, :]
+                 + y[..., :, None] * dn[..., c, None, :])
+        hess[..., c, :, :] = (
+            2.0 * M * inv6[..., None, None]
+            - 6.0 * (cross + n[..., c, None, None] * np.eye(4))
+            * inv8[..., None, None]
+            + 48.0 * n[..., c, None, None] * y[..., :, None] * y[..., None, :]
+            * inv10[..., None, None])
+    return (n * inv6[..., None], grads, hess), dn
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_closed_form_scalars_match_quadratic_form_oracle(rng, order, reflected):
+    y = rng.normal(size=(6, 9, 4)) * rng.uniform(0.3, 3.0, size=(6, 9, 1))
+    oracle, oracle_dn = _quadratic_form_scalar_jets(y, reflected)
+    got = farfield_scalar_jets(y, reflected, order)
+    # the Hessian's term 48 n y y/ρ^10 exceeds its largest entry, so a few
+    # ulp of that term reach 1.3e-15 of the entry (600 random draws)
+    for k, tol in enumerate((1e-15, 1e-15, 2e-15)):
+        if k > order:
+            assert got[k] is None
+            continue
+        assert got[k].shape == oracle[k].shape
+        scale = np.max(np.abs(oracle[k]))
+        assert np.max(np.abs(got[k] - oracle[k])) <= tol * scale
+    # the numerator gradients are signed permutations of 2y: exact
+    _, dn = farfield_numerators(np.moveaxis(y, -1, 0), reflected, order)
+    if order == 0:
+        assert dn is None
+    else:
+        assert np.moveaxis(dn, (0, 1), (-2, -1)).tobytes() == oracle_dn.tobytes()
 
 
 def test_kernel_mode_closed_form_at_axis():

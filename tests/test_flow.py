@@ -183,3 +183,21 @@ def test_weighted_norm_skips_inadmissible():
 
     res = weighted_norm_sample(h, w, pts, (-2e3,))
     assert res.skipped >= 1
+
+
+def test_flow_suite_decay_proxy_reads_the_cached_background(tmp_path,
+                                                           monkeypatch):
+    # with both cutoff-16 far tables in the cache, `flow` builds none
+    from ehglue import lattice, suites
+    from ehglue.config import RunConfig
+    lattice.BackgroundField(16, n0=1, degree=12,
+                            cache=lattice.BackgroundCache(str(tmp_path)))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("far table rebuilt despite a stored entry")
+
+    monkeypatch.setattr(lattice, "farfield_taylor", no_build)
+    monkeypatch.setattr(suites, "_backgrounds", {})
+    rep = suites.run_flow(RunConfig(task="flow", cutoff=16, t_max=-1e5,
+                                    ode_steps=1000, cache_dir=str(tmp_path)))
+    assert rep.passes["proxy_monotone"]

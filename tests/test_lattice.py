@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from itertools import product
@@ -10,8 +11,9 @@ from ehglue.fields import farfield_jets, farfield_pattern
 from ehglue.jets import DomainError
 from ehglue.lattice import (BackgroundCache, BackgroundField,
                             background_partial, background_values,
-                            flux_term_exact, gegenbauer_terms,
-                            interaction_weight, lattice_moments, near_sites,
+                            farfield_taylor, flux_term_exact,
+                            gegenbauer_terms, interaction_weight,
+                            lattice_moments, near_sites, omega_domain,
                             omega_partial, parity_of, slab_sites)
 from ehglue.quadrature import KahanAccumulator, kahan_sum
 from ehglue.report import atomic_write
@@ -63,6 +65,74 @@ def test_cube_partials_match_flux_sum():
     sites = sites[parity_of(sites)]
     total = sum(flux_term_exact(tuple(a)) for a in sites) / (64 * np.pi ** 2)
     assert total == pytest.approx(res.partial, rel=1e-12)
+
+
+def _slab_omega_partials(cutoff):
+    """Oracle: the whole cube slab by slab, odd-site weights binned by shell
+    and Kahan-summed across slabs."""
+    acc = KahanAccumulator((cutoff + 1,))
+    for sites in slab_sites(cutoff):
+        term = np.where(parity_of(sites), interaction_weight(sites), 0.0)
+        acc.add(np.bincount(np.abs(sites).max(axis=-1), weights=term,
+                            minlength=cutoff + 1))
+    return np.cumsum(acc.total)
+
+
+def _long_double_omega_partials(cutoff):
+    """Reference: the same odd sites with weights and sums in long double."""
+    shells = np.zeros(cutoff + 1, dtype=np.longdouble)
+    for sites in slab_sites(cutoff):
+        sites = sites[parity_of(sites)]
+        a = sites.astype(np.longdouble)
+        r2 = np.sum(a * a, axis=-1)
+        term = (r2 * r2 - 6 * (a[:, 0] ** 2 + a[:, 1] ** 2)
+                * (a[:, 2] ** 2 + a[:, 3] ** 2)) / r2 ** 5
+        shell = np.abs(sites).max(axis=-1)
+        for n in range(cutoff + 1):
+            shells[n] += np.sum(term[shell == n])
+    return np.cumsum(shells)
+
+
+def test_omega_domain_orbits_tile_the_odd_cube():
+    for cutoff in range(1, 11):
+        sites, orbit = omega_domain(cutoff)
+        rng = np.arange(-cutoff, cutoff + 1)
+        cube = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"),
+                        axis=-1).reshape(-1, 4)
+        cube = cube[parity_of(cube)]
+        # per shell, the orbit sizes add up to the odd-site count exactly
+        assert np.array_equal(
+            np.bincount(sites.max(axis=-1), weights=orbit,
+                        minlength=cutoff + 1),
+            np.bincount(np.abs(cube).max(axis=-1), minlength=cutoff + 1))
+        # each odd site's representative (absolute values, each pair sorted,
+        # then the pairs sorted) is a domain site, counted by its orbit size
+        a = np.abs(cube)
+        lo, hi = np.sort(a[:, :2], axis=1), np.sort(a[:, 2:], axis=1)
+        swap = ((lo[:, 0] > hi[:, 0])
+                | ((lo[:, 0] == hi[:, 0]) & (lo[:, 1] > hi[:, 1])))[:, None]
+        rep = np.where(swap, np.hstack([hi, lo]), np.hstack([lo, hi]))
+        reps, counts = np.unique(rep, axis=0, return_counts=True)
+        order = np.lexsort(sites.T[::-1])
+        assert np.array_equal(reps, sites[order])
+        assert np.array_equal(counts, orbit[order])
+
+
+def test_omega_partials_match_slab_oracle():
+    for cutoff in range(1, 17):
+        ref = _slab_omega_partials(cutoff)
+        got = omega_partial(cutoff).partials
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_omega_partials_no_less_accurate_than_slab_oracle():
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is not wider than double here")
+    for cutoff in (8, 16):
+        ref = _long_double_omega_partials(cutoff)
+        folded = np.max(np.abs(omega_partial(cutoff).partials - ref))
+        slabs = np.max(np.abs(_slab_omega_partials(cutoff) - ref))
+        assert folded <= slabs
 
 
 def test_background_cube_tail_decay():
@@ -298,6 +368,28 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
             for jet in jets[k:]:
                 got = (jet.val, jet.d1, jet.d2)[k]
                 assert got.tobytes() == ref[k].tobytes()
+
+
+# sha256 of farfield_taylor(6, 1, 12, odd): exponents as little-endian
+# int64, coefficients as little-endian doubles, as the per-coefficient Kahan
+# loop produced them before the assembly was vectorised
+FAR_TABLE_DIGESTS = {
+    "exponents": "339f7b1a48e1e99b587582afd55d7c27"
+                 "35e52ec0904e034452324f59eb9f2167",
+    False: "c48aac476ff36a52a346d92cce3e9b9c10665de09cefa34d7507643ce21889e9",
+    True: "0cd3c77f1ce692a6b159b3cdd35afc321a5b58cdd6f4f665126cd817c20914bb",
+}
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_far_table_bit_identical_to_recorded_digest(odd):
+    exps, coeffs = farfield_taylor(6, 1, 12, odd)
+    assert exps.dtype == np.int64 and exps.shape == (714, 4)
+    assert coeffs.shape == (3, 714)
+    assert (hashlib.sha256(exps.astype("<i8").tobytes()).hexdigest()
+            == FAR_TABLE_DIGESTS["exponents"])
+    assert (hashlib.sha256(coeffs.astype("<f8").tobytes()).hexdigest()
+            == FAR_TABLE_DIGESTS[odd])
 
 
 def test_far_table_under_current_header_loads_without_rebuild(
