@@ -11,7 +11,8 @@ import numpy as np
 
 from ehglue.flow import (ProxyPolicy, blowup_prediction, curvature_peak,
                          epsilon_of_t, ricci_decay_proxy)
-from ehglue.lattice import omega_partial
+from ehglue.lattice import (BackgroundCache, BackgroundField,
+                            default_cache_dir, omega_partial)
 from ehglue.report import write_csv
 
 
@@ -24,7 +25,11 @@ def main():
     omega = omega_partial(40).extrapolated
     peak = curvature_peak()
     times = [-(10.0 ** k) for k in range(4, 4 + args.decades)]
-    proxy = ricci_decay_proxy(times, ProxyPolicy(omega=omega))
+    # far tables come from the lattice cache ($EH_GLUE_CACHE_DIR), as in the CLI
+    policy = ProxyPolicy(omega=omega)
+    bg = BackgroundField(policy.lattice_cutoff,
+                         cache=BackgroundCache(default_cache_dir()))
+    proxy = ricci_decay_proxy(times, policy, background=bg)
 
     rows = []
     for t, sup in zip(proxy.times, proxy.sup_ric):

@@ -4,15 +4,19 @@
 Walks both JSON reports (single-suite or merged) and prints every numeric
 field whose relative change exceeds --rtol, every field present in only one
 of them, and every gate (an entry of "pass", or "all_passed") whose
-pass/fail flag differs or that only one report has.
-Exits 1 if anything was printed, 0 otherwise.  Standard library only:
+pass/fail flag differs or that only one report has.  Given two
+directories, it compares the reports (``*.json``) of the same name, prefixes
+each line with the file name, and lists every report found in only one of
+them.  Exits 1 if anything was printed, 0 otherwise.  Standard library only:
 
     python3 scripts/report_diff.py before.json after.json --rtol 1e-12
+    python3 scripts/report_diff.py before/ after/ --rtol 1e-12
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 
@@ -65,23 +69,48 @@ def diff(a: dict, b: dict, rtol: float):
     return numbers, gates
 
 
+def _load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _lines(a: dict, b: dict, rtol: float, prefix: str = "") -> list:
+    numbers, gates = diff(a, b, rtol)
+    return ([f"changed {prefix}{line}" for line in numbers]
+            + [f"gate {prefix}{line}" for line in gates])
+
+
+def diff_dirs(a: str, b: str, rtol: float) -> list:
+    """Printable lines for the same-named reports of two directories."""
+    left, right = ({name for name in os.listdir(d) if name.endswith(".json")}
+                   for d in (a, b))
+    lines = []
+    for name in sorted(left | right):
+        if name not in left or name not in right:
+            lines.append(f"only in {'B' if name in right else 'A'}: {name}")
+        else:
+            lines += _lines(_load(os.path.join(a, name)),
+                            _load(os.path.join(b, name)), rtol, f"{name}:")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("a", help="first report (JSON)")
-    ap.add_argument("b", help="second report (JSON)")
+    ap.add_argument("a", help="first report (JSON) or directory of reports")
+    ap.add_argument("b", help="second report (JSON) or directory of reports")
     ap.add_argument("--rtol", type=float, default=0.0,
                     help="largest relative change not reported")
     args = ap.parse_args(argv)
-    with open(args.a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(args.b, encoding="utf-8") as fh:
-        b = json.load(fh)
-    numbers, gates = diff(a, b, args.rtol)
-    for line in numbers:
-        print("changed", line)
-    for line in gates:
-        print("gate", line)
-    return 1 if numbers or gates else 0
+    dirs = os.path.isdir(args.a), os.path.isdir(args.b)
+    if dirs[0] != dirs[1]:
+        ap.error("give two report files or two directories")
+    if dirs[0]:
+        lines = diff_dirs(args.a, args.b, args.rtol)
+    else:
+        lines = _lines(_load(args.a), _load(args.b), args.rtol)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

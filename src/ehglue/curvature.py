@@ -36,6 +36,7 @@ class CurvatureAt:
 
     ginv: np.ndarray         # (..., 4, 4)
     christoffel: np.ndarray  # (..., m, i, j)
+    dgam: np.ndarray         # (..., m, i, j, k) = ∂_k Γ^m_{ij}
     riemann: np.ndarray      # (0,4) tensor R_{ρσμν}
     ricci: np.ndarray        # (..., 4, 4)
     scalar: np.ndarray       # (...,)
@@ -99,7 +100,7 @@ def curvature_at(g: Sym2Jet) -> CurvatureAt:
     riemann = np.einsum("...rl,...lsmn->...rsmn", g.val, riem1, **_E)
     ricci = np.einsum("...msmn->...sn", riem1, **_E)
     scalar = np.einsum("...sn,...sn->...", ginv, ricci, **_E)
-    return CurvatureAt(ginv, gam, riemann, ricci, scalar)
+    return CurvatureAt(ginv, gam, dgam, riemann, ricci, scalar)
 
 
 def covariant_d1(h: Sym2Jet, gam: np.ndarray) -> np.ndarray:
@@ -134,8 +135,7 @@ def lichnerowicz(g: Sym2Jet, h: Sym2Jet,
     """Δ_L h at each point (pointwise components)."""
     if curv is None:
         curv = curvature_at(g)
-    dgam = christoffel_derivative(g, curv.ginv)
-    nabla2 = covariant_d2(h, curv.christoffel, dgam)
+    nabla2 = covariant_d2(h, curv.christoffel, curv.dgam)
     rough = np.einsum("...kl,...ijkl->...ij", curv.ginv, nabla2, **_E)
     hup = np.einsum("...ka,...lb,...ab->...kl", curv.ginv, curv.ginv, h.val, **_E)
     sandwich = np.einsum("...ikjl,...kl->...ij", curv.riemann, hup, **_E)
@@ -171,8 +171,7 @@ def gauge_vector_with_derivative(g: Sym2Jet, h: Sym2Jet,
     """Y and ∂Y (dy[..., m, l] = ∂_l Y^m); needs order-2 jets of g and h."""
     if curv is None:
         curv = curvature_at(g)
-    ginv, gam = curv.ginv, curv.christoffel
-    dgam = christoffel_derivative(g, ginv)
+    ginv, gam, dgam = curv.ginv, curv.christoffel, curv.dgam
     dginv = inverse_d1(g, ginv)
     ddginv = inverse_d2(g, ginv, dginv)
 

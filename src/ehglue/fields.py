@@ -18,6 +18,9 @@ whose Cartesian component matrix has determinant one.  The reflected copy is
 the pull-back under x1 ↦ -x1.  The far-field tensor is the leading r^-4
 deviation of the eps-family from the flat metric, and the three kernel modes
 are the decaying solutions of the linearized Einstein operator around g.
+The metric and the modes, in both orientations, are short sums of terms
+c·W^a·r^(2b)·C:xx with constant tensors C, and one closed-form kernel gives
+their values and exact first and second derivatives.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
-from .sym2 import Sym2Jet, pullback_jet
+from .sym2 import Sym2Jet
 
 # frame matrices: A^k = J_k x
 J1 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -44,33 +47,6 @@ def _check_off_origin(x: np.ndarray, r_min: float) -> np.ndarray:
     if np.any(r2 <= r_min * r_min):
         raise DomainError("field evaluated at (or too close to) a singular point")
     return x
-
-
-def _frame_jets(x: np.ndarray) -> tuple[list[Jet2], list[list[Jet2]]]:
-    xj = coordinate_jets(x)
-    ajs = []
-    for J in FRAME:
-        ajs.append([Jet2.linear(x, J[i]) for i in range(DIM)])
-    return xj, ajs
-
-
-def _sym_pair(u: list[Jet2], v: list[Jet2]) -> dict[tuple[int, int], Jet2]:
-    """Components of u ⊗ v + v ⊗ u (upper triangle)."""
-    return {(i, j): u[i] * v[j] + v[i] * u[j] for i in range(DIM) for j in range(i, DIM)}
-
-
-def _outer(u: list[Jet2]) -> dict[tuple[int, int], Jet2]:
-    return {(i, j): u[i] * u[j] for i in range(DIM) for j in range(i, DIM)}
-
-
-def _comb(*terms) -> dict[tuple[int, int], Jet2]:
-    """Linear combination of component dicts given as (coeff_jet_or_float, dict)."""
-    out: dict[tuple[int, int], Jet2] = {}
-    for coeff, comps in terms:
-        for key, jet in comps.items():
-            term = jet * coeff if not isinstance(coeff, Jet2) else coeff * jet
-            out[key] = out.get(key) + term if key in out else term
-    return out
 
 
 @dataclass
@@ -106,6 +82,104 @@ def euclidean_metric() -> TensorField:
 # instanton metric family
 # ---------------------------------------------------------------------------
 
+def _pair_form(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The constant C with C:xx = Ux ⊗ Vx + Vx ⊗ Ux, symmetric in (i, j)
+    and in (a, b); (C:xx)_ij = C_ijab x_a x_b.  Entries are exact dyadics."""
+    c = np.einsum("ia,jb->ijab", U, V)
+    c = c + c.transpose(1, 0, 2, 3)
+    return 0.5 * (c + c.transpose(0, 1, 3, 2))
+
+
+_EYE = np.eye(DIM)
+_FLAT = np.einsum("ij,ab->ijab", _EYE, _EYE)                    # s·δ
+_RADIAL = 0.5 * (_pair_form(_EYE, _EYE) + _pair_form(J1, J1))   # x⊗x + A¹⊗A¹
+_ANGULAR = 0.5 * (_pair_form(J2, J2) + _pair_form(J3, J3))      # A²⊗A² + A³⊗A³
+_MIX2 = _pair_form(_EYE, J2) - _pair_form(J1, J3)               # x⊙A² − A¹⊙A³
+_MIX3 = _pair_form(_EYE, J3) + _pair_form(J1, J2)               # x⊙A³ + A¹⊙A²
+# R_ai R_bj R_ck R_dl C_abcd for the diagonal R = REFLECTION: a sign per entry
+_REFLECTION_SIGNS = np.einsum("i,j,k,l->ijkl", *[np.diag(REFLECTION)] * 4)
+
+
+def _field_terms(field, e4: float, reflected: bool) -> tuple:
+    """Term table (c, a, b, C) of h = Σ c·W^a·s^b·C:xx for ``field``, "eh"
+    or a mode index.  The reflected copy x1 ↦ -x1 conjugates each C by
+    ``REFLECTION``, which only flips signs.
+
+    The metric uses x⊗x + ΣA^k⊗A^k = s·δ to write g = s·δ/W + ε⁴(A²⊗A² +
+    A³⊗A³)/(W s²): the deviation from the conformally flat part carries its
+    ε⁴ explicitly instead of arising as the difference W/s² − 1/W, which
+    cancels at large r.
+    """
+    terms = {"eh": ((1.0, -1, 0, _FLAT), (e4, -1, -2, _ANGULAR)),
+             1: ((-e4, -3, 0, _RADIAL), (e4, -1, -2, _ANGULAR)),
+             2: ((e4, -2, -1, _MIX2),),
+             3: ((e4, -2, -1, _MIX3),)}[field]
+    if not reflected:
+        return terms
+    return tuple((c, a, b, C * _REFLECTION_SIGNS) for c, a, b, C in terms)
+
+
+def _quadratic_jets(x: np.ndarray, e4: float, terms, order: int) -> Sym2Jet:
+    """Jets of h = Σ_t c_t·W^a_t·s^b_t·C_t:xx, s = |x|², W² = s² + e4.
+
+    With f = c·W^a·s^b, f' = f·u (u = a s/W² + b/s) and
+    f'' = f·(u² + a(W² − 2s²)/W⁴ − b/s²) its s-derivatives, Q = C:xx and
+    (Cx)_ijk = C_ijkb x_b:
+
+        ∂_k h     = Σ 2f' x_k Q + 2f (Cx)_k
+        ∂_k∂_l h  = Σ (4f'' x_k x_l + 2f' δ_kl) Q
+                      + 4f' (x_k (Cx)_l + x_l (Cx)_k) + 2f C_kl
+
+    Only the orders up to ``order`` are formed.  Every piece pairs
+    symmetric factors, so ``val`` is bitwise symmetric in (i, j) and ``d2``
+    in (i, j) and in (k, l); ``val`` and ``d1`` do not depend on ``order``.
+    """
+    s = np.einsum("...i,...i->...", x, x)
+    w2 = s * s + e4
+    shape = x.shape[:-1]
+    val = np.zeros(shape + (DIM, DIM))
+    d1 = np.zeros(shape + (DIM,) * 3) if order >= 1 else None
+    d2 = np.zeros(shape + (DIM,) * 4) if order >= 2 else None
+    if order >= 2:
+        xx = x[..., :, None] * x[..., None, :]
+        k4 = np.zeros(shape + (DIM,) * 3)    # Σ 4f' Cx
+    for c, a, b, C in terms:
+        f = c * w2 ** (0.5 * a) * s ** float(b)
+        cx = np.einsum("ijab,...b->...ija", C, x, optimize=False)
+        q = np.einsum("...ija,...a->...ij", cx, x, optimize=False)
+        val += f[..., None, None] * q
+        if order == 0:
+            continue
+        u = a * s / w2 + b / s
+        f1 = f * u
+        d1 += ((2.0 * f1)[..., None, None] * q)[..., None] * x[..., None, None, :]
+        d1 += (2.0 * f)[..., None, None, None] * cx
+        if order == 1:
+            continue
+        f2 = f * (u * u + a * (w2 - 2.0 * s * s) / (w2 * w2) - b / (s * s))
+        p = (4.0 * f2)[..., None, None] * xx
+        p += (2.0 * f1)[..., None, None] * _EYE
+        d2 += q[..., :, :, None, None] * p[..., None, None, :, :]
+        d2 += (2.0 * f)[..., None, None, None, None] * C
+        k4 += (4.0 * f1)[..., None, None, None] * cx
+    if order >= 2:
+        cross = k4[..., :, :, None, :] * x[..., None, None, :, None]
+        cross += np.swapaxes(cross, -1, -2)   # numpy buffers the overlap
+        d2 += cross
+    return Sym2Jet(val, d1, d2)
+
+
+def _instanton_field(name: str, field, eps: float,
+                     reflected: bool) -> TensorField:
+    e4 = eps ** 4
+    terms = _field_terms(field, e4, reflected)
+
+    def fn(x, order):
+        return _quadratic_jets(x, e4, terms, order)
+
+    return TensorField(name, fn, r_min=1e-6 * eps)
+
+
 def eh_metric(eps: float, reflected: bool = False) -> TensorField:
     """The Ricci-flat instanton metric with scale eps (eps = 0: flat).
 
@@ -116,40 +190,12 @@ def eh_metric(eps: float, reflected: bool = False) -> TensorField:
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return euclidean_metric()
-    e4 = eps ** 4
-
-    def fn(x, order):
-        xj, ajs = _frame_jets(x)
-        r2 = radius2_jet(x)
-        w2 = r2 * r2 + e4
-        w = w2.sqrt()
-        inv_w = w.reciprocal()
-        w_over_r4 = w / (r2 * r2)
-        comps = _comb((inv_w, _comb((1.0, _outer(xj)), (1.0, _outer(ajs[0])))),
-                      (w_over_r4, _comb((1.0, _outer(ajs[1])), (1.0, _outer(ajs[2])))))
-        return Sym2Jet.from_components(comps, np.asarray(x).shape[:-1], order)
-
-    base = TensorField(f"eh(eps={eps})", fn, r_min=1e-6 * eps)
-    if not reflected:
-        return base
-    return pullback_field(base, REFLECTION, name=f"eh_hat(eps={eps})")
+    name = f"eh_hat(eps={eps})" if reflected else f"eh(eps={eps})"
+    return _instanton_field(name, "eh", eps, reflected)
 
 
 def eh_hat_metric(eps: float) -> TensorField:
     return eh_metric(eps, reflected=True)
-
-
-def pullback_field(field: TensorField, lin: np.ndarray, shift=None,
-                   name: str | None = None) -> TensorField:
-    """The field φ*h for the affine map φ(x) = lin·x + shift."""
-    lin = np.asarray(lin, dtype=float)
-    shift = np.zeros(DIM) if shift is None else np.asarray(shift, dtype=float)
-
-    def fn(x, order):
-        y = np.asarray(x, dtype=float) @ lin.T + shift
-        return pullback_jet(field.fn(y, order), lin)
-
-    return TensorField(name or f"pullback({field.name})", fn, field.r_min)
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +337,8 @@ def kernel_mode(i: int, eps: float, reflected: bool = False) -> TensorField:
         raise ValueError("mode index must be 1, 2, or 3")
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    e4 = eps ** 4
-
-    def fn(x, order):
-        xj, ajs = _frame_jets(x)
-        r2 = radius2_jet(x)
-        w2 = r2 * r2 + e4
-        if i == 1:
-            inv_w3 = w2.sqrt().reciprocal() ** 3
-            m1 = _comb((1.0, _outer(xj)), (1.0, _outer(ajs[0])))
-            m2 = _comb((1.0, _outer(ajs[1])), (1.0, _outer(ajs[2])))
-            w_term = (w2 * r2 * r2).reciprocal() * w2.sqrt()
-            comps = _comb((inv_w3 * (-e4), m1), (w_term * e4, m2))
-        else:
-            pref = (w2 * r2).reciprocal() * e4
-            if i == 2:
-                mix = _comb((1.0, _sym_pair(xj, ajs[1])), (-1.0, _sym_pair(ajs[0], ajs[2])))
-            else:
-                mix = _comb((1.0, _sym_pair(xj, ajs[2])), (1.0, _sym_pair(ajs[0], ajs[1])))
-            comps = _comb((pref, mix))
-        return Sym2Jet.from_components(comps, np.asarray(x).shape[:-1], order)
-
-    base = TensorField(f"mode{i}(eps={eps})", fn, r_min=1e-6 * eps)
-    if not reflected:
-        return base
-    return pullback_field(base, REFLECTION, name=f"mode{i}_hat(eps={eps})")
+    name = f"mode{i}_hat(eps={eps})" if reflected else f"mode{i}(eps={eps})"
+    return _instanton_field(name, i, eps, reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +352,13 @@ def alpha_forms(x: np.ndarray) -> list[list[Jet2]]:
     """
     x = _check_off_origin(x, 0.0)
     inv_r2 = radius2_jet(x).reciprocal()
-    _, ajs = _frame_jets(x)
-    return [[a * inv_r2 for a in ak] for ak in ajs]
+    return [[a * inv_r2 for a in ak] for ak in vector_fields(x)]
 
 
 def vector_fields(x: np.ndarray) -> list[list[Jet2]]:
     """Frame vector fields V_1, V_2, V_3 (components A^k with jets)."""
     x = np.asarray(x, dtype=float)
-    _, ajs = _frame_jets(x)
-    return ajs
+    return [[Jet2.linear(x, J[i]) for i in range(DIM)] for J in FRAME]
 
 
 def radial_vector(x: np.ndarray) -> list[Jet2]:

@@ -2,9 +2,12 @@
 
 A :class:`Jet2` carries a scalar value together with its gradient and Hessian
 with respect to the four coordinates, propagated exactly through arithmetic.
-All closed-form fields in this package are evaluated through jets, so metric
-derivatives (and hence curvature) are exact to roundoff; finite differences
-are kept only as a cross-check oracle (see :mod:`ehglue.curvature`).
+Jets carry the scalar pieces that are composed at run time: the gluing
+cutoff, the frame vector fields and one-forms, and the obstruction kernels.
+The instanton fields and the far-field tensor have closed-form derivatives
+of their own (see :mod:`ehglue.fields`).  Either way metric derivatives (and
+hence curvature) are exact to roundoff; finite differences are kept only as
+a cross-check oracle (see :mod:`ehglue.curvature`).
 
 Jets are batched: ``value`` has an arbitrary leading shape ``S``, ``grad``
 has shape ``S + (4,)`` and ``hess`` has shape ``S + (4, 4)``.  The Hessian is

@@ -8,6 +8,7 @@ loosen them at run time.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,12 +42,13 @@ _backgrounds: dict = {}
 
 
 def shared_background(cfg: RunConfig) -> BackgroundField:
-    key = (cfg.cutoff, cfg.taylor_degree)
+    """One cache-backed field per (cutoff, degree, cache directory)."""
+    directory = os.path.realpath(cfg.cache_dir or default_cache_dir())
+    key = (cfg.cutoff, cfg.taylor_degree, directory)
     if key not in _backgrounds:
-        cache = BackgroundCache(cfg.cache_dir or default_cache_dir())
         _backgrounds[key] = BackgroundField(cfg.cutoff, n0=1,
                                             degree=cfg.taylor_degree,
-                                            cache=cache)
+                                            cache=BackgroundCache(directory))
     return _backgrounds[key]
 
 

@@ -38,22 +38,6 @@ class Sym2Jet:
             np.zeros(shape + (DIM, DIM, DIM, DIM)) if order >= 2 else None,
         )
 
-    @staticmethod
-    def from_components(comps: dict[tuple[int, int], Jet2], shape,
-                        order: int = 2) -> "Sym2Jet":
-        """Assemble from per-(i ≤ j) component jets."""
-        out = Sym2Jet.zeros(shape, order)
-        for (i, j), jet in comps.items():
-            out.val[..., i, j] = jet.value
-            out.val[..., j, i] = jet.value
-            if order >= 1:
-                out.d1[..., i, j, :] = jet.grad
-                out.d1[..., j, i, :] = jet.grad
-            if order >= 2:
-                out.d2[..., i, j, :, :] = jet.hess
-                out.d2[..., j, i, :, :] = jet.hess
-        return out
-
     def __add__(self, other: "Sym2Jet") -> "Sym2Jet":
         order = min(self.order, other.order)
         return Sym2Jet(
@@ -127,28 +111,3 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
         raise SingularMetricError(
             f"metric inverse not finite (condition number {np.max(cond):.3e})")
     return ginv
-
-
-def pullback_values(val: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """(φ*h)(x) = Dφ^T h(φx) Dφ for values h already evaluated at φx."""
-    return np.einsum("ai,...ab,bj->...ij", lin, val, lin, optimize=False)
-
-
-def pullback_jet(h: Sym2Jet, lin: np.ndarray) -> Sym2Jet:
-    """Pull back a full jet under the affine map x ↦ lin·x + shift.
-
-    The input jet must already be evaluated at the image points; derivative
-    indices transform with one factor of ``lin`` each.
-    """
-    val = pullback_values(h.val, lin)
-    d1 = d2 = None
-    if h.d1 is not None:
-        d1 = np.einsum("ai,...abc->...ibc", lin, h.d1, optimize=False)
-        d1 = np.einsum("bj,...ibc->...ijc", lin, d1, optimize=False)
-        d1 = np.einsum("ck,...ijc->...ijk", lin, d1, optimize=False)
-    if h.d2 is not None:
-        d2 = np.einsum("ai,...abcd->...ibcd", lin, h.d2, optimize=False)
-        d2 = np.einsum("bj,...ibcd->...ijcd", lin, d2, optimize=False)
-        d2 = np.einsum("ck,...ijcd->...ijkd", lin, d2, optimize=False)
-        d2 = np.einsum("dl,...ijkd->...ijkl", lin, d2, optimize=False)
-    return Sym2Jet(val, d1, d2)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -190,3 +191,19 @@ def test_report_diff_flags_moved_numbers_and_flipped_gates(tmp_path):
     assert "gate all_passed: True -> False" in lines
     assert "gate pass.z: absent -> False" in lines
     assert diff(*paths, "--rtol", "1e-12").stdout.count("results.x:") == 1
+    # two directories: same-named reports are compared, strays listed
+    dirs = [tmp_path / "before", tmp_path / "after"]
+    for d, path in zip(dirs, paths):
+        d.mkdir()
+        shutil.copy(path, d / "demo.json")
+    shutil.copy(paths[0], dirs[0] / "extra.json")
+    (dirs[1] / "notes.log").write_text("not a report")
+    assert diff(str(dirs[0]), str(dirs[0])).returncode == 0
+    out = diff(*map(str, dirs), "--rtol", "1e-6")
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert any(line.startswith("changed demo.json:results.y[1]:")
+               for line in lines)
+    assert "gate demo.json:all_passed: True -> False" in lines
+    assert "only in A: extra.json" in lines
+    assert not any("notes.log" in line for line in lines)

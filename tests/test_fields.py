@@ -6,9 +6,9 @@ from ehglue.fields import (alpha_forms, eh_metric, eh_hat_metric,
                            farfield_pattern, farfield_scalar_jets,
                            farfield_scalars, farfield_tensor, kernel_mode,
                            map_collection, point_generators,
-                           symmetry_check, vector_fields, REFLECTION)
-from ehglue.jets import DomainError
-from ehglue.sym2 import inner_product
+                           symmetry_check, vector_fields, FRAME, REFLECTION)
+from ehglue.jets import DomainError, Jet2, coordinate_jets, radius2_jet
+from ehglue.sym2 import Sym2Jet, inner_product
 
 
 SQ2 = np.sqrt(2.0)
@@ -195,6 +195,105 @@ def test_closed_form_scalars_match_quadratic_form_oracle(rng, order, reflected):
         assert dn is None
     else:
         assert np.moveaxis(dn, (0, 1), (-2, -1)).tobytes() == oracle_dn.tobytes()
+
+
+def _oracle_components(field, e4, x):
+    """Oracle: the instanton fields as compositions of scalar Jet2
+    objects, one per upper-triangle component (x, A^k = J_k x and the
+    radius enter as jets; products, roots and reciprocals carry the
+    derivatives)."""
+    xj = coordinate_jets(x)
+    ajs = [[Jet2.linear(x, J[i]) for i in range(4)] for J in FRAME]
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+
+    def outer(u):
+        return {(i, j): u[i] * u[j] for i, j in upper}
+
+    def sym_pair(u, v):
+        return {(i, j): u[i] * v[j] + v[i] * u[j] for i, j in upper}
+
+    def comb(*terms):
+        out = {}
+        for coeff, comps in terms:
+            for key, jet in comps.items():
+                term = coeff * jet if isinstance(coeff, Jet2) else jet * coeff
+                out[key] = out[key] + term if key in out else term
+        return out
+
+    r2 = radius2_jet(x)
+    w2 = r2 * r2 + e4
+    radial = comb((1.0, outer(xj)), (1.0, outer(ajs[0])))
+    angular = comb((1.0, outer(ajs[1])), (1.0, outer(ajs[2])))
+    if field == "eh":
+        w = w2.sqrt()
+        return comb((w.reciprocal(), radial), (w / (r2 * r2), angular))
+    if field == 1:
+        w_term = (w2 * r2 * r2).reciprocal() * w2.sqrt()
+        return comb((w2.sqrt().reciprocal() ** 3 * (-e4), radial),
+                    (w_term * e4, angular))
+    if field == 2:
+        mix = comb((1.0, sym_pair(xj, ajs[1])), (-1.0, sym_pair(ajs[0], ajs[2])))
+    else:
+        mix = comb((1.0, sym_pair(xj, ajs[2])), (1.0, sym_pair(ajs[0], ajs[1])))
+    return comb(((w2 * r2).reciprocal() * e4, mix))
+
+
+def _oracle_jets(field, eps, reflected, x):
+    """Order-2 oracle jets; the reflected copy is the pull-back of the
+    plain field at the reflected points, one einsum per tensor index."""
+    R = REFLECTION
+    y = x @ R.T if reflected else x
+    out = Sym2Jet.zeros(x.shape[:-1], 2)
+    for (i, j), jet in _oracle_components(field, eps ** 4, y).items():
+        for a, b in ((i, j), (j, i)):
+            out.val[..., a, b] = jet.value
+            out.d1[..., a, b, :] = jet.grad
+            out.d2[..., a, b, :, :] = jet.hess
+    if not reflected:
+        return out
+    d1 = np.einsum("ai,...abc->...ibc", R, out.d1)
+    d1 = np.einsum("bj,...ibc->...ijc", R, d1)
+    d2 = np.einsum("ai,...abcd->...ibcd", R, out.d2)
+    d2 = np.einsum("bj,...ibcd->...ijcd", R, d2)
+    d2 = np.einsum("ck,...ijcd->...ijkd", R, d2)
+    return Sym2Jet(np.einsum("ai,...ab,bj->...ij", R, out.val, R),
+                   np.einsum("ck,...ijc->...ijk", R, d1),
+                   np.einsum("dl,...ijkd->...ijkl", R, d2))
+
+
+def _instanton(field, eps, reflected):
+    if field == "eh":
+        return eh_metric(eps, reflected)
+    return kernel_mode(field, eps, reflected)
+
+
+@pytest.mark.parametrize("field", ["eh", 1, 2, 3])
+@pytest.mark.parametrize("reflected", [False, True])
+@pytest.mark.parametrize("eps", [0.3, 1.0, 1.7])
+def test_instanton_fields_match_jet_composition_oracle(rng, field, reflected,
+                                                       eps):
+    from tests.conftest import sample_offorigin
+    x = sample_offorigin(rng, 64, 0.2 * eps, 5.0 * eps)
+    oracle = _oracle_jets(field, eps, reflected, x)
+    tf = _instanton(field, eps, reflected)
+    got = [tf.jets(x, order) for order in (0, 1, 2)]
+    for order, jets in enumerate(got):
+        parts = (jets.val, jets.d1, jets.d2)
+        for k, (part, want) in enumerate(zip(parts,
+                                             (oracle.val, oracle.d1, oracle.d2))):
+            if k > order:
+                assert part is None
+                continue
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(part - want)) <= 1e-14 * scale
+    # lower orders do not depend on how many are asked for
+    assert all(j.val.tobytes() == got[0].val.tobytes() for j in got)
+    assert got[1].d1.tobytes() == got[2].d1.tobytes()
+    # symmetric index pairs agree bit for bit
+    val, d2 = got[2].val, got[2].d2
+    assert np.array_equal(val, np.swapaxes(val, -1, -2))
+    assert np.array_equal(d2, np.swapaxes(d2, -3, -4))
+    assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
 
 
 def test_kernel_mode_closed_form_at_axis():

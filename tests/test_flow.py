@@ -201,3 +201,16 @@ def test_flow_suite_decay_proxy_reads_the_cached_background(tmp_path,
     rep = suites.run_flow(RunConfig(task="flow", cutoff=16, t_max=-1e5,
                                     ode_steps=1000, cache_dir=str(tmp_path)))
     assert rep.passes["proxy_monotone"]
+
+
+def test_shared_background_uses_each_cache_directory(tmp_path, monkeypatch):
+    # a second cache directory in the same process gets its own tables
+    from ehglue import suites
+    from ehglue.config import RunConfig
+    monkeypatch.setattr(suites, "_backgrounds", {})
+    for name in ("a", "b"):
+        directory = tmp_path / name
+        directory.mkdir()
+        suites.shared_background(RunConfig(cutoff=4, taylor_degree=8,
+                                           cache_dir=str(directory)))
+        assert len(list(directory.glob("far-table-*.ehbg"))) == 2
