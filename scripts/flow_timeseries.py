@@ -2,17 +2,18 @@
 """Time series of the modulation dynamics: scale, blow-up prediction, proxy.
 
 Writes the CSV schema t,epsilon,pred_sup_rm,ric_proxy over a dyadic grid of
-ancient times and prints the fitted decay exponents.
+ancient times and prints the fitted decay exponents.  The rows use the ω and
+the cutoff-16 background of ``eh-glue flow --csv``.
 """
 
 import argparse
 
 import numpy as np
 
+from ehglue import suites
+from ehglue.config import RunConfig
 from ehglue.flow import (ProxyPolicy, blowup_prediction, curvature_peak,
                          epsilon_of_t, ricci_decay_proxy)
-from ehglue.lattice import (BackgroundCache, BackgroundField,
-                            default_cache_dir, omega_partial)
 from ehglue.report import write_csv
 
 
@@ -22,14 +23,13 @@ def main():
     ap.add_argument("--decades", type=int, default=3)
     args = ap.parse_args()
 
-    omega = omega_partial(40).extrapolated
+    # far tables come from the lattice cache ($EH_GLUE_CACHE_DIR), as in the CLI
+    cfg = RunConfig(task="flow", cutoff=16)
+    omega = suites.reference_omega(cfg)
     peak = curvature_peak()
     times = [-(10.0 ** k) for k in range(4, 4 + args.decades)]
-    # far tables come from the lattice cache ($EH_GLUE_CACHE_DIR), as in the CLI
-    policy = ProxyPolicy(omega=omega)
-    bg = BackgroundField(policy.lattice_cutoff,
-                         cache=BackgroundCache(default_cache_dir()))
-    proxy = ricci_decay_proxy(times, policy, background=bg)
+    policy = ProxyPolicy(lattice_cutoff=cfg.cutoff, omega=omega)
+    proxy = ricci_decay_proxy(times, policy, suites.shared_background(cfg))
 
     rows = []
     for t, sup in zip(proxy.times, proxy.sup_ric):

@@ -11,9 +11,9 @@ import argparse
 
 import numpy as np
 
+from ehglue import suites
+from ehglue.config import RunConfig
 from ehglue.glue import GlueParams
-from ehglue.lattice import (BackgroundCache, BackgroundField,
-                            default_cache_dir, omega_partial)
 from ehglue.obstruction import flux_integral, projection_integrals
 
 
@@ -26,13 +26,13 @@ def main():
     args = ap.parse_args()
 
     # far tables come from the lattice cache ($EH_GLUE_CACHE_DIR), as in the CLI
-    bg = BackgroundField(args.cutoff,
-                         cache=BackgroundCache(default_cache_dir()))
-    omega = omega_partial(max(args.cutoff, 32)).extrapolated
+    cfg = RunConfig(cutoff=args.cutoff)
+    bg = suites.shared_background(cfg)
+    omega = suites.reference_omega(cfg)
     print(f"omega = {omega:.6f}, delta = {args.delta}")
 
-    res = projection_integrals(list(args.eps), args.delta, args.cutoff,
-                               background=bg, with_estimate=False)
+    res = projection_integrals(list(args.eps), args.delta, bg,
+                               with_estimate=False)
     print(f"{'eps':>6} {'predicted':>12} {'flux/pred':>10} "
           f"{'exact-gap/pred':>14} {'proj/pred':>10}")
     for eps, r in zip(args.eps, res):

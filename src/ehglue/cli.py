@@ -22,7 +22,6 @@ S = argparse.SUPPRESS
 
 TASK_DEFAULTS = {
     "omega": {"cutoff": 40},
-    "background": {"cutoff": 32},
     "flow": {"cutoff": 16},
     "dist-laplace": {"s3_order": 16},
 }

@@ -19,11 +19,9 @@ from scipy.integrate import quad
 from .curvature import curvature_at
 from .fields import eh_metric
 from .glue import GlueParams, GluedMetric, inner_max_residual
-from .lattice import BackgroundField
+from .lattice import OMEGA_REFERENCE, BackgroundField
 from .quadrature import line_fit
 from .sym2 import inner_product
-
-OMEGA_REFERENCE = 7.7036     # extrapolated lattice constant (cutoff 40)
 
 
 @dataclass
@@ -233,22 +231,21 @@ class ProxyResult:
     exponent: float
 
 
-def ricci_decay_proxy(times, policy: ProxyPolicy | None = None,
-                      background: BackgroundField | None = None) -> ProxyResult:
+def ricci_decay_proxy(times, policy: ProxyPolicy,
+                      background: BackgroundField) -> ProxyResult:
     """sup|Ric| of the glued family on a deterministic sample, per time.
 
     The sample covers the cutoff transition band (where the residual peaks)
     and one outer sphere; the fitted exponent in (-t) comes out near -1,
     comfortably below the -1/2 + kappa target.
     """
-    policy = policy or ProxyPolicy()
-    bg = background or BackgroundField(policy.lattice_cutoff)
     times = np.asarray(sorted(times), dtype=float)
     sups, epss, dels = [], [], []
     for t in times:
         eps = epsilon_of_t(t, policy.lam, omega=policy.omega)
         delta = policy.delta_of_t(t)
-        gm = GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff), bg)
+        gm = GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff),
+                         background)
         sups.append(max(inner_max_residual(gm, "ricci", frac * delta,
                                            policy.s3_order)
                         for frac in policy.radial_fractions))

@@ -163,10 +163,12 @@ def _per_parity(fields: dict, y: np.ndarray, odd: np.ndarray,
 class GluedMetric:
     """Piecewise field with exact jets, valid on the background's domain."""
 
-    def __init__(self, params: GlueParams,
-                 background: BackgroundField | None = None):
+    def __init__(self, params: GlueParams, background: BackgroundField):
+        if background.cutoff != params.lattice_cutoff:
+            raise ValueError(f"background cutoff {background.cutoff} != "
+                             f"lattice_cutoff {params.lattice_cutoff}")
         self.params = params
-        self.background = background or BackgroundField(params.lattice_cutoff)
+        self.background = background
         self._cap = {False: eh_metric(params.eps),
                      True: eh_metric(params.eps, reflected=True)}
         self._mode1 = {False: kernel_mode(1, params.eps),

@@ -120,6 +120,9 @@ def flux_term_exact(a) -> float:
     return float(64.0 * np.pi ** 2 * interaction_weight(a))
 
 
+OMEGA_REFERENCE = 7.7036      # omega_partial(40).extrapolated to 5 digits
+
+
 @dataclass
 class OmegaResult:
     cutoff: int
@@ -539,6 +542,8 @@ class _PolyJet:
 
 POINT_BLOCK_O2 = 256      # points per BackgroundField.jets block at order 2
 POINT_BLOCK = 4096        # points per block at orders 0 and 1
+NEAR_SHELL = 1            # sites with max|a_i| ≤ NEAR_SHELL are summed directly
+MAX_RADIUS = 0.6 * (NEAR_SHELL + 1)  # far Taylor error ≲ 0.6^(degree+1)
 
 @dataclass
 class BackgroundCache:
@@ -601,25 +606,23 @@ def default_cache_dir() -> str:
 class BackgroundField:
     """Combined checkerboard background with exact jets.
 
-    Near sites (max|a_i| ≤ n0) are summed directly; the remaining cube
-    max|a_i| ≤ cutoff enters through its exact degree-``degree`` Taylor
+    Near sites (max|a_i| ≤ NEAR_SHELL) are summed directly; the remaining
+    cube max|a_i| ≤ cutoff enters through its exact degree-``degree`` Taylor
     polynomial about the origin, valid for |x| below the nearest far site
-    (truncation error ~ (|x|/(n0+1))^(degree+1), and structurally harmless:
-    the truncated tail stays harmonic, trace-free and divergence-free).
+    (truncation error ~ (|x|/(NEAR_SHELL+1))^(degree+1), and structurally
+    harmless: the truncated tail stays harmonic, trace-free and
+    divergence-free).  Jets are available for |x| ≤ MAX_RADIUS.
     """
 
-    def __init__(self, cutoff: int = 32, n0: int = 1, degree: int = 12,
-                 cache: BackgroundCache | None = None,
-                 max_radius: float | None = None):
-        if n0 < 1 or cutoff <= n0:
-            raise ValueError("need 1 <= n0 < cutoff")
+    def __init__(self, cutoff: int = 32, degree: int = 12,
+                 cache: BackgroundCache | None = None):
+        if cutoff <= NEAR_SHELL:
+            raise ValueError(f"need cutoff > {NEAR_SHELL}")
         self.cutoff = cutoff
-        self.n0 = n0
         self.degree = degree
-        # keep the Taylor truncation below ~(0.6)^(degree+1) relative
-        self.max_radius = max_radius or 0.6 * (n0 + 1)
         self.cache = cache
-        self._near = {odd: near_sites(n0, odd) for odd in (False, True)}
+        self._near = {odd: near_sites(NEAR_SHELL, odd)
+                      for odd in (False, True)}
         self._poly: dict[bool, _PolyJet] = {}
         for odd in (False, True):
             exps, table = self._load_or_build_far(odd)
@@ -629,7 +632,7 @@ class BackgroundField:
 
     def _load_or_build_far(self, odd: bool):
         header = {"kind": "far-table", "version": 1, "n": self.cutoff,
-                  "n0": self.n0, "degree": self.degree,
+                  "n0": NEAR_SHELL, "degree": self.degree,
                   "parity": "odd" if odd else "even",
                   "grid": "taylor-origin"}
         exps = _canonical_exponents(self.degree)
@@ -637,7 +640,8 @@ class BackgroundField:
             payload = self.cache.load(header)
             if payload is not None:
                 return exps, payload
-        raw_exps, table = farfield_taylor(self.cutoff, self.n0, self.degree, odd)
+        raw_exps, table = farfield_taylor(self.cutoff, NEAR_SHELL,
+                                          self.degree, odd)
         # reindex onto the canonical exponent ordering
         index = {tuple(e): i for i, e in enumerate(raw_exps)}
         full = np.zeros((3, exps.shape[0]))
@@ -658,9 +662,9 @@ class BackgroundField:
         x = _lattice_point_guard(x)
         shape = x.shape[:-1]
         r = np.sqrt(np.einsum("...i,...i->...", x, x))
-        if np.any(r > self.max_radius):
+        if np.any(r > MAX_RADIUS):
             raise DomainError(
-                f"background expansion used beyond |x| = {self.max_radius:.3f}")
+                f"background expansion used beyond |x| = {MAX_RADIUS:.3f}")
         block = POINT_BLOCK_O2 if order >= 2 else POINT_BLOCK
         out = Sym2Jet.zeros(shape, order)
         flat = x.reshape(-1, 4)

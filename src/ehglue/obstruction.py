@@ -24,7 +24,8 @@ from .curvature import christoffel, covariant_d1, curvature_at, div_trace
 from .fields import eh_metric, farfield_jets, kernel_mode
 from .glue import GlueParams, GluedMetric, outer_metric
 from .jets import DomainError, Jet2, coordinate_jets, radius2_jet
-from .lattice import BackgroundField, flux_term_exact, parity_of
+from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
+                      parity_of)
 from .quadrature import (KahanAccumulator, chunked_kahan_dot, kahan_sum,
                          s3_quadrature)
 from .sym2 import Sym2Jet, inverse_metric, pair
@@ -184,9 +185,9 @@ def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
     return chunked_kahan_dot(rule.weights * area, integrand)
 
 
-def flux_integral(params: GlueParams, s3_order: int = 24,
-                  background: BackgroundField | None = None,
-                  omega: float = 7.7036,
+def flux_integral(params: GlueParams, s3_order: int,
+                  background: BackgroundField,
+                  omega: float = OMEGA_REFERENCE,
                   correction_constant: float = 10.0,
                   exact_gap: bool = False) -> FluxReport:
     """Boundary pairing flux on |x| = δ against the predicted lattice value.
@@ -202,10 +203,9 @@ def flux_integral(params: GlueParams, s3_order: int = 24,
     """
     if s3_order < 16:
         raise ValueError("flux_integral needs s3_order >= 16")
-    bg = background or BackgroundField(params.lattice_cutoff)
-    fine = _flux_on_rule(params, bg, s3_quadrature(s3_order, params.delta),
-                         exact_gap)
-    coarse = _flux_on_rule(params, bg,
+    fine = _flux_on_rule(params, background,
+                         s3_quadrature(s3_order, params.delta), exact_gap)
+    coarse = _flux_on_rule(params, background,
                            s3_quadrature(s3_order - 8, params.delta),
                            exact_gap)
     predicted = 32.0 * np.pi ** 2 * params.eps ** 8 * omega
@@ -243,16 +243,13 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
                       f"single-site{tuple(int(v) for v in site)}")
 
 
-def z_flux(params: GlueParams, s3_order: int = 24,
-           background: BackgroundField | None = None,
+def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
            zero_gap: bool = False) -> tuple[float, float]:
     """∫ 2 o(Z, ν) dμ on |x| = δ, Z the gauge vector of the gap.
 
     Returns (value, quadrature estimate).  With ``zero_gap`` the gap tensor
     is replaced by zero (the integral is then exactly zero).
     """
-    bg = background or BackgroundField(params.lattice_cutoff)
-
     def value_on(order):
         rule = s3_quadrature(order, params.delta)
         nodes = rule.nodes
@@ -262,7 +259,7 @@ def z_flux(params: GlueParams, s3_order: int = 24,
         if zero_gap:
             hbar = Sym2Jet.zeros(nodes.shape[:-1], 1)
         else:
-            hbar = _exact_gap(bg, nodes, eps, gj)
+            hbar = _exact_gap(background, nodes, eps, gj)
         _, _, z_vec = div_trace(gj, hbar)
         mode = kernel_mode(1, eps).jets(nodes, order=0)
         integrand = 2.0 * np.einsum("...ij,...i,...j->...", mode.val, z_vec,
@@ -274,14 +271,13 @@ def z_flux(params: GlueParams, s3_order: int = 24,
     return fine, abs(fine - coarse)
 
 
-def gauge_vector_sup(params: GlueParams, s3_order: int = 12,
-                     background: BackgroundField | None = None) -> float:
+def gauge_vector_sup(params: GlueParams, s3_order: int,
+                     background: BackgroundField) -> float:
     """sup over |x| = δ of |Z| in the cap metric."""
-    bg = background or BackgroundField(params.lattice_cutoff)
     nodes = s3_quadrature(s3_order, params.delta).nodes
     eps = params.eps
     gj = eh_metric(eps).jets(nodes, order=1)
-    _, _, z_vec = div_trace(gj, _exact_gap(bg, nodes, eps, gj))
+    _, _, z_vec = div_trace(gj, _exact_gap(background, nodes, eps, gj))
     sq = np.einsum("...ij,...i,...j->...", gj.val, z_vec, z_vec, **_E)
     return float(np.sqrt(np.max(sq)))
 
@@ -329,11 +325,9 @@ def _corner_sample(n_per_axis: int = 8):
     return pts[keep], (1.0 / n_per_axis) ** 4
 
 
-def projection_integrals(eps_list, delta: float, lattice_cutoff: int = 32,
+def projection_integrals(eps_list, delta: float, background: BackgroundField,
                          s3_order: int = 10, annulus_points: int = 24,
-                         outer_points: int = 48,
-                         background: BackgroundField | None = None,
-                         mode: str = "desk",
+                         outer_points: int = 48, mode: str = "desk",
                          with_estimate: bool = True) -> list[ProjectionResult]:
     """-2 ∫ ⟨obstruction, Ric⟩ and -2 ∫ ⟨g, Ric⟩ over the punctured cube.
 
@@ -343,9 +337,8 @@ def projection_integrals(eps_list, delta: float, lattice_cutoff: int = 32,
     outside the inscribed ball is covered by a deterministic midpoint grid
     and its analytic bound is reported separately.
     """
-    bg = background or BackgroundField(lattice_cutoff)
-    metrics = [GluedMetric(GlueParams(e, delta, lattice_cutoff, mode=mode), bg)
-               for e in eps_list]
+    metrics = [GluedMetric(GlueParams(e, delta, background.cutoff, mode=mode),
+                           background) for e in eps_list]
 
     def sweep(order, ann_n, out_n):
         params0 = metrics[0].params
@@ -356,7 +349,7 @@ def projection_integrals(eps_list, delta: float, lattice_cutoff: int = 32,
         for rho, w_r in shells:
             nodes = ang.nodes * rho
             weights = ang.weights * rho ** 3 * w_r
-            bgj = bg.jets(nodes, order=2)
+            bgj = background.jets(nodes, order=2)
             for idx, gm in enumerate(metrics):
                 gj = gm.jets(nodes, order=2, bg=bgj)
                 curv = curvature_at(gj)
@@ -377,7 +370,7 @@ def projection_integrals(eps_list, delta: float, lattice_cutoff: int = 32,
 
     # corner region (|x| > 1/2 inside the cube): midpoint rule + bound
     pts, cell = _corner_sample()
-    bgj_corner = bg.jets(pts, order=2)
+    bgj_corner = background.jets(pts, order=2)
     results = []
     for idx, gm in enumerate(metrics):
         gj = gm.jets(pts, order=2, bg=bgj_corner)

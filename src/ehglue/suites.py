@@ -42,13 +42,13 @@ _backgrounds: dict = {}
 
 
 def shared_background(cfg: RunConfig) -> BackgroundField:
-    """One cache-backed field per (cutoff, degree, cache directory)."""
+    """One cache-backed field per (cutoff, degree, cache directory): the
+    background of every suite and script."""
     directory = os.path.realpath(cfg.cache_dir or default_cache_dir())
     key = (cfg.cutoff, cfg.taylor_degree, directory)
     if key not in _backgrounds:
-        _backgrounds[key] = BackgroundField(cfg.cutoff, n0=1,
-                                            degree=cfg.taylor_degree,
-                                            cache=BackgroundCache(directory))
+        _backgrounds[key] = BackgroundField(cfg.cutoff, cfg.taylor_degree,
+                                            BackgroundCache(directory))
     return _backgrounds[key]
 
 
@@ -131,13 +131,11 @@ def run_background(cfg: RunConfig) -> Report:
             budget=1e-10, passed=float(np.max(np.abs(plain - paired))) < 1e-10)
 
     # accelerated field agrees with the direct sum
-    bg = shared_background(cfg)
     if cfg.cutoff >= 8:
         from .lattice import background_partial
         pts = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1]])
         direct = background_partial(pts, 8, order=1)
-        accel = BackgroundField(8, n0=1, degree=cfg.taylor_degree).jets(
-            pts, order=1)
+        accel = shared_background(replace(cfg, cutoff=8)).jets(pts, order=1)
         dev = max(float(np.max(np.abs(direct.val - accel.val))),
                   float(np.max(np.abs(direct.d1 - accel.d1))))
         rep.add("accelerated_vs_direct", dev, budget=1e-8, passed=dev < 1e-8)
@@ -218,11 +216,10 @@ def run_project(cfg: RunConfig) -> Report:
     bg = shared_background(cfg)
     omega = reference_omega(cfg)
     eps_list = [0.05, 0.07, cfg.eps]
-    res = projection_integrals(eps_list, cfg.delta, cfg.cutoff,
+    res = projection_integrals(eps_list, cfg.delta, bg,
                                s3_order=cfg.vol_order,
                                annulus_points=cfg.annulus_points,
                                outer_points=cfg.outer_points,
-                               background=bg,
                                with_estimate=not cfg.fast)
     params = GlueParams(cfg.eps, cfg.delta, cfg.cutoff)
     flux = flux_integral(params, max(16, cfg.s3_order - 8), bg, omega)

@@ -6,12 +6,12 @@ from ehglue.lattice import BackgroundField, omega_partial
 
 @pytest.fixture(scope="session")
 def background8():
-    return BackgroundField(cutoff=8, n0=1, degree=12)
+    return BackgroundField(cutoff=8, degree=12)
 
 
 @pytest.fixture(scope="session")
 def background32():
-    return BackgroundField(cutoff=32, n0=1, degree=12)
+    return BackgroundField(cutoff=32, degree=12)
 
 
 @pytest.fixture(scope="session")

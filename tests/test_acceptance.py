@@ -20,7 +20,7 @@ from ehglue.fields import eh_metric, kernel_mode
 from ehglue.glue import GlueParams, GluedMetric, decay_scan
 from ehglue.heat import (KernelQuery, decay_rate_scan, heat_kernel_minus,
                          heat_kernel_plus)
-from ehglue.lattice import omega_partial
+from ehglue.lattice import BackgroundField, omega_partial
 from ehglue.obstruction import (distributional_check, flux_integral,
                                 flux_single_site, projection_integrals)
 from ehglue.quadrature import line_fit, radial_quadrature, s3_quadrature
@@ -124,9 +124,9 @@ def test_criterion_05_cross_route(background32, omega40):
     the 8 ± 0.3 exponent gate fail at the stated desk parameters."""
     t0 = time.monotonic()
     eps_list = [0.05, 0.07, 0.1]
-    res = projection_integrals(eps_list, 0.3, 32, s3_order=10,
+    res = projection_integrals(eps_list, 0.3, background32, s3_order=10,
                                annulus_points=20, outer_points=24,
-                               background=background32, with_estimate=False)
+                               with_estimate=False)
     flux = flux_integral(GlueParams(0.1, 0.3, 32), s3_order=16,
                          background=background32,
                          omega=omega40.extrapolated)
@@ -247,7 +247,8 @@ def test_criterion_09_flow_dynamics(omega40):
     c_val = blowup_prediction(-1e6, peak, omega=omega)[1]
 
     proxy = ricci_decay_proxy((-1e4, -1e5, -1e6),
-                              ProxyPolicy(lattice_cutoff=16, omega=omega))
+                              ProxyPolicy(lattice_cutoff=16, omega=omega),
+                              BackgroundField(16))
     dt = time.monotonic() - t0
     ok = (rk_dev <= 1e-9 and ass.all_ok and resid_ok
           and ratio_spread <= 0.01 and proxy.exponent <= -0.9

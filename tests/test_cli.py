@@ -10,15 +10,22 @@ from ehglue.config import ConfigError, RunConfig, parse_config_file
 from ehglue.report import Report, canonical_json, format_float, write_csv
 
 
-def run_cli(args, env_extra=None, cwd=None):
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def run_python(args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env.get("PYTHONPATH", "")])
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "ehglue.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def run_cli(args, env_extra=None, cwd=None):
+    return run_python(["-m", "ehglue.cli", *args], env_extra, cwd)
 
 
 def test_canonical_json_is_sorted_and_fixed_format():
@@ -148,19 +155,45 @@ def test_cache_regeneration_bit_identical(tmp_path):
     from ehglue.lattice import BackgroundCache, BackgroundField
     cache_dir = tmp_path / "cache"
     cache = BackgroundCache(str(cache_dir))
-    BackgroundField(4, n0=1, degree=8, cache=cache)
+    BackgroundField(4, degree=8, cache=cache)
     files = sorted(os.listdir(cache_dir))
     first = {f: (cache_dir / f).read_bytes() for f in files}
     for f in files:
         (cache_dir / f).unlink()
-    BackgroundField(4, n0=1, degree=8, cache=cache)
+    BackgroundField(4, degree=8, cache=cache)
     second = {f: (cache_dir / f).read_bytes() for f in sorted(os.listdir(cache_dir))}
     assert first == second
 
 
+def test_flow_timeseries_rows_match_the_flow_suite_csv(tmp_path,
+                                                        monkeypatch):
+    # the script reads the ω and the background of `eh-glue flow --csv`, so
+    # the rows of the times both write are byte-identical
+    from ehglue import suites
+    cache = str(tmp_path / "cache")
+    done = run_python([os.path.join(SCRIPTS, "flow_timeseries.py"),
+                       "--decades", "2", "--out", str(tmp_path / "script.csv")],
+                      {"EH_GLUE_CACHE_DIR": cache})
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setattr(suites, "_backgrounds", {})
+    suites.run_flow(RunConfig(task="flow", cutoff=16, t_max=-1e5,
+                              ode_steps=1000, cache_dir=cache,
+                              csv=str(tmp_path / "suite.csv")))
+
+    def rows(name):
+        lines = (tmp_path / name).read_bytes().splitlines()
+        return lines[0], {line.split(b",")[0]: line for line in lines[1:]}
+
+    head, script_rows = rows("script.csv")
+    suite_head, suite_rows = rows("suite.csv")
+    assert head == suite_head
+    assert sorted(float(t) for t in script_rows) == [-1e5, -1e4]
+    for t, line in script_rows.items():
+        assert suite_rows[t] == line
+
+
 def test_report_diff_flags_moved_numbers_and_flipped_gates(tmp_path):
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                          "report_diff.py")
+    script = os.path.join(SCRIPTS, "report_diff.py")
     base = Report("demo", {"cutoff": 8})
     base.add("x", 1.0, expected=1.0, tolerance=0.1)
     base.add("y", [2.0, 3.0])

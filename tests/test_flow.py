@@ -6,8 +6,7 @@ from ehglue.flow import (FlowState, ProxyPolicy, WeightSpec, assumption_check,
                          epsilon_derivative, epsilon_of_t,
                          modulation_residual, ode_integrate,
                          ricci_decay_proxy, weighted_norm_sample)
-
-OMEGA = 7.7036
+from ehglue.lattice import OMEGA_REFERENCE as OMEGA
 
 
 def test_closed_form_value():
@@ -190,7 +189,7 @@ def test_flow_suite_decay_proxy_reads_the_cached_background(tmp_path,
     # with both cutoff-16 far tables in the cache, `flow` builds none
     from ehglue import lattice, suites
     from ehglue.config import RunConfig
-    lattice.BackgroundField(16, n0=1, degree=12,
+    lattice.BackgroundField(16, degree=12,
                             cache=lattice.BackgroundCache(str(tmp_path)))
 
     def no_build(*args, **kwargs):

@@ -15,6 +15,11 @@ def glued8(background8):
     return GluedMetric(GlueParams(0.02, 0.3, 8), background8)
 
 
+def test_glued_metric_rejects_a_background_of_another_cutoff(background8):
+    with pytest.raises(ValueError):
+        GluedMetric(GlueParams(0.02, 0.3, 32), background8)
+
+
 def test_params_validation():
     GlueParams(0.1, 0.3)                    # desk scale is allowed
     GlueParams(0.0008, 0.09, mode="asymptotic")

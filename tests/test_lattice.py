@@ -9,9 +9,10 @@ import pytest
 from ehglue import lattice
 from ehglue.fields import farfield_jets, farfield_pattern
 from ehglue.jets import DomainError
-from ehglue.lattice import (BackgroundCache, BackgroundField,
-                            background_partial, background_values,
-                            farfield_taylor, flux_term_exact,
+from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
+                            BackgroundField, background_partial,
+                            background_values, farfield_taylor,
+                            flux_term_exact,
                             gegenbauer_terms, interaction_weight,
                             lattice_moments, near_sites, omega_domain,
                             omega_partial, parity_of, slab_sites)
@@ -54,6 +55,11 @@ def test_omega_partial_convergence():
         flux_term_exact(a) for a in
         [tuple(v) for v in near_sites(1, odd=True)]) / (64 * np.pi ** 2)
     assert shell_from_flux == pytest.approx(res.partials[1], rel=1e-12)
+
+
+def test_omega_reference_matches_the_extrapolated_sum():
+    # the hard-coded ω default stands for omega_partial(40), 4.7e-6 apart
+    assert abs(OMEGA_REFERENCE - omega_partial(40).extrapolated) < 5e-5
 
 
 def test_cube_partials_match_flux_sum():
@@ -242,6 +248,28 @@ def test_direct_sums_reject_unknown_parity_and_bad_cutoff(background8):
             background_values(x, cutoff)
         with pytest.raises(ValueError):
             background_partial(x[None], cutoff, order=1)
+    for cutoff in (1, 0):             # the far table needs a far site
+        with pytest.raises(ValueError):
+            BackgroundField(cutoff)
+
+
+def test_background_suite_reads_only_the_cutoff8_tables(tmp_path,
+                                                        monkeypatch):
+    # at cutoff 32 `background` needs only the cached cutoff-8 field
+    from ehglue import suites
+    from ehglue.config import RunConfig
+    BackgroundField(8, cache=BackgroundCache(str(tmp_path)))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("far table built despite a stored entry")
+
+    monkeypatch.setattr(lattice, "farfield_taylor", no_build)
+    monkeypatch.setattr(suites, "_backgrounds", {})
+    rep = suites.run_background(RunConfig(task="background", cutoff=32,
+                                          cache_dir=str(tmp_path)))
+    assert "accelerated_vs_direct" in rep.passes
+    assert rep.all_passed, sorted(k for k, v in rep.passes.items() if not v)
+    assert len(list(tmp_path.glob("far-table-*.ehbg"))) == 2
 
 
 def test_background_rejects_lattice_points():
@@ -396,7 +424,7 @@ def test_far_table_under_current_header_loads_without_rebuild(
         tmp_path, monkeypatch):
     # the cache key and the canonical (3, n_monomials) payload are fixed: a
     # table stored under this header is a hit and nothing is rebuilt
-    fresh = BackgroundField(4, n0=1, degree=8)
+    fresh = BackgroundField(4, degree=8)
     cache = BackgroundCache(str(tmp_path))
     for odd in (False, True):
         header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
@@ -409,7 +437,7 @@ def test_far_table_under_current_header_loads_without_rebuild(
         raise AssertionError("far table rebuilt despite a stored entry")
 
     monkeypatch.setattr(lattice, "farfield_taylor", no_build)
-    loaded = BackgroundField(4, n0=1, degree=8, cache=cache)
+    loaded = BackgroundField(4, degree=8, cache=cache)
     pts = np.array([[0.2, 0.1, 0.0, -0.1], [-0.05, 0.3, 0.25, 0.1]])
     for order in (0, 1, 2):
         a, b = fresh.jets(pts, order), loaded.jets(pts, order)
@@ -451,8 +479,8 @@ def test_cache_roundtrip_bit_identical(tmp_path):
 
 def test_cached_background_field_identical(tmp_path):
     cache = BackgroundCache(str(tmp_path))
-    a = BackgroundField(4, n0=1, degree=8, cache=cache)
-    b = BackgroundField(4, n0=1, degree=8, cache=cache)   # cache hit
+    a = BackgroundField(4, degree=8, cache=cache)
+    b = BackgroundField(4, degree=8, cache=cache)   # cache hit
     pts = np.array([[0.2, 0.1, 0.0, -0.1]])
     ja = a.jets(pts, order=2)
     jb = b.jets(pts, order=2)
@@ -469,7 +497,7 @@ def test_cached_background_field_identical(tmp_path):
 def test_damaged_cache_header_is_a_miss(tmp_path, damage):
     cache = BackgroundCache(str(tmp_path))
     pts = np.array([[0.2, 0.1, 0.0, -0.1]])
-    built = BackgroundField(4, n0=1, degree=8, cache=cache).jets(pts, order=2)
+    built = BackgroundField(4, degree=8, cache=cache).jets(pts, order=2)
     files = sorted(tmp_path.iterdir())
     originals = {f: f.read_bytes() for f in files}
     start = len(BackgroundCache.MAGIC)
@@ -481,7 +509,7 @@ def test_damaged_cache_header_is_a_miss(tmp_path, damage):
               "degree": 8, "parity": "even", "grid": "taylor-origin"}
     assert cache.path_for(header) in {str(f) for f in files}
     assert cache.load(header) is None
-    rebuilt = BackgroundField(4, n0=1, degree=8, cache=cache).jets(pts,
+    rebuilt = BackgroundField(4, degree=8, cache=cache).jets(pts,
                                                                    order=2)
     assert sorted(tmp_path.iterdir()) == files
     assert {f: f.read_bytes() for f in files} == originals
