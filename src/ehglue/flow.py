@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .curvature import curvature_at
 from .fields import eh_metric
-from .glue import GlueParams, GluedMetric, inner_max_residual
+from .glue import GlueParams, GluedMetric, sphere_sups
 from .lattice import OMEGA_REFERENCE, BackgroundField
 from .quadrature import line_fit
 from .sym2 import inner_product
@@ -208,7 +208,9 @@ class ProxyPolicy:
     The schedule delta(t) = (-t)^(-1/400) approaches 1 from below for any
     reachable time, which exceeds the geometric bound delta <= 0.45 of the
     piecewise construction (overlapping necks); the proxy therefore caps the
-    neck radius and tracks the eps(t)-driven decay, which dominates.
+    neck radius and tracks the eps(t)-driven decay, which dominates.  Once
+    capped, δ is the same at every proxy time, so all times sample the same
+    spheres frac·δ and share their background evaluations.
     """
 
     lattice_cutoff: int = 16
@@ -237,21 +239,27 @@ def ricci_decay_proxy(times, policy: ProxyPolicy,
 
     The sample covers the cutoff transition band (where the residual peaks)
     and one outer sphere; the fitted exponent in (-t) comes out near -1,
-    comfortably below the -1/2 + kappa target.
+    comfortably below the -1/2 + kappa target.  The work is grouped by
+    sphere radius frac·δ(t): times that sample one sphere share its
+    background evaluation.
     """
     times = np.asarray(sorted(times), dtype=float)
-    sups, epss, dels = [], [], []
-    for t in times:
-        eps = epsilon_of_t(t, policy.lam, omega=policy.omega)
-        delta = policy.delta_of_t(t)
-        gm = GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff),
-                         background)
-        sups.append(max(inner_max_residual(gm, "ricci", frac * delta,
-                                           policy.s3_order)
-                        for frac in policy.radial_fractions))
-        epss.append(eps)
-        dels.append(delta)
-    sups = np.asarray(sups)
+    epss = [epsilon_of_t(t, policy.lam, omega=policy.omega) for t in times]
+    dels = [policy.delta_of_t(t) for t in times]
+    metrics = [GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff),
+                           background) for eps, delta in zip(epss, dels)]
+    # the times that sample each sphere; one sphere's jets alive at a time
+    spheres: dict[float, list[int]] = {}
+    for i, delta in enumerate(dels):
+        for frac in policy.radial_fractions:
+            spheres.setdefault(frac * delta, []).append(i)
+    per_time = [[] for _ in times]
+    for rho, idx in spheres.items():
+        sups = sphere_sups([(metrics[i], "ricci") for i in idx], rho,
+                           policy.s3_order)
+        for i, sup in zip(idx, sups):
+            per_time[i].append(sup)
+    sups = np.asarray([max(v) for v in per_time])
     slope, _ = line_fit(np.log(-times), np.log(sups))
     return ProxyResult(times, sups, np.asarray(epss), np.asarray(dels),
                        float(slope))

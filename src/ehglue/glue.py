@@ -149,6 +149,30 @@ def _put(out: Sym2Jet, mask: np.ndarray, jets: Sym2Jet):
         out.d2[mask] = jets.d2
 
 
+def check_cutoff(params: GlueParams, background: BackgroundField):
+    """Raise ValueError unless the background sums the params' lattice."""
+    if background.cutoff != params.lattice_cutoff:
+        raise ValueError(f"background cutoff {background.cutoff} != "
+                         f"lattice_cutoff {params.lattice_cutoff}")
+
+
+def background_beyond(background: BackgroundField, x: np.ndarray,
+                      radius: float, order: int) -> Sym2Jet | None:
+    """Background jets, in one evaluation, at the points of x farther than
+    ``radius`` from their nearest site (zeros at the others); None when
+    there are no such points.  A point's jets do not depend on the batch
+    it is evaluated in, so they are the same bits as a per-region call."""
+    x, _, _, r = _nearest_site(x)
+    need = r > radius
+    if not np.any(need):
+        return None
+    if np.all(need):
+        return background.jets(x, order=order)
+    out = Sym2Jet.zeros(x.shape[:-1], order)
+    _put(out, need, background.jets(x[need], order=order))
+    return out
+
+
 def _per_parity(fields: dict, y: np.ndarray, odd: np.ndarray,
                 order: int) -> Sym2Jet:
     """fields[odd] evaluated at the offsets y from each point's site."""
@@ -164,9 +188,7 @@ class GluedMetric:
     """Piecewise field with exact jets, valid on the background's domain."""
 
     def __init__(self, params: GlueParams, background: BackgroundField):
-        if background.cutoff != params.lattice_cutoff:
-            raise ValueError(f"background cutoff {background.cutoff} != "
-                             f"lattice_cutoff {params.lattice_cutoff}")
+        check_cutoff(params, background)
         self.params = params
         self.background = background
         self._cap = {False: eh_metric(params.eps),
@@ -185,11 +207,15 @@ class GluedMetric:
         """caps[parity of the nearest site] within δ/2 of it, far(background
         jets) beyond δ, and the cutoff blend of the two in between.
 
-        ``bg``, when given, holds the background jets at every point of x.
+        ``bg``, when given, holds the background jets at every point of x
+        beyond δ/2 of its site; otherwise they are evaluated here, once.
         """
         x, site, y, r = _nearest_site(x)
         if np.any(r < 1e-6 * self.params.eps):
             raise DomainError("glued metric evaluated at a lattice point")
+        if bg is None:
+            bg = background_beyond(self.background, x, 0.5 * self.params.delta,
+                                   order)
         odd = (np.abs(site).sum(axis=-1).astype(np.int64) & 1).astype(bool)
         delta = self.params.delta
         out = Sym2Jet.zeros(x.shape[:-1], order)
@@ -201,8 +227,6 @@ class GluedMetric:
             return _per_parity(caps, y[mask], odd[mask], order)
 
         def far_at(mask):
-            if bg is None:
-                return far(self.background.jets(x[mask], order=order))
             return far(Sym2Jet(bg.val[mask],
                                bg.d1[mask] if order >= 1 else None,
                                bg.d2[mask] if order >= 2 else None))
@@ -233,7 +257,13 @@ class GluedMetric:
     def obstruction_jets(self, x: np.ndarray, order: int = 2,
                          bg: Sym2Jet | None = None,
                          g: Sym2Jet | None = None) -> Sym2Jet:
-        """Trace-free part w.r.t. the glued metric of ½ eps ∂_eps(glued)."""
+        """Trace-free part w.r.t. the glued metric of ½ eps ∂_eps(glued).
+
+        Without ``bg`` the background is evaluated once and serves both
+        the mode and, without ``g``, the glued metric."""
+        if bg is None:
+            bg = background_beyond(self.background, x, 0.5 * self.params.delta,
+                                   order)
         u = self._piecewise(x, order, bg, self._mode1,
                             lambda b: b.scaled(self.params.eps ** 4))
         if g is None:
@@ -279,32 +309,51 @@ class DecayScan:
     fitted_prefactor: float
 
 
-def decay_scan(glued: GluedMetric, field: str, radii, s3_order: int = 8) -> DecayScan:
-    """Sup over spheres of |Ric| or |Δ_L obstruction|, with a log-log fit.
+def sphere_sups(pairs, rho: float, s3_order: int = 6) -> list[float]:
+    """Sup over the sphere |x| = rho of the glued-metric norm of Ric (field
+    "ricci") or of Δ_L applied to the obstruction tensor (field
+    "lichnerowicz"), one per (glued metric, field) pair; the sphere sup
+    behind every decay scan.
 
-    field: "ricci" or "lichnerowicz".  Needs at least two radii for a fit.
+    The background does not depend on eps or δ: it is evaluated once per
+    sphere, where some pair's metric reaches beyond δ/2, and serves every
+    pair; consecutive pairs of one metric share its jets and curvature.
     """
+    pairs = list(pairs)
+    if any(f not in ("ricci", "lichnerowicz") for _, f in pairs):
+        raise ValueError("field must be 'ricci' or 'lichnerowicz'")
+    if len({id(gm.background) for gm, _ in pairs}) != 1:
+        raise ValueError("the pairs of one sphere sup share one background")
+    nodes = s3_quadrature(s3_order, rho).nodes
+    bg = background_beyond(pairs[0][0].background, nodes,
+                           min(0.5 * gm.params.delta for gm, _ in pairs), 2)
+    sups, last = [], None
+    for glued, field in pairs:
+        if glued is not last:
+            g = curv = vals = None      # one metric's jets alive at a time
+            g = glued.jets(nodes, order=2, bg=bg)
+            curv, last = curvature_at(g), glued
+        if field == "ricci":
+            vals = curv.ricci
+        else:
+            vals = lichnerowicz(g, glued.obstruction_jets(nodes, order=2,
+                                                          bg=bg, g=g), curv)
+        sups.append(float(np.sqrt(np.max(pair(curv.ginv, vals, vals)))))
+    return sups
+
+
+def decay_scans(pairs, radii, s3_order: int = 8) -> list[DecayScan]:
+    """Sups over spheres of |Ric| or |Δ_L obstruction| per (glued metric,
+    field) pair, each with a log-log fit; the background is evaluated once
+    per sphere for all pairs.  Needs at least two radii for a fit."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2:
         raise ValueError("decay scan needs at least two radii")
-    sups = np.asarray([inner_max_residual(glued, field, rho, s3_order)
-                       for rho in radii])
-    slope, intercept = line_fit(np.log(radii), np.log(np.maximum(sups, 1e-300)))
-    return DecayScan(radii, sups, slope, float(np.exp(intercept)))
-
-
-def inner_max_residual(glued: GluedMetric, field: str, rho: float,
-                       s3_order: int = 6) -> float:
-    """Sup over the sphere |x| = rho of the glued-metric norm of Ric
-    (field "ricci") or of Δ_L applied to the obstruction tensor (field
-    "lichnerowicz"); the sphere sup behind every decay scan."""
-    if field not in ("ricci", "lichnerowicz"):
-        raise ValueError("field must be 'ricci' or 'lichnerowicz'")
-    nodes = s3_quadrature(s3_order, rho).nodes
-    g = glued.jets(nodes, order=2)
-    curv = curvature_at(g)
-    if field == "ricci":
-        vals = curv.ricci
-    else:
-        vals = lichnerowicz(g, glued.obstruction_jets(nodes, order=2), curv)
-    return float(np.sqrt(np.max(pair(curv.ginv, vals, vals))))
+    pairs = list(pairs)
+    sups = np.asarray([sphere_sups(pairs, rho, s3_order) for rho in radii])
+    scans = []
+    for col in sups.T:
+        slope, intercept = line_fit(np.log(radii),
+                                    np.log(np.maximum(col, 1e-300)))
+        scans.append(DecayScan(radii, col, slope, float(np.exp(intercept))))
+    return scans

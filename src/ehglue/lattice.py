@@ -364,25 +364,41 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
             pw[i].append(pw[i][g - 1] * sq[:, i])
 
     inv_r2 = 1.0 / r2
-    rinv: dict[int, np.ndarray] = {}
 
+    # requests sorted by (e, β/2) share prefixes of the product
+    # weight·|a|^{-e}·a1^β1·a2^β2·a3^β3·a4^β4: level 0 holds weight·|a|^{-e},
+    # level i+1 level i times a_i^β_i (level i itself when β_i = 0), each
+    # level in its own reusable buffer and rebuilt only when its prefix
+    # changes, with the multiplications of a from-scratch product
     out: dict[tuple[tuple, int], float] = {}
-    for beta, e in sorted(requests):
+    live = []
+    for beta, e in requests:
         if any(b & 1 for b in beta):
             out[(beta, e)] = 0.0
-            continue
-        if e not in rinv:
+        else:
             assert e % 2 == 0 and e > 0
-            rinv[e] = inv_r2 ** (e // 2)
-        prod = weight * rinv[e]
-        for i in range(4):
-            if beta[i]:
-                prod = prod * pw[i][beta[i] // 2]
+            live.append(((e,) + tuple(b // 2 for b in beta), beta))
+    buffers = [np.empty(a.shape[0]) for _ in range(5)]
+    levels: list = [None] * 5
+    prefix = (None,) * 5
+    for key, beta in sorted(live):
+        first = next(i for i in range(5) if key[i] != prefix[i])
+        for lvl in range(first, 5):
+            if lvl == 0:
+                levels[0] = np.multiply(weight, inv_r2 ** (key[0] // 2),
+                                        out=buffers[0])
+            elif key[lvl]:
+                levels[lvl] = np.multiply(levels[lvl - 1],
+                                          pw[lvl - 1][key[lvl]],
+                                          out=buffers[lvl])
+            else:
+                levels[lvl] = levels[lvl - 1]
+        prefix = key
         acc = KahanAccumulator()
         chunk = 1 << 18
-        for lo in range(0, prod.shape[0], chunk):
-            acc.add(np.sum(prod[lo:lo + chunk]))
-        out[(beta, e)] = acc.result()
+        for lo in range(0, a.shape[0], chunk):
+            acc.add(np.sum(levels[4][lo:lo + chunk]))
+        out[(beta, key[0])] = acc.result()
     return out
 
 

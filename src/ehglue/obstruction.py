@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import christoffel, covariant_d1, curvature_at, div_trace
 from .fields import eh_metric, farfield_jets, kernel_mode
-from .glue import GlueParams, GluedMetric, outer_metric
+from .glue import GlueParams, GluedMetric, check_cutoff, outer_metric
 from .jets import DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
@@ -201,6 +201,7 @@ def flux_integral(params: GlueParams, s3_order: int,
     beyond the nominal correction budget, which is why the leading gap is
     the default (the asymptotic limits agree; see the cross-route suite).
     """
+    check_cutoff(params, background)
     if s3_order < 16:
         raise ValueError("flux_integral needs s3_order >= 16")
     fine = _flux_on_rule(params, background,
@@ -250,6 +251,8 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
     Returns (value, quadrature estimate).  With ``zero_gap`` the gap tensor
     is replaced by zero (the integral is then exactly zero).
     """
+    check_cutoff(params, background)
+
     def value_on(order):
         rule = s3_quadrature(order, params.delta)
         nodes = rule.nodes
@@ -274,6 +277,7 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
 def gauge_vector_sup(params: GlueParams, s3_order: int,
                      background: BackgroundField) -> float:
     """sup over |x| = δ of |Z| in the cap metric."""
+    check_cutoff(params, background)
     nodes = s3_quadrature(s3_order, params.delta).nodes
     eps = params.eps
     gj = eh_metric(eps).jets(nodes, order=1)

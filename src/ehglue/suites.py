@@ -19,8 +19,8 @@ from .curvature import (bianchi_residual, curvature_at, div_trace, fd_sym2jet,
 from .fields import (eh_metric, farfield_tensor, kernel_mode,
                      map_collection, point_generators, symmetry_check,
                      vector_fields, alpha_forms, radial_vector)
-from .glue import (GlueParams, GluedMetric, decay_scan,
-                   inner_max_residual, region_tag)
+from .glue import (GlueParams, GluedMetric, decay_scans, region_tag,
+                   sphere_sups)
 from .heat import (KernelQuery, decay_rate_scan, heat_kernel_minus,
                    heat_kernel_plus, kernel_on_grid, semigroup_defect,
                    sup_deviation)
@@ -285,19 +285,19 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     # not contaminated by the neighbouring caps
     params = GlueParams(0.05, 0.25, cfg.cutoff)
     gm = GluedMetric(params, bg)
+    # every sphere below is sampled by all of its metrics and fields at
+    # once, so its background is evaluated once
     radii = (0.26, 0.29, 0.33, 0.37)
-    scan = decay_scan(gm, "ricci", radii, s3_order=8)
+    scan, lscan = decay_scans([(gm, "ricci"), (gm, "lichnerowicz")], radii,
+                              s3_order=8)
     rep.add("outer_ricci_exponent", scan.fitted_exponent, budget=0.5,
             expected=-10.0, tolerance=0.5)
     rep.results["outer_ricci_sups"] = scan.sup_values.tolist()
-
-    lscan = decay_scan(gm, "lichnerowicz", radii, s3_order=8)
     rep.add("outer_lichnerowicz_exponent", lscan.fitted_exponent, budget=0.5,
             expected=-10.0, tolerance=0.5)
 
-    inner = inner_max_residual(gm, "ricci", 0.1)
+    inner, inner_l = sphere_sups([(gm, "ricci"), (gm, "lichnerowicz")], 0.1)
     rep.add("inner_ricci_residual", inner, budget=1e-8, passed=inner <= 1e-8)
-    inner_l = inner_max_residual(gm, "lichnerowicz", 0.1)
     rep.add("inner_lichnerowicz_residual", inner_l, budget=1e-7,
             passed=inner_l <= 1e-7)
 
@@ -318,14 +318,16 @@ def run_glue_scan(cfg: RunConfig) -> Report:
             expected=-8.0, tolerance=0.3)
 
     # annulus ratio bounded across the reference grid
-    ratios = []
-    for eps in (0.02, 0.04):
-        for delta in (0.2, 0.3):
-            p = GlueParams(eps, delta, cfg.cutoff)
-            m = GluedMetric(p, bg)
-            band = np.linspace(2.0 * delta / 3.0, 5.0 * delta / 6.0, 5)
-            worst = max(inner_max_residual(m, "ricci", r) for r in band)
-            ratios.append(worst / (eps ** 4 / delta ** 2))
+    epss, deltas = (0.02, 0.04), (0.2, 0.3)
+    band_sups: dict[tuple, list] = {}
+    for delta in deltas:
+        pairs = [(GluedMetric(GlueParams(eps, delta, cfg.cutoff), bg), "ricci")
+                 for eps in epss]
+        for r in np.linspace(2.0 * delta / 3.0, 5.0 * delta / 6.0, 5):
+            for eps, sup in zip(epss, sphere_sups(pairs, r)):
+                band_sups.setdefault((eps, delta), []).append(sup)
+    ratios = [max(band_sups[eps, delta]) / (eps ** 4 / delta ** 2)
+              for eps in epss for delta in deltas]
     spread = max(ratios) / min(ratios)
     rep.add("annulus_ratio_spread", spread, budget=10.0,
             passed=spread <= 10.0)
@@ -334,12 +336,12 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     # branch mismatch inside the transition zone: size O(eps^4) and shrinking
     # at least quartically in eps (the own-cap remainder adds an eps^8 part)
     mismatches = []
+    x = s3_quadrature(6, 0.7 * cfg.delta).nodes
+    bgx = bg.jets(x, order=0)
     for eps in (0.05, cfg.eps):
-        p = GlueParams(eps, cfg.delta, cfg.cutoff)
-        m = GluedMetric(p, bg)
-        x = s3_quadrature(6, 0.7 * p.delta).nodes
-        cap_vals = eh_metric(p.eps).jets(x, order=0).val
-        outer_vals = m._outer_jets(x, 0).val
+        m = GluedMetric(GlueParams(eps, cfg.delta, cfg.cutoff), bg)
+        cap_vals = eh_metric(eps).jets(x, order=0).val
+        outer_vals = m._outer_jets(x, 0, bg=bgx).val
         mismatches.append(float(np.max(np.abs(cap_vals - outer_vals))))
     slope_mm = np.log(mismatches[1] / mismatches[0]) / np.log(cfg.eps / 0.05)
     rep.add("branch_mismatch", mismatches[1])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,23 @@ def background8():
 @pytest.fixture(scope="session")
 def background32():
     return BackgroundField(cutoff=32, degree=12)
+
+
+@pytest.fixture
+def background_calls(monkeypatch):
+    """Records every BackgroundField.jets call as (sha256 of the points,
+    order, which, exclude_origin)."""
+    calls = []
+    jets = BackgroundField.jets
+
+    def recording(self, x, order=2, which="combined", exclude_origin=False):
+        digest = hashlib.sha256(
+            np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()
+        calls.append((digest, order, which, exclude_origin))
+        return jets(self, x, order, which, exclude_origin)
+
+    monkeypatch.setattr(BackgroundField, "jets", recording)
+    return calls
 
 
 @pytest.fixture(scope="session")

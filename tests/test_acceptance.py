@@ -17,7 +17,7 @@ import pytest
 
 from ehglue.curvature import curvature_at, div_trace, lichnerowicz
 from ehglue.fields import eh_metric, kernel_mode
-from ehglue.glue import GlueParams, GluedMetric, decay_scan
+from ehglue.glue import GlueParams, GluedMetric, decay_scans
 from ehglue.heat import (KernelQuery, decay_rate_scan, heat_kernel_minus,
                          heat_kernel_plus)
 from ehglue.lattice import BackgroundField, omega_partial
@@ -109,7 +109,7 @@ def test_criterion_04_flux_integral(background32, omega40):
     even = flux_single_site((1, 1, 0, 0), 0.3, s3_order=24)
     dt = time.monotonic() - t0
     ok = (rel <= 0.02 and rel_odd <= 1e-3
-          and abs(even.value) <= max(10 * even.quad_estimate, 1e-10))
+          and abs(even.value) <= max(even.quad_estimate, 1e-10))
     assert report(4, "flux integral", ok,
                   f"full {full.value:.4e} vs {full.predicted:.4e} "
                   f"({100 * rel:.2f}%), odd-site {100 * rel_odd:.2e}%, "
@@ -155,7 +155,7 @@ def test_criterion_05_cross_route(background32, omega40):
 def test_criterion_06_decay_exponents(background32):
     t0 = time.monotonic()
     gm = GluedMetric(GlueParams(0.05, 0.25, 32), background32)
-    scan = decay_scan(gm, "ricci", (0.26, 0.29, 0.33, 0.37), s3_order=8)
+    scan, = decay_scans([(gm, "ricci")], (0.26, 0.29, 0.33, 0.37), s3_order=8)
     g1 = eh_metric(1.0)
     from ehglue.fields import farfield_tensor
     far = farfield_tensor()
@@ -237,7 +237,7 @@ def test_criterion_09_flow_dynamics(omega40):
     eps_ref = epsilon_of_t(-1e6, omega=omega)
     resid = modulation_residual(-1e6, eps_ref,
                                 epsilon_derivative(-1e6, omega=omega), omega)
-    resid_ok = abs(resid) <= 1e-13 * 32 * np.pi ** 2 * omega * eps_ref ** 8
+    resid_ok = abs(resid) <= 1e-14 * 32 * np.pi ** 2 * omega * eps_ref ** 8
 
     peak = curvature_peak()
     tgrid = -np.logspace(4, 8, 9)

@@ -213,3 +213,17 @@ def test_shared_background_uses_each_cache_directory(tmp_path, monkeypatch):
         suites.shared_background(RunConfig(cutoff=4, taylor_degree=8,
                                            cache_dir=str(directory)))
         assert len(list(directory.glob("far-table-*.ehbg"))) == 2
+
+
+def test_flow_suite_evaluates_each_sphere_background_once(tmp_path,
+                                                          monkeypatch,
+                                                          background_calls):
+    # the capped δ makes every proxy time sample the same spheres
+    from ehglue import suites
+    from ehglue.config import RunConfig
+    monkeypatch.setattr(suites, "_backgrounds", {})
+    suites.run_flow(RunConfig(task="flow", cutoff=4, taylor_degree=8,
+                              t_max=-1e5, ode_steps=100,
+                              cache_dir=str(tmp_path)))
+    assert len(background_calls) == len(set(background_calls))
+    assert len(background_calls) == len(ProxyPolicy().radial_fractions)

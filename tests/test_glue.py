@@ -4,9 +4,9 @@ import pytest
 from ehglue.curvature import curvature_at, fd_sym2jet
 from ehglue.fields import eh_metric, kernel_mode
 from ehglue.glue import (GlueParams, GluedMetric, cutoff_jet, cutoff_scalar,
-                         decay_scan, inner_max_residual, region_tag,
-                         remove_trace)
+                         decay_scans, region_tag, remove_trace, sphere_sups)
 from ehglue.jets import DomainError
+from ehglue.obstruction import flux_integral, gauge_vector_sup, z_flux
 from ehglue.quadrature import s3_quadrature
 
 
@@ -15,9 +15,16 @@ def glued8(background8):
     return GluedMetric(GlueParams(0.02, 0.3, 8), background8)
 
 
-def test_glued_metric_rejects_a_background_of_another_cutoff(background8):
-    with pytest.raises(ValueError):
-        GluedMetric(GlueParams(0.02, 0.3, 32), background8)
+@pytest.mark.parametrize("entry", [
+    GluedMetric,
+    lambda params, bg: flux_integral(params, 16, bg),
+    lambda params, bg: z_flux(params, 16, bg),
+    lambda params, bg: gauge_vector_sup(params, 16, bg),
+], ids=["GluedMetric", "flux_integral", "z_flux", "gauge_vector_sup"])
+def test_glued_metric_rejects_a_background_of_another_cutoff(entry,
+                                                             background8):
+    with pytest.raises(ValueError, match="background cutoff 8"):
+        entry(GlueParams(0.1, 0.3, 32), background8)
 
 
 def test_params_validation():
@@ -174,16 +181,16 @@ def test_lattice_point_rejected(glued8):
 
 def test_ricci_regions(background32):
     gm = GluedMetric(GlueParams(0.05, 0.25, 32), background32)
-    assert inner_max_residual(gm, "ricci", 0.1) < 1e-8
-    scan = decay_scan(gm, "ricci", (0.26, 0.29, 0.33, 0.37), s3_order=6)
+    assert sphere_sups([(gm, "ricci")], 0.1)[0] < 1e-8
+    scan, = decay_scans([(gm, "ricci")], (0.26, 0.29, 0.33, 0.37), s3_order=6)
     assert abs(scan.fitted_exponent + 10.0) < 0.5
 
 
 def test_sphere_sup_rejects_unknown_field(glued8):
     with pytest.raises(ValueError):
-        inner_max_residual(glued8, "ricc1", 0.1)
+        sphere_sups([(glued8, "ricc1")], 0.1)
     with pytest.raises(ValueError):
-        decay_scan(glued8, "ricc1", (0.26, 0.29))
+        decay_scans([(glued8, "ricc1")], (0.26, 0.29))
 
 
 def test_annulus_ricci_against_fd_oracle(background32):
@@ -194,3 +201,28 @@ def test_annulus_ricci_against_fd_oracle(background32):
     fd_ric = curvature_at(fd_sym2jet(lambda p: gm.values(p), x,
                                      scale=0.05)).ricci
     assert np.max(np.abs(ric - fd_ric)) < 1e-4 * max(1.0, np.max(np.abs(ric)))
+
+
+def test_glue_scan_evaluates_each_sphere_background_once(tmp_path,
+                                                         monkeypatch,
+                                                         background_calls):
+    # 4 decay radii, 2 × 5 annulus band radii and the mismatch sphere
+    from ehglue import suites
+    from ehglue.config import RunConfig
+    monkeypatch.setattr(suites, "_backgrounds", {})
+    suites.run_glue_scan(RunConfig(task="glue-scan", cutoff=4,
+                                   taylor_degree=8, cache_dir=str(tmp_path)))
+    assert len(background_calls) == len(set(background_calls)) == 15
+
+
+def test_obstruction_jets_evaluates_the_background_once(background8,
+                                                        background_calls):
+    gm = GluedMetric(GlueParams(0.02, 0.3, 8), background8)
+    x = s3_quadrature(4, 0.22).nodes
+    assert np.all(region_tag(x, gm.params) == 1)
+    ob = gm.obstruction_jets(x, 2)
+    assert len(background_calls) == 1
+    bg = background8.jets(x, order=2)
+    ref = gm.obstruction_jets(x, 2, bg=bg, g=gm.jets(x, 2, bg=bg))
+    for a, b in ((ob.val, ref.val), (ob.d1, ref.d1), (ob.d2, ref.d2)):
+        assert np.array_equal(a, b)
