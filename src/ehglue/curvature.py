@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import DIM
+from .jets import DIM, Jet2
 from .sym2 import Sym2Jet, inverse_metric
 
 _E = dict(optimize=False)
@@ -76,6 +76,26 @@ def inverse_d2(g: Sym2Jet, ginv: np.ndarray, dginv: np.ndarray) -> np.ndarray:
     return (-np.einsum("...mal,...abk,...bn->...mnkl", dginv, g.d1, ginv, **_E)
             - np.einsum("...ma,...abkl,...bn->...mnkl", ginv, g.d2, ginv, **_E)
             - np.einsum("...ma,...abk,...bnl->...mnkl", ginv, g.d1, dginv, **_E))
+
+
+def trace_jet(g: Sym2Jet, h: Sym2Jet, ginv: np.ndarray, order: int):
+    """(tr_g h = g^{ij} h_ij as a Jet2 to ``order``, ∂g^{-1} or None).
+
+    Derivatives beyond ``order`` are None; g and h need jets of that order.
+    """
+    tr = Jet2(np.einsum("...ij,...ij->...", ginv, h.val, **_E), None, None)
+    dginv = None
+    if order >= 1:
+        dginv = inverse_d1(g, ginv)
+        tr.grad = (np.einsum("...ijk,...ij->...k", dginv, h.val, **_E)
+                   + np.einsum("...ij,...ijk->...k", ginv, h.d1, **_E))
+    if order >= 2:
+        ddginv = inverse_d2(g, ginv, dginv)
+        tr.hess = (np.einsum("...ijkl,...ij->...kl", ddginv, h.val, **_E)
+                   + np.einsum("...ijk,...ijl->...kl", dginv, h.d1, **_E)
+                   + np.einsum("...ijl,...ijk->...kl", dginv, h.d1, **_E)
+                   + np.einsum("...ij,...ijkl->...kl", ginv, h.d2, **_E))
+    return tr, dginv
 
 
 def christoffel_derivative(g: Sym2Jet, ginv: np.ndarray) -> np.ndarray:
@@ -158,12 +178,9 @@ def div_trace(g: Sym2Jet, h: Sym2Jet, curv: CurvatureAt | None = None):
         ginv, gam = christoffel(g)
     nabla1 = covariant_d1(h, gam)
     div = np.einsum("...ik,...kji->...j", ginv, nabla1, **_E)
-    tr = np.einsum("...ij,...ij->...", ginv, h.val, **_E)
-    dginv = inverse_d1(g, ginv)
-    dtr = (np.einsum("...ijk,...ij->...k", dginv, h.val, **_E)
-           + np.einsum("...ij,...ijk->...k", ginv, h.d1, **_E))
-    y_vec = np.einsum("...mj,...j->...m", ginv, div - 0.5 * dtr, **_E)
-    return div, tr, y_vec
+    tr, _ = trace_jet(g, h, ginv, 1)
+    y_vec = np.einsum("...mj,...j->...m", ginv, div - 0.5 * tr.grad, **_E)
+    return div, tr.value, y_vec
 
 
 def gauge_vector_with_derivative(g: Sym2Jet, h: Sym2Jet,
@@ -172,8 +189,7 @@ def gauge_vector_with_derivative(g: Sym2Jet, h: Sym2Jet,
     if curv is None:
         curv = curvature_at(g)
     ginv, gam, dgam = curv.ginv, curv.christoffel, curv.dgam
-    dginv = inverse_d1(g, ginv)
-    ddginv = inverse_d2(g, ginv, dginv)
+    tr, dginv = trace_jet(g, h, ginv, 2)
 
     nabla1 = covariant_d1(h, gam)
     d_nabla1 = _coord_d_of_covariant_d1(h, gam, dgam)
@@ -182,15 +198,8 @@ def gauge_vector_with_derivative(g: Sym2Jet, h: Sym2Jet,
     ddiv = (np.einsum("...ikl,...kji->...jl", dginv, nabla1, **_E)
             + np.einsum("...ik,...kjil->...jl", ginv, d_nabla1, **_E))
 
-    dtr = (np.einsum("...ijk,...ij->...k", dginv, h.val, **_E)
-           + np.einsum("...ij,...ijk->...k", ginv, h.d1, **_E))
-    ddtr = (np.einsum("...ijkl,...ij->...kl", ddginv, h.val, **_E)
-            + np.einsum("...ijk,...ijl->...kl", dginv, h.d1, **_E)
-            + np.einsum("...ijl,...ijk->...kl", dginv, h.d1, **_E)
-            + np.einsum("...ij,...ijkl->...kl", ginv, h.d2, **_E))
-
-    w = div - 0.5 * dtr
-    dw = ddiv - 0.5 * ddtr
+    w = div - 0.5 * tr.grad
+    dw = ddiv - 0.5 * tr.hess
     y = np.einsum("...mj,...j->...m", ginv, w, **_E)
     dy = (np.einsum("...mjl,...j->...ml", dginv, w, **_E)
           + np.einsum("...mj,...jl->...ml", ginv, dw, **_E))
@@ -299,11 +308,8 @@ def bianchi_residual(jets_fn, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
         rm2, sm2 = ric_and_scalar(x - 2.0 * h * ek)
         dric[..., k] = (8.0 * (rp - rm) - (rp2 - rm2)) / (12.0 * h)
         dsc[..., k] = (8.0 * (sp - sm) - (sp2 - sm2)) / (12.0 * h)
-    gam = curv0.christoffel
     ginv = curv0.ginv
-    cov_dric = (dric
-                - np.einsum("...mki,...mj->...ijk", gam, curv0.ricci, **_E)
-                - np.einsum("...mkj,...im->...ijk", gam, curv0.ricci, **_E))
+    cov_dric = covariant_d1(Sym2Jet(curv0.ricci, dric), curv0.christoffel)
     div_ric = np.einsum("...ik,...kji->...j", ginv, cov_dric, **_E)
     resid = div_ric - 0.5 * dsc
     return np.sqrt(np.einsum("...j,...k,...jk->...", resid, resid, ginv, **_E))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import curvature_at, inverse_d1, inverse_d2, lichnerowicz
+from .curvature import curvature_at, lichnerowicz, trace_jet
 from .fields import eh_metric, kernel_mode
 from .jets import DIM, DomainError, Jet2, jet_radius
 from .lattice import BackgroundField
@@ -279,21 +279,9 @@ def remove_trace(u: Sym2Jet, g: Sym2Jet) -> Sym2Jet:
     order = min(u.order, g.order)
     g = Sym2Jet(g.val, g.d1 if order >= 1 else None,
                 g.d2 if order >= 2 else None)
-    ginv = inverse_metric(g.val)
-    tr = np.einsum("...ij,...ij->...", ginv, u.val, optimize=False)
-    quarter = Jet2(0.25 * tr, None, None)
-    if order >= 1:
-        dginv = inverse_d1(g, ginv)
-        quarter.grad = 0.25 * (
-            np.einsum("...ijk,...ij->...k", dginv, u.val, optimize=False)
-            + np.einsum("...ij,...ijk->...k", ginv, u.d1, optimize=False))
-    if order >= 2:
-        ddginv = inverse_d2(g, ginv, dginv)
-        quarter.hess = 0.25 * (
-            np.einsum("...ijkl,...ij->...kl", ddginv, u.val, optimize=False)
-            + np.einsum("...ijk,...ijl->...kl", dginv, u.d1, optimize=False)
-            + np.einsum("...ijl,...ijk->...kl", dginv, u.d1, optimize=False)
-            + np.einsum("...ij,...ijkl->...kl", ginv, u.d2, optimize=False))
+    tr, _ = trace_jet(g, u, inverse_metric(g.val), order)
+    quarter = Jet2(*(None if a is None else 0.25 * a
+                     for a in (tr.value, tr.grad, tr.hess)))
     return u - g.scaled_by_jet(quarter)
 
 

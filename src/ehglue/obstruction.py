@@ -31,6 +31,8 @@ from .quadrature import (KahanAccumulator, chunked_kahan_dot, kahan_sum,
 from .sym2 import Sym2Jet, inverse_metric, pair
 
 _E = dict(optimize=False)
+# constant of the flux's O(eps^12 delta^-10) correction budget
+CORRECTION_CONSTANT = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,6 @@ class FluxReport:
     quad_estimate: float
     mode: str
 
-    @property
-    def passed(self) -> bool:
-        return abs(self.value - self.predicted) <= (self.correction_bound
-                                                    + self.quad_estimate)
-
 
 def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
                   exact_gap: bool = False) -> float:
@@ -188,7 +185,6 @@ def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
 def flux_integral(params: GlueParams, s3_order: int,
                   background: BackgroundField,
                   omega: float = OMEGA_REFERENCE,
-                  correction_constant: float = 10.0,
                   exact_gap: bool = False) -> FluxReport:
     """Boundary pairing flux on |x| = δ against the predicted lattice value.
 
@@ -210,7 +206,7 @@ def flux_integral(params: GlueParams, s3_order: int,
                            s3_quadrature(s3_order - 8, params.delta),
                            exact_gap)
     predicted = 32.0 * np.pi ** 2 * params.eps ** 8 * omega
-    corr = correction_constant * params.eps ** 12 * params.delta ** -10
+    corr = CORRECTION_CONSTANT * params.eps ** 12 * params.delta ** -10
     return FluxReport(fine, predicted, corr, abs(fine - coarse), "full")
 
 
@@ -331,7 +327,7 @@ def _corner_sample(n_per_axis: int = 8):
 
 def projection_integrals(eps_list, delta: float, background: BackgroundField,
                          s3_order: int = 10, annulus_points: int = 24,
-                         outer_points: int = 48, mode: str = "desk",
+                         outer_points: int = 48,
                          with_estimate: bool = True) -> list[ProjectionResult]:
     """-2 ∫ ⟨obstruction, Ric⟩ and -2 ∫ ⟨g, Ric⟩ over the punctured cube.
 
@@ -341,7 +337,7 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
     outside the inscribed ball is covered by a deterministic midpoint grid
     and its analytic bound is reported separately.
     """
-    metrics = [GluedMetric(GlueParams(e, delta, background.cutoff, mode=mode),
+    metrics = [GluedMetric(GlueParams(e, delta, background.cutoff),
                            background) for e in eps_list]
 
     def sweep(order, ann_n, out_n):

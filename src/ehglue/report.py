@@ -88,6 +88,11 @@ class Report:
             self.passes[name] = bool(passed)
         return self
 
+    def at_most(self, name: str, value, limit):
+        """A gate whose budget is its limit: passes when value <= limit, so
+        a NaN fails."""
+        return self.add(name, value, budget=limit, passed=value <= limit)
+
     def require(self, name: str, passed: bool):
         self.passes[name] = bool(passed)
         return self

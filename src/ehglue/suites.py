@@ -161,7 +161,7 @@ def run_flux(cfg: RunConfig) -> Report:
     rel = abs(full.value / full.predicted - 1.0)
     rep.add("value", full.value, budget=full.quad_estimate)
     rep.add("predicted", full.predicted)
-    rep.add("relative_deviation", rel, budget=0.02, passed=rel <= 0.02)
+    rep.at_most("relative_deviation", rel, 0.02)
     rep.add("correction_budget", full.correction_bound)
 
     odd_site = flux_single_site((1, 0, 0, 0), cfg.delta, cfg.s3_order)
@@ -227,7 +227,7 @@ def run_project(cfg: RunConfig) -> Report:
     rel = abs(proj.onto_obstruction / flux.value - 1.0)
     rep.add("projection", proj.onto_obstruction, budget=proj.quad_estimate)
     rep.add("flux_route", flux.value, budget=flux.quad_estimate)
-    rep.add("cross_route_deviation", rel, budget=0.03, passed=rel <= 0.03)
+    rep.at_most("cross_route_deviation", rel, 0.03)
     vals = np.array([abs(r.onto_obstruction) for r in res])
     if np.all(np.array([r.onto_obstruction for r in res]) > 0.0):
         slope, _ = line_fit(np.log(np.array(eps_list)), np.log(vals))
@@ -245,8 +245,7 @@ def run_project(cfg: RunConfig) -> Report:
     rep.require("metric_projection_vanishes_with_eps",
                 bool(gvals[0] < gvals[-1]))
     rep.add("corner_bound", proj.corner_bound)
-    rep.add("inner_residual", proj.inner_residual, budget=1e-8,
-            passed=proj.inner_residual <= 1e-8)
+    rep.at_most("inner_residual", proj.inner_residual, 1e-8)
     return rep
 
 
@@ -297,9 +296,8 @@ def run_glue_scan(cfg: RunConfig) -> Report:
             expected=-10.0, tolerance=0.5)
 
     inner, inner_l = sphere_sups([(gm, "ricci"), (gm, "lichnerowicz")], 0.1)
-    rep.add("inner_ricci_residual", inner, budget=1e-8, passed=inner <= 1e-8)
-    rep.add("inner_lichnerowicz_residual", inner_l, budget=1e-7,
-            passed=inner_l <= 1e-7)
+    rep.at_most("inner_ricci_residual", inner, 1e-8)
+    rep.at_most("inner_lichnerowicz_residual", inner_l, 1e-7)
 
     # cap far-field remainder exponent; beyond r ~ 40 the remainder of the
     # unit-scale family falls under the double-precision floor of the
@@ -329,8 +327,7 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     ratios = [max(band_sups[eps, delta]) / (eps ** 4 / delta ** 2)
               for eps in epss for delta in deltas]
     spread = max(ratios) / min(ratios)
-    rep.add("annulus_ratio_spread", spread, budget=10.0,
-            passed=spread <= 10.0)
+    rep.at_most("annulus_ratio_spread", spread, 10.0)
     rep.results["annulus_ratios"] = ratios
 
     # branch mismatch inside the transition zone: size O(eps^4) and shrinking
@@ -358,12 +355,9 @@ def run_heat(cfg: RunConfig) -> Report:
         d = fn(KernelQuery(x, x0, 0.25, "direct"))
         u = fn(KernelQuery(x, x0, 0.25, "dual"))
         dev = abs(d - u) / max(abs(d), 1e-300)
-        rep.add(f"{name}_direct_dual_agreement", dev, budget=1e-12,
-                passed=dev <= 1e-12)
-    rep.add("plus_t1_deviation",
-            abs(heat_kernel_plus(KernelQuery(x, x0, 1.0)) - 1.0),
-            budget=1e-12,
-            passed=abs(heat_kernel_plus(KernelQuery(x, x0, 1.0)) - 1.0) <= 1e-12)
+        rep.at_most(f"{name}_direct_dual_agreement", dev, 1e-12)
+    rep.at_most("plus_t1_deviation",
+                abs(heat_kernel_plus(KernelQuery(x, x0, 1.0)) - 1.0), 1e-12)
     target = -4.0 * np.pi ** 2
     times = np.linspace(0.3, 1.5, 7)
     for name, signed in (("plus", False), ("minus", True)):
@@ -372,7 +366,7 @@ def run_heat(cfg: RunConfig) -> Report:
         rep.add(f"{name}_decay_rate", fit.rate, budget=0.05 * abs(target),
                 passed=rel <= 0.05)
     sg = semigroup_defect(0.5, 0.5)
-    rep.add("semigroup_defect", sg, budget=1e-6, passed=sg <= 1e-6)
+    rep.at_most("semigroup_defect", sg, 1e-6)
     # |alternating| <= plain pointwise on a grid
     gp = kernel_on_grid(9, 0.3, signed=False)
     gm_ = kernel_on_grid(9, 0.3, signed=True)
@@ -380,8 +374,7 @@ def run_heat(cfg: RunConfig) -> Report:
     rep.require("positivity", bool(np.all(gp > 0.0)))
     # refinement stability of the supremum
     a, b = sup_deviation(0.3, False, 17), sup_deviation(0.3, False, 33)
-    rep.add("sup_grid_refinement", abs(a / b - 1.0), budget=0.01,
-            passed=abs(a / b - 1.0) <= 0.01)
+    rep.at_most("sup_grid_refinement", abs(a / b - 1.0), 0.01)
     return rep
 
 
@@ -395,7 +388,7 @@ def run_flow(cfg: RunConfig) -> Report:
     stride = max(1, cfg.ode_steps // 64)
     exact = np.array([epsilon_of_t(t, lam, omega=omega) for t in ts[::stride]])
     dev = float(np.max(np.abs(es[::stride] / exact - 1.0)))
-    rep.add("rk4_vs_closed_form", dev, budget=1e-9, passed=dev <= 1e-9)
+    rep.at_most("rk4_vs_closed_form", dev, 1e-9)
 
     grid = -np.logspace(np.log10(-cfg.t_max), np.log10(-cfg.t_min), 60)
     ass = assumption_check(grid, lam, omega=omega)
@@ -418,7 +411,7 @@ def run_flow(cfg: RunConfig) -> Report:
                        / np.sqrt(-t) for t in tgrid])
     c_val = blowup_prediction(tgrid[0], peak, lam, omega)[1]
     spread = float(np.max(ratios) / np.min(ratios) - 1.0)
-    rep.add("blowup_ratio_spread", spread, budget=0.01, passed=spread <= 0.01)
+    rep.at_most("blowup_ratio_spread", spread, 0.01)
     rep.add("blowup_constant", c_val,
             passed=abs(c_val - peak * np.sqrt(32.0 * omega)) < 1e-12)
 
@@ -458,29 +451,27 @@ def run_verify_eh(cfg: RunConfig) -> Report:
     curv = curvature_at(gj)
 
     det_dev = float(np.max(np.abs(np.linalg.det(gj.val) - 1.0)))
-    rep.add("det_deviation", det_dev, budget=1e-12, passed=det_dev <= 1e-12)
+    rep.at_most("det_deviation", det_dev, 1e-12)
     ric = float(np.max(np.abs(curv.ricci)))
-    rep.add("max_ricci", ric, budget=1e-9, passed=ric <= 1e-9)
+    rep.at_most("max_ricci", ric, 1e-9)
 
     for i in (1, 2, 3):
         oj = kernel_mode(i, 1.0).jets(pts)
         div, tr, _ = div_trace(gj, oj, curv)
         lich = lichnerowicz(gj, oj, curv)
-        rep.add(f"mode{i}_trace", float(np.max(np.abs(tr))), budget=1e-13,
-                passed=float(np.max(np.abs(tr))) <= 1e-13)
-        rep.add(f"mode{i}_divergence", float(np.max(np.abs(div))),
-                budget=1e-8, passed=float(np.max(np.abs(div))) <= 1e-8)
-        rep.add(f"mode{i}_lichnerowicz", float(np.max(np.abs(lich))),
-                budget=1e-7, passed=float(np.max(np.abs(lich))) <= 1e-7)
+        rep.at_most(f"mode{i}_trace", float(np.max(np.abs(tr))), 1e-13)
+        rep.at_most(f"mode{i}_divergence", float(np.max(np.abs(div))), 1e-8)
+        rep.at_most(f"mode{i}_lichnerowicz", float(np.max(np.abs(lich))),
+                    1e-7)
 
     # metric kernel identity Δ_L g = 0 and FD cross-check of Ricci flatness
     lg = float(np.max(np.abs(lichnerowicz(gj, gj, curv))))
-    rep.add("metric_lichnerowicz", lg, budget=1e-9, passed=lg <= 1e-9)
+    rep.at_most("metric_lichnerowicz", lg, 1e-9)
     radii = np.linalg.norm(pts, axis=1)
     sub = pts[(radii > 0.7) & (radii < 2.0)][:10]
     fd = fd_sym2jet(lambda p: g.jets(p, order=0).val, sub, scale=0.5)
     fd_ric = float(np.max(np.abs(curvature_at(fd).ricci)))
-    rep.add("fd_oracle_ricci", fd_ric, budget=1e-5, passed=fd_ric <= 1e-5)
+    rep.at_most("fd_oracle_ricci", fd_ric, 1e-5)
 
     # scaling covariance: the eps-family is the dilation pull-back of the
     # unit-scale metric, which in Cartesian components reads
@@ -489,13 +480,13 @@ def run_verify_eh(cfg: RunConfig) -> Report:
     lhs = eh_metric(eps).jets(scale_pts, order=0).val
     rhs = eh_metric(1.0).jets(scale_pts / eps, order=0).val
     sc = float(np.max(np.abs(lhs - rhs)))
-    rep.add("scaling_covariance", sc, budget=1e-13, passed=sc <= 1e-13)
+    rep.at_most("scaling_covariance", sc, 1e-13)
 
     # invariant curvature scaling |Rm_eps|^2(x) = eps^-4 |Rm_1|^2(x/eps)
     k_eps = curvature_at(eh_metric(eps).jets(scale_pts)).riemann_sq()
     k_one = curvature_at(eh_metric(1.0).jets(scale_pts / eps)).riemann_sq()
     ksc = float(np.max(np.abs(k_eps * eps ** 4 / k_one - 1.0)))
-    rep.add("curvature_scaling", ksc, budget=1e-11, passed=ksc <= 1e-11)
+    rep.at_most("curvature_scaling", ksc, 1e-11)
 
     # kernel-norm radial integral: ∫ |mode|² dvol = 2π² eps⁴
     for eps in (0.5, 1.0, 2.0):
@@ -518,8 +509,7 @@ def run_verify_eh(cfg: RunConfig) -> Report:
     r2 = np.einsum("pi,pi->p", pts[:20], pts[:20])
     expect = 4.0 * (1.0 / (1.0 + r2 ** 2)) ** 2
     norm_dev = float(np.max(np.abs(sq - expect)))
-    rep.add("mode_pointwise_norm", norm_dev, budget=1e-12,
-            passed=norm_dev <= 1e-12)
+    rep.at_most("mode_pointwise_norm", norm_dev, 1e-12)
 
     # symmetry maps fix the cap metrics and far-field tensors
     sym_pts = sample_points(40, 0.5, 2.0, seed=11)
@@ -528,7 +518,7 @@ def run_verify_eh(cfg: RunConfig) -> Report:
                 farfield_tensor(), farfield_tensor(reflected=True)):
         for m in point_generators():
             worst = max(worst, symmetry_check(fld, m, sym_pts))
-    rep.add("symmetry_invariance", worst, budget=1e-12, passed=worst <= 1e-12)
+    rep.at_most("symmetry_invariance", worst, 1e-12)
 
     # frame duality and commutators
     frame_pts = sample_points(30, 0.4, 3.0, seed=13)
@@ -539,23 +529,20 @@ def run_verify_eh(cfg: RunConfig) -> Report:
         for j in range(3):
             val = sum(alphas[i][k].value * vees[j][k].value for k in range(4))
             dual_dev = max(dual_dev, float(np.max(np.abs(val - (i == j)))))
-    rep.add("frame_duality", dual_dev, budget=1e-13, passed=dual_dev <= 1e-13)
+    rep.at_most("frame_duality", dual_dev, 1e-13)
 
     comm_dev = _commutator_deviation(frame_pts)
-    rep.add("frame_commutators", comm_dev, budget=1e-12,
-            passed=comm_dev <= 1e-12)
+    rep.at_most("frame_commutators", comm_dev, 1e-12)
 
     # mode 1 equals the radial-Lie and eps-derivative definitions
     lie_dev = _mode1_lie_identity(pts[:20])
-    rep.add("mode1_lie_identity", lie_dev, budget=1e-11,
-            passed=lie_dev <= 1e-11)
+    rep.at_most("mode1_lie_identity", lie_dev, 1e-11)
 
     # contracted Bianchi via high-order differences of the exact Ricci;
     # on the Ricci-flat cap a wide stencil keeps roundoff of the ~1e-12
     # Ricci noise from dominating the difference quotient
     bi = bianchi_residual(lambda p: g.jets(p), sub[:5], scale=7.0)
-    rep.add("bianchi_residual", float(np.max(bi)), budget=1e-9,
-            passed=float(np.max(bi)) <= 1e-9)
+    rep.at_most("bianchi_residual", float(np.max(bi)), 1e-9)
     return rep
 
 
@@ -594,13 +581,11 @@ def run_verify_glue(cfg: RunConfig) -> Report:
     x_low = s3_quadrature(4, 0.55 * params.delta).nodes
     dev_low = float(np.max(np.abs(gm.values(x_low)
                                   - eh_metric(params.eps).values(x_low))))
-    rep.add("blend_saturates_inner", dev_low, budget=1e-15,
-            passed=dev_low <= 1e-15)
+    rep.at_most("blend_saturates_inner", dev_low, 1e-15)
     x_high = s3_quadrature(4, 0.9 * params.delta).nodes
     dev_high = float(np.max(np.abs(gm.values(x_high)
                                    - gm._outer_jets(x_high, 0).val)))
-    rep.add("blend_saturates_outer", dev_high, budget=1e-15,
-            passed=dev_high <= 1e-15)
+    rep.at_most("blend_saturates_outer", dev_high, 1e-15)
 
     # positive definiteness across regions
     radii = np.array([0.3, 0.6, 0.75, 0.9, 1.0]) * params.delta
@@ -621,8 +606,7 @@ def run_verify_glue(cfg: RunConfig) -> Report:
         pulled = np.einsum("ai,pab,bj->pij", lin, there, lin, optimize=False)
         worst = max(worst, float(np.max(np.abs(pulled - here))))
     tail_tol = 10.0 * params.eps ** 4 / cfg.cutoff
-    rep.add("point_group_invariance", worst, budget=tail_tol,
-            passed=worst <= tail_tol)
+    rep.at_most("point_group_invariance", worst, tail_tol)
 
     # region dispatch is exact at the stated radii
     probe = np.array([[0.5 * params.delta, 0.0, 0.0, 0.0],
@@ -638,13 +622,11 @@ def run_verify_glue(cfg: RunConfig) -> Report:
     gj = gm.jets(x_all, order=0)
     tr = np.einsum("pij,pij->p", np.linalg.inv(gj.val), obj.val,
                    optimize=False)
-    rep.add("obstruction_trace", float(np.max(np.abs(tr))), budget=1e-12,
-            passed=float(np.max(np.abs(tr))) <= 1e-12)
+    rep.at_most("obstruction_trace", float(np.max(np.abs(tr))), 1e-12)
     inner_dev = float(np.max(np.abs(
         gm.obstruction_jets(x_low, order=0).val
         - kernel_mode(1, params.eps).values(x_low))))
-    rep.add("obstruction_inner", inner_dev, budget=1e-12,
-            passed=inner_dev <= 1e-12)
+    rep.at_most("obstruction_inner", inner_dev, 1e-12)
 
     # outer obstruction scales like eps^4 · background + O(eps^8)
     x_out = s3_quadrature(4, 1.5 * params.delta).nodes

@@ -3,17 +3,26 @@ import hashlib
 import numpy as np
 import pytest
 
+from ehglue.config import RunConfig
 from ehglue.lattice import BackgroundField, omega_partial
+from ehglue.suites import shared_background
 
 
 @pytest.fixture(scope="session")
-def background8():
-    return BackgroundField(cutoff=8, degree=12)
+def cache_dir(tmp_path_factory):
+    """The session's far-table cache: the fixtures below and the suites run
+    by the acceptance criteria share it, and no test writes the user's."""
+    return str(tmp_path_factory.mktemp("eh-glue-cache"))
 
 
 @pytest.fixture(scope="session")
-def background32():
-    return BackgroundField(cutoff=32, degree=12)
+def background8(cache_dir):
+    return shared_background(RunConfig(cutoff=8, cache_dir=cache_dir))
+
+
+@pytest.fixture(scope="session")
+def background32(cache_dir):
+    return shared_background(RunConfig(cutoff=32, cache_dir=cache_dir))
 
 
 @pytest.fixture

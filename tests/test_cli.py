@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ehglue.config import ConfigError, RunConfig, parse_config_file
@@ -44,6 +45,14 @@ def test_report_budget_pairing():
     rep.add("z", 1.05, expected=1.0, tolerance=0.1)
     assert rep.passes["z"]
     assert rep.all_passed
+    rep.at_most("at", 0.5, 0.5)
+    assert rep.passes["at"] and rep.budgets["at"] == 0.5
+    assert rep.results["at"] == 0.5
+    rep.at_most("above", np.nextafter(0.5, 1.0), 0.5)
+    assert not rep.passes["above"] and rep.budgets["above"] == 0.5
+    rep.at_most("nan", float("nan"), 0.5)
+    assert not rep.passes["nan"] and rep.budgets["nan"] == 0.5
+    assert not rep.all_passed
 
 
 def test_csv_schema(tmp_path):
