@@ -26,12 +26,6 @@ TASK_DEFAULTS = {
     "dist-laplace": {"s3_order": 16},
 }
 
-BUDGET_SECONDS = {
-    "omega": 10.0, "background": 300.0, "flux": 300.0, "zterm": 300.0,
-    "project": 600.0, "dist-laplace": 30.0, "glue-scan": 180.0,
-    "heat": 60.0, "flow": 90.0, "verify": 300.0, "report": 10.0,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
@@ -136,7 +130,7 @@ def main(argv=None) -> int:
         return _merge_reports(args.inputs, cfg.out or None)
 
     from .report import write_report
-    from .suites import SUITES, run_verify
+    from .suites import BUDGET_SECONDS, SUITES, run_verify
 
     start = time.monotonic()
     try:
@@ -150,9 +144,9 @@ def main(argv=None) -> int:
     elapsed = time.monotonic() - start
     write_report(report, cfg.out or None, elapsed)
 
-    budget = BUDGET_SECONDS.get(args.task, 600.0)
+    budget = BUDGET_SECONDS[report.task]
     if elapsed > budget:
-        print(f"eh-glue: suite '{args.task}' exceeded its "
+        print(f"eh-glue: suite '{report.task}' exceeded its "
               f"{budget:.0f}s budget ({elapsed:.1f}s)", file=sys.stderr)
         return 3
     if not report.all_passed:

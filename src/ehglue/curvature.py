@@ -216,36 +216,6 @@ def lie_derivative_sym2(u: Sym2Jet, v: np.ndarray, dv: np.ndarray) -> np.ndarray
             + np.einsum("...ik,...kj->...ij", u.val, dv, **_E))
 
 
-def lie_derivative_covector(alpha_val: np.ndarray, alpha_d1: np.ndarray,
-                            v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """(L_V α)_i = V^k ∂_k α_i + α_k ∂_i V^k.
-
-    alpha_d1[..., i, k] = ∂_k α_i;  dv[..., k, i] = ∂_i V^k.
-    """
-    return (np.einsum("...k,...ik->...i", v, alpha_d1, **_E)
-            + np.einsum("...k,...ki->...i", alpha_val, dv, **_E))
-
-
-def q_remainder(g: Sym2Jet, k: Sym2Jet) -> np.ndarray:
-    """Gauged nonlinear remainder of the Ricci curvature.
-
-    Q_g(k) = 2 Ric_{g+k} - 2 Ric_g + Δ_{L,g} k - L_Y (g+k) with
-    Y = raised(div_g k - ½ ∇ tr_g k); evaluated by literal composition of
-    the tested parts.  Requires g + k positive definite.
-    """
-    gpk = g + k
-    try:
-        np.linalg.cholesky(gpk.val)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("g + k is not positive definite") from exc
-    curv_g = curvature_at(g)
-    ric_gpk = curvature_at(gpk).ricci
-    lich = lichnerowicz(g, k, curv_g)
-    y, dy = gauge_vector_with_derivative(g, k, curv_g)
-    lie = lie_derivative_sym2(gpk, y, dy)
-    return 2.0 * ric_gpk - 2.0 * curv_g.ricci + lich - lie
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------

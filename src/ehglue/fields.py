@@ -194,10 +194,6 @@ def eh_metric(eps: float, reflected: bool = False) -> TensorField:
     return _instanton_field(name, "eh", eps, reflected)
 
 
-def eh_hat_metric(eps: float) -> TensorField:
-    return eh_metric(eps, reflected=True)
-
-
 # ---------------------------------------------------------------------------
 # far-field tensors (leading large-r deviation from flat, both orientations)
 # ---------------------------------------------------------------------------

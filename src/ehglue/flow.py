@@ -21,35 +21,6 @@ from .fields import eh_metric
 from .glue import GlueParams, GluedMetric, sphere_sups
 from .lattice import OMEGA_REFERENCE, BackgroundField
 from .quadrature import line_fit
-from .sym2 import inner_product
-
-
-@dataclass
-class FlowState:
-    t: float
-    epsilon: float
-    eta: object = None          # callable s -> forcing, or None
-    lam: float = 1000.0
-
-    def __post_init__(self):
-        if self.t >= 0.0:
-            raise ValueError("flow times are negative")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    gamma: float
-    sigma: float
-    alpha: float
-    lam: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0.0 and 0.0 < self.sigma < 2.0
-                and 0.0 < self.alpha < 1.0 and self.lam > 0.0):
-            raise ValueError("need gamma > 0, sigma in (0,2), alpha in (0,1), "
-                             "lam > 0")
 
 
 def epsilon_of_t(t: float, lam: float = 1000.0, eta=None,
@@ -228,7 +199,6 @@ class ProxyPolicy:
 class ProxyResult:
     times: np.ndarray
     sup_ric: np.ndarray
-    epsilons: np.ndarray
     deltas: np.ndarray
     exponent: float
 
@@ -261,67 +231,4 @@ def ricci_decay_proxy(times, policy: ProxyPolicy,
             per_time[i].append(sup)
     sups = np.asarray([max(v) for v in per_time])
     slope, _ = line_fit(np.log(-times), np.log(sups))
-    return ProxyResult(times, sups, np.asarray(epss), np.asarray(dels),
-                       float(slope))
-
-
-# ---------------------------------------------------------------------------
-# weighted norm sampling
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NormSample:
-    estimate: float
-    sup_part: float
-    hoelder_part: float
-    skipped: int
-
-
-def weighted_norm_sample(h_fn, w: WeightSpec, points: np.ndarray,
-                         times, metric_fn=None) -> NormSample:
-    """Certified lower bound of the weighted space-time supremum norm.
-
-    h_fn(x, t) returns tensor values (..., 4, 4); metric_fn(x, t) the
-    reference metric values (defaults to the cap-scale glued weight metric's
-    flat stand-in, the identity).  The supremum part uses every admissible
-    (x, t); the Hölder part is restricted to coincident points x = x' with
-    time separations |t - t'| ≤ ((-t)^{-1/4} + r)², which keeps the result
-    a lower bound without parallel transport.  Inadmissible pairs are
-    counted, not silently dropped.
-    """
-    points = np.asarray(points, dtype=float)
-    times = np.asarray(times, dtype=float)
-    r = np.sqrt(np.einsum("...i,...i->...", points, points))
-    sup_part = 0.0
-    hoelder_part = 0.0
-    skipped = 0
-
-    def norm(x, t, vals):
-        g = metric_fn(x, t) if metric_fn is not None else \
-            np.broadcast_to(np.eye(4), vals.shape).copy()
-        return np.sqrt(inner_product(g, vals, vals))
-
-    for t in times:
-        if t > -w.lam:
-            skipped += points.shape[0]
-            continue
-        mask = r <= 10.0
-        skipped += int(np.sum(~mask))
-        x = points[mask]
-        weight = (-t) ** w.gamma * ((-t) ** -0.25 + r[mask]) ** w.sigma
-        vals = h_fn(x, t)
-        sup_part = max(sup_part, float(np.max(weight * norm(x, t, vals))))
-        for dt_frac in (0.5, 1.0):
-            tp = t - dt_frac * ((-t) ** -0.25 + np.min(r[mask])) ** 2
-            if tp > -w.lam:
-                skipped += 1
-                continue
-            dt = t - tp
-            diff = h_fn(x, t) - h_fn(x, tp)
-            wh = ((-t) ** w.gamma
-                  * ((-t) ** -0.25 + r[mask]) ** (w.sigma + 2.0 * w.alpha)
-                  * dt ** (-w.alpha))
-            hoelder_part = max(hoelder_part,
-                               float(np.max(wh * norm(x, t, diff))))
-    return NormSample(max(sup_part, hoelder_part), sup_part, hoelder_part,
-                      skipped)
+    return ProxyResult(times, sups, np.asarray(dels), float(slope))

@@ -14,7 +14,7 @@ radius δ/2 it coincides with the first kernel mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +30,14 @@ from .sym2 import Sym2Jet, inverse_metric, pair
 class GlueParams:
     """Scales of the gluing: cap scale eps, neck radius delta, lattice cutoff.
 
-    Geometric well-definedness is always enforced: the caps must sit well
-    inside their necks (eps ≤ delta/2) and the neck must stay inside the
-    unit cell (delta ≤ 0.45).  The quantitative separation of the asymptotic
-    regime, eps ≤ delta²/10 and delta ≤ 1/10, is enforced only in
-    mode="asymptotic" — the desk-scale verification runs (eps ~ 0.1,
-    delta ~ 0.3) deliberately sit outside it — and is always reported
-    through :attr:`asymptotic_regime`.
+    Geometric well-definedness is enforced: the caps must sit well inside
+    their necks (eps ≤ delta/2) and the neck must stay inside the unit cell
+    (delta ≤ 0.45).
     """
 
     eps: float
     delta: float
     lattice_cutoff: int = 32
-    mode: str = "desk"
 
     def __post_init__(self):
         if self.eps <= 0.0 or self.delta <= 0.0:
@@ -51,15 +46,6 @@ class GlueParams:
             raise ValueError("cap does not fit its neck: need eps <= delta/2")
         if self.delta > 0.45:
             raise ValueError("neck leaves the unit cell: need delta <= 0.45")
-        if self.mode == "asymptotic" and not self.asymptotic_regime:
-            raise ValueError("asymptotic separation violated: "
-                             "need eps <= delta^2/10 and delta <= 1/10")
-        if self.mode not in ("desk", "asymptotic"):
-            raise ValueError("mode must be 'desk' or 'asymptotic'")
-
-    @property
-    def asymptotic_regime(self) -> bool:
-        return self.eps <= self.delta ** 2 / 10.0 and self.delta <= 0.1
 
 
 def _nearest_site(x: np.ndarray):
@@ -199,7 +185,7 @@ class GluedMetric:
     def _outer_jets(self, x: np.ndarray, order: int,
                     bg: Sym2Jet | None = None) -> Sym2Jet:
         if bg is None:
-            bg = self.background.jets(x, order=order, which="combined")
+            bg = self.background.jets(x, order=order)
         return outer_metric(bg, self.params.eps)
 
     def _piecewise(self, x: np.ndarray, order: int, bg: Sym2Jet | None,
@@ -270,9 +256,6 @@ class GluedMetric:
             g = self.jets(x, order=order, bg=bg)
         return remove_trace(u, g)
 
-    def obstruction_values(self, x: np.ndarray) -> np.ndarray:
-        return self.obstruction_jets(x, order=0).val
-
 
 def remove_trace(u: Sym2Jet, g: Sym2Jet) -> Sym2Jet:
     """u - ¼ (tr_g u) g with jets (order limited by the inputs)."""
@@ -294,7 +277,6 @@ class DecayScan:
     radii: np.ndarray
     sup_values: np.ndarray
     fitted_exponent: float
-    fitted_prefactor: float
 
 
 def sphere_sups(pairs, rho: float, s3_order: int = 6) -> list[float]:
@@ -341,7 +323,6 @@ def decay_scans(pairs, radii, s3_order: int = 8) -> list[DecayScan]:
     sups = np.asarray([sphere_sups(pairs, rho, s3_order) for rho in radii])
     scans = []
     for col in sups.T:
-        slope, intercept = line_fit(np.log(radii),
-                                    np.log(np.maximum(col, 1e-300)))
-        scans.append(DecayScan(radii, col, slope, float(np.exp(intercept))))
+        slope, _ = line_fit(np.log(radii), np.log(np.maximum(col, 1e-300)))
+        scans.append(DecayScan(radii, col, slope))
     return scans

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import line_fit
+
 TIME_SPLIT = 0.25       # direct below, dual above; both ~1e-15 tails there
 
 
@@ -166,7 +168,6 @@ def decay_rate_scan(signed: bool, times, n_per_axis: int = 17) -> DecayFit:
     sups = np.array([sup_deviation(t, signed, n_per_axis) for t in times])
     keep = sups > 1e-300
     times_k, sups_k = times[keep], sups[keep]
-    from .quadrature import line_fit
     rate, _ = line_fit(times_k, np.log(sups_k))
     return DecayFit(times_k, sups_k, rate)
 

@@ -129,19 +129,9 @@ class Jet2:
                 * (0.125 / (self.value * s))[..., None, None])
         return Jet2(s, grad, hess)
 
-    def powf(self, p: float):
-        """Real power of a positive jet."""
-        v = self.value
-        vp1 = p * v ** (p - 1.0)
-        grad = self.grad * vp1[..., None]
-        hess = (self.hess * vp1[..., None, None]
-                + sym_outer(self.grad, self.grad)
-                * (0.5 * p * (p - 1.0) * v ** (p - 2.0))[..., None, None])
-        return Jet2(v ** p, grad, hess)
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
-            raise TypeError("use powf for non-integer exponents")
+            raise TypeError("Jet2 powers take integer exponents")
         if n < 0:
             return self.reciprocal() ** (-n)
         out = Jet2.constant(1.0, self.value.shape)

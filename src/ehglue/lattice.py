@@ -210,19 +210,8 @@ PAIR_MAPS = {
 }
 
 
-PARITIES = {"even": (False,), "odd": (True,), "combined": (False, True)}
-
 # pairs of points × sites per direct-sum block; bounds the order-2 temporaries
 DIRECT_BLOCK = 1 << 15
-
-
-def _parities(which: str) -> tuple:
-    """Parity classes summed for ``which``: False = even sites with the plain
-    kernel, True = odd sites with the reflected one."""
-    if which not in PARITIES:
-        raise ValueError(f"unknown parity class {which!r}; expected one of "
-                         + ", ".join(PARITIES))
-    return PARITIES[which]
 
 
 def _lattice_point_guard(x: np.ndarray):
@@ -233,15 +222,15 @@ def _lattice_point_guard(x: np.ndarray):
     return x
 
 
-def background_partial(x: np.ndarray, cutoff: int, which: str = "combined",
-                       order: int = 0, paired: bool = False,
+def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
+                       paired: bool = False,
                        exclude_origin: bool = False) -> Sym2Jet:
-    """Direct symmetric-cube partial sum of the translated far-field tensors.
+    """Direct symmetric-cube partial sum of the translated far-field tensors:
+    the plain kernel on even sites plus the reflected one on odd sites.
 
-    which: "even" (plain kernel on even sites), "odd" (reflected kernel on
-    odd sites) or "combined".  ``paired`` groups each site with its orbit
-    under the cancellation map before accumulating, which makes the shell
-    contributions absolutely summable; the value differs only by rounding.
+    ``paired`` groups each site with its orbit under the cancellation map
+    before accumulating, which makes the shell contributions absolutely
+    summable; the value differs only by rounding.
     The three far-field scalar jets are summed over the sites and expanded
     through the pattern once per parity at the end.  Deterministic: fixed
     slab-major enumeration per parity, a pairwise sum along each block's
@@ -249,12 +238,11 @@ def background_partial(x: np.ndarray, cutoff: int, which: str = "combined",
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    parities = _parities(which)
     x = _lattice_point_guard(x)
     site_axis = x.ndim - 1
     block = max(1, DIRECT_BLOCK // max(1, x.size // DIM))
     parts = []
-    for is_odd in parities:
+    for is_odd in (False, True):
         acc = [KahanAccumulator(x.shape[:-1] + (3,) + (DIM,) * k)
                for k in range(order + 1)]
         for part in parity_slabs(cutoff, is_odd):
@@ -270,14 +258,13 @@ def background_partial(x: np.ndarray, cutoff: int, which: str = "combined",
                     a.add(np.moveaxis(jet, site_axis, -1).copy().sum(axis=-1))
         parts.append(farfield_expand(tuple(a.total for a in acc)
                                      + (None,) * (2 - order), is_odd))
-    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    return parts[0] + parts[1]
 
 
-def background_values(x, cutoff: int, which: str = "combined",
-                      paired: bool = False,
+def background_values(x, cutoff: int, paired: bool = False,
                       exclude_origin: bool = False) -> np.ndarray:
     """Value-only :func:`background_partial` at one point (4,) or a batch."""
-    return background_partial(x, cutoff, which, 0, paired, exclude_origin).val
+    return background_partial(x, cutoff, 0, paired, exclude_origin).val
 
 
 def _orbit_fold(sites: np.ndarray, odd: bool) -> np.ndarray:
@@ -671,10 +658,9 @@ class BackgroundField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def jets(self, x: np.ndarray, order: int = 2, which: str = "combined",
+    def jets(self, x: np.ndarray, order: int = 2,
              exclude_origin: bool = False) -> Sym2Jet:
-        """Background jets at x; which ∈ {"even", "odd", "combined"}."""
-        parities = _parities(which)
+        """Background jets at x: both parity classes, summed."""
         x = _lattice_point_guard(x)
         shape = x.shape[:-1]
         r = np.sqrt(np.einsum("...i,...i->...", x, x))
@@ -684,7 +670,7 @@ class BackgroundField:
         block = POINT_BLOCK_O2 if order >= 2 else POINT_BLOCK
         out = Sym2Jet.zeros(shape, order)
         flat = x.reshape(-1, 4)
-        for odd in parities:
+        for odd in (False, True):
             for lo in range(0, flat.shape[0], block):
                 blk = flat[lo:lo + block]
                 sl = slice(lo, lo + blk.shape[0])

@@ -64,7 +64,7 @@ def normal_covariant(h: Sym2Jet, gam: np.ndarray, nu: np.ndarray) -> np.ndarray:
 def _exact_gap(bg: BackgroundField, nodes: np.ndarray, eps: float,
               cap: Sym2Jet) -> Sym2Jet:
     """The gap (outer expression) - (cap metric) at nodes, to first order."""
-    return outer_metric(bg.jets(nodes, order=1, which="combined"), eps) - cap
+    return outer_metric(bg.jets(nodes, order=1), eps) - cap
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,6 @@ class FluxReport:
     predicted: float
     correction_bound: float
     quad_estimate: float
-    mode: str
 
 
 def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
@@ -172,7 +171,7 @@ def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
     if exact_gap:
         hbar = _exact_gap(bg, nodes, eps, gj)
     else:
-        bgj = bg.jets(nodes, order=1, which="combined", exclude_origin=True)
+        bgj = bg.jets(nodes, order=1, exclude_origin=True)
         hbar = bgj.scaled(0.5 * eps ** 4)
 
     mode = kernel_mode(1, eps).jets(nodes, order=1)
@@ -207,7 +206,7 @@ def flux_integral(params: GlueParams, s3_order: int,
                            exact_gap)
     predicted = 32.0 * np.pi ** 2 * params.eps ** 8 * omega
     corr = CORRECTION_CONSTANT * params.eps ** 12 * params.delta ** -10
-    return FluxReport(fine, predicted, corr, abs(fine - coarse), "full")
+    return FluxReport(fine, predicted, corr, abs(fine - coarse))
 
 
 def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
@@ -236,8 +235,7 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
     fine = value_on(s3_order)
     coarse = value_on(max(8, s3_order - 8))
     predicted = flux_term_exact(site)
-    return FluxReport(fine, predicted, 0.0, abs(fine - coarse),
-                      f"single-site{tuple(int(v) for v in site)}")
+    return FluxReport(fine, predicted, 0.0, abs(fine - coarse))
 
 
 def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,

@@ -71,7 +71,6 @@ class Report:
     results: dict = field(default_factory=dict)
     budgets: dict = field(default_factory=dict)
     passes: dict = field(default_factory=dict)
-    versions: dict = field(default_factory=dict)
 
     def add(self, name: str, value, budget=None, expected=None,
             tolerance=None, passed=None):
@@ -104,8 +103,6 @@ class Report:
     def payload(self) -> dict:
         from . import __version__
         import numpy
-        versions = {"eh-glue": __version__, "numpy": numpy.__version__}
-        versions.update(self.versions)
         return {
             "task": self.task,
             "config": self.config,
@@ -113,7 +110,7 @@ class Report:
             "budgets": self.budgets,
             "pass": self.passes,
             "all_passed": self.all_passed,
-            "versions": versions,
+            "versions": {"eh-glue": __version__, "numpy": numpy.__version__},
         }
 
     def to_json(self) -> str:

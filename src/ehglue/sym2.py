@@ -78,16 +78,6 @@ class Sym2Jet:
         return Sym2Jet(val, d1, d2)
 
 
-def inner_product(g: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Metric pairing ⟨h, k⟩_g = g^{ik} g^{jl} h_ij k_kl (batched).
-
-    g, h, k are (..., 4, 4) symmetric component arrays; g must be positive
-    definite.  Raises on a singular metric with a condition-number
-    diagnostic.
-    """
-    return pair(inverse_metric(g), h, k)
-
-
 def pair(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """g^{ik} g^{jl} a_ij b_kl for an already inverted metric ginv."""
     return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, a, b,

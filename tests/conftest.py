@@ -28,15 +28,15 @@ def background32(cache_dir):
 @pytest.fixture
 def background_calls(monkeypatch):
     """Records every BackgroundField.jets call as (sha256 of the points,
-    order, which, exclude_origin)."""
+    order, exclude_origin)."""
     calls = []
     jets = BackgroundField.jets
 
-    def recording(self, x, order=2, which="combined", exclude_origin=False):
+    def recording(self, x, order=2, exclude_origin=False):
         digest = hashlib.sha256(
             np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()
-        calls.append((digest, order, which, exclude_origin))
-        return jets(self, x, order, which, exclude_origin)
+        calls.append((digest, order, exclude_origin))
+        return jets(self, x, order, exclude_origin)
 
     monkeypatch.setattr(BackgroundField, "jets", recording)
     return calls

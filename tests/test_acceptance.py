@@ -22,6 +22,8 @@ import pytest
 from ehglue import suites
 from ehglue.config import RunConfig
 
+BUDGET = suites.BUDGET_SECONDS
+
 
 def report(num, label, ok, detail, elapsed, budget):
     status = "PASS" if ok else "FAIL"
@@ -68,7 +70,7 @@ def failed_gates(num, label, run, budget, gates=("*",), shown=()):
 @pytest.fixture(scope="module")
 def verify_eh(cache_dir):
     """One run of the pointwise suite, read by criteria 2 and 3 and timed
-    against its 30 s budget."""
+    against its budget."""
     return timed(suites.run_verify_eh, RunConfig(cache_dir=cache_dir))
 
 
@@ -76,16 +78,18 @@ def test_criterion_01_obstruction_constant(cache_dir):
     assert not failed_gates(1, "obstruction constant",
                             timed(suites.run_omega,
                                   RunConfig(cutoff=40, cache_dir=cache_dir)),
-                            10.0)
+                            BUDGET["omega"])
 
 
 def test_criterion_02_kernel_norm(verify_eh):
-    assert not failed_gates(2, "kernel-tensor norm", verify_eh, 30.0,
+    assert not failed_gates(2, "kernel-tensor norm", verify_eh,
+                            BUDGET["verify-eh"],
                             gates=("mode_norm_eps_*",))
 
 
 def test_criterion_03_pointwise_suite(verify_eh):
-    assert not failed_gates(3, "pointwise cap suite", verify_eh, 30.0,
+    assert not failed_gates(3, "pointwise cap suite", verify_eh,
+                            BUDGET["verify-eh"],
                             gates=("det_deviation", "max_ricci",
                                    "mode?_trace", "mode?_divergence",
                                    "mode?_lichnerowicz"))
@@ -94,7 +98,8 @@ def test_criterion_03_pointwise_suite(verify_eh):
 def test_criterion_04_flux_integral(cache_dir):
     assert not failed_gates(4, "flux integral",
                             timed(suites.run_flux,
-                                  RunConfig(cache_dir=cache_dir)), 300.0)
+                                  RunConfig(cache_dir=cache_dir)),
+                            BUDGET["flux"])
 
 
 def test_criterion_05_cross_route(cache_dir):
@@ -105,7 +110,7 @@ def test_criterion_05_cross_route(cache_dir):
     failed = failed_gates(5, "cross-route projection",
                           timed(suites.run_project,
                                 RunConfig(fast=True, cache_dir=cache_dir)),
-                          600.0,
+                          BUDGET["project"],
                           gates=("cross_route_deviation", "eps_exponent"),
                           shown=("projection", "flux_route",
                                  "projection_eps_*"))
@@ -117,19 +122,22 @@ def test_criterion_05_cross_route(cache_dir):
 def test_criterion_06_decay_exponents(cache_dir):
     assert not failed_gates(6, "decay exponents",
                             timed(suites.run_glue_scan,
-                                  RunConfig(cache_dir=cache_dir)), 120.0)
+                                  RunConfig(cache_dir=cache_dir)),
+                            BUDGET["glue-scan"])
 
 
 def test_criterion_07_distributional_laplacian(cache_dir):
     assert not failed_gates(7, "distributional reconstruction",
                             timed(suites.run_dist_laplace,
-                                  RunConfig(cache_dir=cache_dir)), 30.0)
+                                  RunConfig(cache_dir=cache_dir)),
+                            BUDGET["dist-laplace"])
 
 
 def test_criterion_08_heat_kernels(cache_dir):
     assert not failed_gates(8, "heat kernels",
                             timed(suites.run_heat,
-                                  RunConfig(cache_dir=cache_dir)), 60.0)
+                                  RunConfig(cache_dir=cache_dir)),
+                            BUDGET["heat"])
 
 
 def test_criterion_09_flow_dynamics(cache_dir):
@@ -140,7 +148,7 @@ def test_criterion_09_flow_dynamics(cache_dir):
             RunConfig(cutoff=16, t_min=-1e8, t_max=-1e6, cache_dir=cache_dir),
             RunConfig(cutoff=16, ode_steps=64 * 1563, cache_dir=cache_dir)]
     assert not failed_gates(9, "flow dynamics", timed(suites.run_flow, *cfgs),
-                            60.0)
+                            BUDGET["flow"])
 
 
 def test_criterion_10_determinism(tmp_path):

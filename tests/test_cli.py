@@ -160,6 +160,18 @@ def test_verify_eh_gates():
     assert failing <= {"metric_lichnerowicz"}, sorted(failing)
 
 
+def test_cli_checks_the_suite_budget_of_the_report_task(tmp_path,
+                                                        monkeypatch, capsys):
+    from ehglue import cli, suites
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setitem(suites.BUDGET_SECONDS, "verify-eh", 0.0)
+    code = cli.main(["verify", "eh", "--fast", "--out",
+                     str(tmp_path / "eh.json"), "--cache-dir", str(tmp_path)])
+    assert code == 3
+    assert "suite 'verify-eh' exceeded its 0s budget" in capsys.readouterr().err
+
+
 def test_cache_regeneration_bit_identical(tmp_path):
     from ehglue.lattice import BackgroundCache, BackgroundField
     cache_dir = tmp_path / "cache"

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from ehglue.fields import (alpha_forms, eh_metric, eh_hat_metric,
-                           farfield_jets, farfield_numerators,
-                           farfield_pattern, farfield_scalar_jets,
-                           farfield_scalars, farfield_tensor, kernel_mode,
-                           map_collection, point_generators,
-                           symmetry_check, vector_fields, FRAME, REFLECTION)
+from ehglue.fields import (alpha_forms, eh_metric, farfield_jets,
+                           farfield_numerators, farfield_pattern,
+                           farfield_scalar_jets, farfield_scalars,
+                           farfield_tensor, kernel_mode, map_collection,
+                           point_generators, symmetry_check, vector_fields,
+                           FRAME, REFLECTION)
 from ehglue.jets import DomainError, Jet2, coordinate_jets, radius2_jet
-from ehglue.sym2 import Sym2Jet, inner_product
+from ehglue.sym2 import Sym2Jet, inverse_metric, pair
 
 
 SQ2 = np.sqrt(2.0)
@@ -39,7 +39,7 @@ def test_scaling_family(points):
 
 
 def test_reflected_metric_is_reflection_pullback(points):
-    ghat = eh_hat_metric(1.0).values(points)
+    ghat = eh_metric(1.0, reflected=True).values(points)
     g = eh_metric(1.0).values(points @ REFLECTION.T)
     pulled = np.einsum("ai,pab,bj->pij", REFLECTION, g, REFLECTION)
     assert np.max(np.abs(ghat - pulled)) < 1e-15
@@ -337,7 +337,7 @@ def test_farfield_is_mode1_asymptote():
 def test_symmetry_maps_fix_fields(rng):
     from tests.conftest import sample_offorigin
     pts = sample_offorigin(rng, 30, 0.5, 2.0)
-    fields = [eh_metric(1.0), eh_hat_metric(1.0),
+    fields = [eh_metric(1.0), eh_metric(1.0, reflected=True),
               farfield_tensor(), farfield_tensor(True)]
     for field in fields:
         for sym in point_generators():
@@ -354,10 +354,10 @@ def test_euclidean_fixed_by_all_maps(rng):
 
 def test_inner_product_cases():
     eye = np.eye(4)
-    assert inner_product(eye, eye, eye) == pytest.approx(4.0)
+    assert pair(inverse_metric(eye), eye, eye) == pytest.approx(4.0)
     h = np.diag([-1.0, -1.0, 1.0, 1.0])
-    assert inner_product(eye, h, eye) == pytest.approx(0.0, abs=1e-15)
-    assert inner_product(2 * eye, eye, eye) == pytest.approx(1.0)
+    assert pair(inverse_metric(eye), h, eye) == pytest.approx(0.0, abs=1e-15)
+    assert pair(inverse_metric(2 * eye), eye, eye) == pytest.approx(1.0)
 
 
 def test_inner_product_positivity(rng):
@@ -365,7 +365,7 @@ def test_inner_product_positivity(rng):
     for _ in range(50):
         h = rng.normal(size=(4, 4))
         h = h + h.T
-        val = inner_product(g, h, h)
+        val = pair(inverse_metric(g), h, h)
         assert val >= 0.0
         if np.max(np.abs(h)) > 1e-12:
             assert val > 0.0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ehglue.flow import (FlowState, ProxyPolicy, WeightSpec, assumption_check,
-                         blowup_prediction, curvature_peak,
-                         epsilon_derivative, epsilon_of_t,
+from ehglue.flow import (ProxyPolicy, assumption_check, blowup_prediction,
+                         curvature_peak, epsilon_derivative, epsilon_of_t,
                          modulation_residual, ode_integrate,
-                         ricci_decay_proxy, weighted_norm_sample)
+                         ricci_decay_proxy)
 from ehglue.lattice import OMEGA_REFERENCE as OMEGA
 
 
@@ -36,11 +35,6 @@ def test_closed_form_with_forcing():
 
 
 def test_state_and_weight_validation():
-    FlowState(-1e4, 0.01)
-    with pytest.raises(ValueError):
-        FlowState(1.0, 0.01)
-    with pytest.raises(ValueError):
-        WeightSpec(gamma=-1.0, sigma=0.5, alpha=0.1, lam=10.0)
     with pytest.raises(ValueError):
         epsilon_of_t(-10.0, lam=1000.0)
 
@@ -132,56 +126,6 @@ def test_ricci_proxy_decay(background8):
     scaled = proxy.sup_ric * (-proxy.times) ** 0.49
     assert np.all(np.diff(scaled) > 0.0)
     assert np.all(proxy.deltas <= 0.45)
-
-
-def test_weighted_norm_lower_bound():
-    w = WeightSpec(gamma=0.9, sigma=0.01, alpha=1e-4, lam=1000.0)
-    rng = np.random.default_rng(2)
-    pts = rng.normal(size=(30, 4))
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) \
-        * rng.uniform(0.05, 5.0, size=(30, 1))
-    times = (-2e3, -1e4, -1e5)
-
-    def h_matched(x, t):
-        r = np.linalg.norm(x, axis=-1)
-        weight = (-t) ** -w.gamma * ((-t) ** -0.25 + r) ** -w.sigma
-        return weight[..., None, None] * np.eye(4) / 2.0
-
-    res = weighted_norm_sample(h_matched, w, pts, times)
-    assert 0.9 <= res.sup_part <= 1.0 + 1e-12
-    assert res.estimate >= res.sup_part
-
-    res0 = weighted_norm_sample(lambda x, t: np.zeros(x.shape[:-1] + (4, 4)),
-                                w, pts, times)
-    assert res0.estimate == 0.0
-
-
-def test_weighted_norm_gamma_homogeneity():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(10, 4))
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * 0.8
-    times = (-2e3, -5e3)
-    base = WeightSpec(gamma=0.5, sigma=0.01, alpha=1e-4, lam=1000.0)
-    double = WeightSpec(gamma=1.0, sigma=0.01, alpha=1e-4, lam=1000.0)
-
-    def h(x, t):
-        return np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
-
-    r1 = weighted_norm_sample(h, base, pts, times)
-    r2 = weighted_norm_sample(h, double, pts, times)
-    # the sup part scales by sup (-t)^gamma over the window, exactly
-    assert r2.sup_part == pytest.approx(r1.sup_part * 5e3 ** 0.5, rel=1e-12)
-
-
-def test_weighted_norm_skips_inadmissible():
-    w = WeightSpec(gamma=0.5, sigma=0.01, alpha=1e-4, lam=1000.0)
-    pts = np.array([[20.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
-
-    def h(x, t):
-        return np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
-
-    res = weighted_norm_sample(h, w, pts, (-2e3,))
-    assert res.skipped >= 1
 
 
 def test_flow_suite_decay_proxy_reads_the_cached_background(tmp_path,

@@ -29,17 +29,12 @@ def test_glued_metric_rejects_a_background_of_another_cutoff(entry,
 
 def test_params_validation():
     GlueParams(0.1, 0.3)                    # desk scale is allowed
-    GlueParams(0.0008, 0.09, mode="asymptotic")
     with pytest.raises(ValueError):
         GlueParams(-0.1, 0.3)
     with pytest.raises(ValueError):
         GlueParams(0.2, 0.3)                # cap exceeds half the neck
     with pytest.raises(ValueError):
         GlueParams(0.01, 0.5)               # neck leaves the cell
-    with pytest.raises(ValueError):
-        GlueParams(0.1, 0.3, mode="asymptotic")
-    assert not GlueParams(0.1, 0.3).asymptotic_regime
-    assert GlueParams(0.0008, 0.09).asymptotic_regime
 
 
 def test_cutoff_saturation_and_monotonicity():
@@ -137,7 +132,7 @@ def test_positive_definite_everywhere(glued8):
 
 def test_obstruction_inner_is_mode1(glued8):
     x = s3_quadrature(4, 0.4 * glued8.params.delta).nodes
-    ob = glued8.obstruction_values(x)
+    ob = glued8.obstruction_jets(x, order=0).val
     mode = kernel_mode(1, glued8.params.eps).values(x)
     assert np.max(np.abs(ob - mode)) < 1e-14
 
@@ -145,7 +140,7 @@ def test_obstruction_inner_is_mode1(glued8):
 def test_obstruction_tracefree(glued8):
     x = np.concatenate([s3_quadrature(4, r * glued8.params.delta).nodes
                         for r in (0.4, 0.75, 1.5)])
-    ob = glued8.obstruction_values(x)
+    ob = glued8.obstruction_jets(x, order=0).val
     g = glued8.values(x)
     tr = np.einsum("pij,pij->p", np.linalg.inv(g), ob)
     assert np.max(np.abs(tr)) < 1e-13
@@ -157,7 +152,7 @@ def test_obstruction_outer_eps_scaling(background8):
     devs = []
     for eps in (0.05, 0.1):
         gm = GluedMetric(GlueParams(eps, 0.3, 8), background8)
-        d = gm.obstruction_values(x) - eps ** 4 * bgv
+        d = gm.obstruction_jets(x, order=0).val - eps ** 4 * bgv
         devs.append(np.max(np.abs(d)))
     slope = np.log(devs[1] / devs[0]) / np.log(2.0)
     assert abs(slope - 8.0) < 0.5

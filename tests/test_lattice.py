@@ -190,11 +190,13 @@ def test_background_invariance_defect_shrinks():
     assert defects[8] < defects[4]
 
 
-def _tensor_route_partial(x, cutoff, which, exclude_origin):
-    """Oracle: full far-field tensors at order 2, Kahan-summed over each
+PARITY_CLASSES = {"even": (False,), "odd": (True,), "combined": (False, True)}
+
+
+def _tensor_route_partial(x, cutoff, parities, exclude_origin):
+    """Oracle: full far-field tensors at order 2 over the given parity
+    classes (False = even sites, plain kernel), Kahan-summed over each
     slab's sites and across slabs."""
-    parities = {"even": [False], "odd": [True],
-                "combined": [False, True]}[which]
     acc = [KahanAccumulator((x.shape[0],) + (4,) * k)
            for k in (2, 3, 4)]
     for sites in slab_sites(cutoff):
@@ -211,12 +213,10 @@ def _tensor_route_partial(x, cutoff, which, exclude_origin):
 def test_direct_sum_matches_tensor_route_oracle():
     x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1],
                   [-0.4, 0.3, 0.2, -0.1]])
-    for which, exclude_origin in product(("even", "odd", "combined"),
-                                         (False, True)):
-        oracle = _tensor_route_partial(x, 3, which, exclude_origin)
+    for exclude_origin in (False, True):
+        oracle = _tensor_route_partial(x, 3, (False, True), exclude_origin)
         for order, paired in product((0, 1, 2), (False, True)):
-            got = background_partial(x, 3, which, order, paired,
-                                     exclude_origin)
+            got = background_partial(x, 3, order, paired, exclude_origin)
             for k, part in enumerate((got.val, got.d1, got.d2)):
                 if k > order:
                     assert part is None
@@ -224,25 +224,16 @@ def test_direct_sum_matches_tensor_route_oracle():
                 scale = np.max(np.abs(oracle[k]))
                 assert np.max(np.abs(part - oracle[k])) <= 1e-14 * scale
             if order == 0:
-                values = background_values(x, 3, which, paired,
-                                           exclude_origin)
+                values = background_values(x, 3, paired, exclude_origin)
                 assert values.tobytes() == got.val.tobytes()
-                single = background_values(x[1], 3, which, paired,
-                                           exclude_origin)
-                one = background_partial(x[1], 3, which, 0, paired,
-                                         exclude_origin)
+                single = background_values(x[1], 3, paired, exclude_origin)
+                one = background_partial(x[1], 3, 0, paired, exclude_origin)
                 assert single.shape == (4, 4)
                 assert single.tobytes() == one.val.tobytes()
 
 
-def test_direct_sums_reject_unknown_parity_and_bad_cutoff(background8):
+def test_direct_sums_reject_unknown_parity_and_bad_cutoff():
     x = np.array([0.25, 0.1, 0.0, -0.05])
-    with pytest.raises(ValueError):
-        background_partial(x, 2, which="bogus")
-    with pytest.raises(ValueError):
-        background_values(x, 2, which="Odd")
-    with pytest.raises(ValueError):
-        background8.jets(x[None], which="bogus")
     for cutoff in (0, -1):
         with pytest.raises(ValueError):
             background_values(x, cutoff)
@@ -304,13 +295,17 @@ def test_lattice_moments_fold_matches_direct():
 @pytest.mark.parametrize("which", ["even", "odd", "combined"])
 @pytest.mark.parametrize("exclude_origin", [False, True])
 def test_far_taylor_matches_direct_sum(background8, which, exclude_origin):
+    # each parity class's near sites plus far polynomial against the direct
+    # sum over the cutoff-8 cube
     pts = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1]])
-    direct = background_partial(pts, 8, which, order=2,
-                                exclude_origin=exclude_origin)
-    accel = background8.jets(pts, 2, which, exclude_origin)
-    assert np.max(np.abs(direct.val - accel.val)) < 1e-9
-    assert np.max(np.abs(direct.d1 - accel.d1)) < 1e-8
-    assert np.max(np.abs(direct.d2 - accel.d2)) < 1e-6
+    parities = PARITY_CLASSES[which]
+    direct = _tensor_route_partial(pts, 8, parities, exclude_origin)
+    accel = [background8._eval_parity(pts, odd, 2, exclude_origin)
+             for odd in parities]
+    accel = accel[0] if len(accel) == 1 else accel[0] + accel[1]
+    assert np.max(np.abs(direct[0] - accel.val)) < 1e-9
+    assert np.max(np.abs(direct[1] - accel.d1)) < 1e-8
+    assert np.max(np.abs(direct[2] - accel.d2)) < 1e-6
 
 
 def test_far_taylor_keeps_harmonic_tracefree_structure(background8):
@@ -374,13 +369,10 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
     # expanded through the pattern: the scalar channel matches it bit for bit
     x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1],
                   [-0.4, 0.3, 0.2, -0.1]])
-    for which, exclude_origin in product(("even", "odd", "combined"),
-                                         (False, True)):
-        parities = {"even": [False], "odd": [True],
-                    "combined": [False, True]}[which]
+    for exclude_origin in (False, True):
         ref = [np.zeros((3, 4, 4)), np.zeros((3, 4, 4, 4)),
                np.zeros((3, 4, 4, 4, 4))]
-        for odd in parities:
+        for odd in (False, True):
             sites = near_sites(1, odd, exclude_origin and not odd)
             near = farfield_jets(x[:, None, :] - sites, odd, order=2)
             far = background8._poly[odd].evaluate(x, 2)
@@ -390,7 +382,7 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
                     ("pn,nij->pij", "pnk,nij->pijk", "pnkl,nij->pijkl"))):
                 ref[k] += (lattice.kahan_sum(tensor, axis=1)
                            - np.einsum(spec, far[k], pat))
-        jets = [background8.jets(x, order, which, exclude_origin)
+        jets = [background8.jets(x, order, exclude_origin)
                 for order in (0, 1, 2)]
         for k in range(3):
             for jet in jets[k:]:
