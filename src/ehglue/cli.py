@@ -20,12 +20,6 @@ import time
 
 S = argparse.SUPPRESS
 
-TASK_DEFAULTS = {
-    "omega": {"cutoff": 40},
-    "flow": {"cutoff": 16},
-    "dist-laplace": {"s3_order": 16},
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
@@ -68,15 +62,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("background", help="lattice background convergence")
     numeric(p, "cutoff", "taylor_degree")
 
-    for name in ("flux", "zterm", "project", "glue-scan"):
+    for name in ("flux", "zterm", "project"):
         p = sub.add_parser(name)
         numeric(p, "eps", "delta", "cutoff", "s3_order")
-        p.add_argument("--fast", action="store_true", default=S)
         if name == "flux":
             p.add_argument("--site", default=S,
                            help="single-site mode, e.g. 1,0,0,0")
         if name == "project":
             numeric(p, "vol_order", "annulus_points", "outer_points")
+            p.add_argument("--fast", action="store_true", default=S)
+
+    p = sub.add_parser("glue-scan")
+    numeric(p, "eps", "delta", "cutoff")
 
     p = sub.add_parser("dist-laplace", help="distributional reconstruction")
     numeric(p, "s3_order")
@@ -88,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="pointwise identity suites")
     p.add_argument("which", choices=("eh", "glue", "all"))
-    numeric(p, "eps", "delta", "cutoff", "s3_order")
+    numeric(p, "eps", "delta", "cutoff")
     p.add_argument("--fast", action="store_true", default=S)
 
     p = sub.add_parser("report", help="merge suite reports into one file")
@@ -103,22 +100,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    threads = str(max(1, args.threads))
+    if args.threads < 1:
+        print("eh-glue: configuration error: threads must be a positive "
+              "integer", file=sys.stderr)
+        return 2
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
-        os.environ[var] = threads
+        os.environ[var] = str(args.threads)
 
     from .config import ConfigError, RunConfig, parse_config_file
+    from .suites import BUDGET_SECONDS, SUITES, TASK_DEFAULTS, run_verify
 
-    cfg = RunConfig(task=args.task, threads=args.threads)
+    cfg = RunConfig(task=args.task, **TASK_DEFAULTS.get(args.task, {}))
     try:
-        for key, value in TASK_DEFAULTS.get(args.task, {}).items():
-            setattr(cfg, key, value)
         if args.config:
             cfg.apply_mapping(parse_config_file(args.config))
         for key, value in vars(args).items():
-            if key in ("task", "config", "which", "inputs", "threads"):
-                continue
             if hasattr(cfg, key):
                 setattr(cfg, key, value)
         cfg.validate()
@@ -130,7 +127,6 @@ def main(argv=None) -> int:
         return _merge_reports(args.inputs, cfg.out or None)
 
     from .report import write_report
-    from .suites import BUDGET_SECONDS, SUITES, run_verify
 
     start = time.monotonic()
     try:

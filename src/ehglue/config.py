@@ -8,7 +8,7 @@ computation starts; an invalid configuration never partially executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,6 @@ class RunConfig:
     t_max: float = -1e3
     ode_steps: int = 100000
     fast: bool = False
-    threads: int = 1
     cache_dir: str = ""
     out: str = ""
     csv: str = ""
@@ -55,7 +54,7 @@ class RunConfig:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("cutoff", "s3_order", "vol_order", "annulus_points",
-                     "outer_points", "taylor_degree", "ode_steps", "threads"):
+                     "outer_points", "taylor_degree", "ode_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         if not (self.t_min < self.t_max < 0.0):
@@ -85,7 +84,4 @@ class RunConfig:
         return self
 
     def echo(self) -> dict:
-        # threads is an execution detail, not a numerical parameter: reports
-        # must be byte-identical when only the thread count varies
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if not f.name.startswith("_") and f.name != "threads"}
+        return asdict(self)

@@ -198,41 +198,30 @@ def eh_metric(eps: float, reflected: bool = False) -> TensorField:
 # far-field tensors (leading large-r deviation from flat, both orientations)
 # ---------------------------------------------------------------------------
 
-def farfield_scalars(reflected: bool) -> list[np.ndarray]:
-    """Quadratic-form matrices of the three numerators s, p, q.
+def farfield_scalars(reflected: bool) -> np.ndarray:
+    """The far-field form table M, shape (3, 4, 4): M[c] is the matrix of
+    the quadratic form n_c(y) = yᵀM[c]y of the numerators s, p, q.
 
-    The far-field tensor components are  ±n(y)/|y|^6  with n drawn from
+    The far-field tensor is -Σ_c M[c]·n_c(y)/|y|^6, with
     s = y1²+y2²-y3²-y4², p = 2(y1 y3 ± y2 y4), q = 2(y1 y4 ∓ y2 y3).
+    Every entry is 0 or ±1 and the three supports are disjoint.
     """
-    s = np.diag([1.0, 1.0, -1.0, -1.0])
-    p = np.zeros((4, 4))
-    q = np.zeros((4, 4))
+    m = np.zeros((3, 4, 4))
+    m[0] = np.diag([1.0, 1.0, -1.0, -1.0])
     sgn = -1.0 if reflected else 1.0
-    p[0, 2] = p[2, 0] = 1.0
-    p[1, 3] = p[3, 1] = sgn
-    q[0, 3] = q[3, 0] = 1.0
-    q[1, 2] = q[2, 1] = -sgn
-    return [s, p, q]
-
-
-def farfield_pattern(reflected: bool) -> np.ndarray:
-    """pattern[n, i, j]: the far-field tensor is Σ_n pattern[n]·(-n-th scalar/r^6)."""
-    pat = np.zeros((3, 4, 4))
-    pat[0] = np.diag([1.0, 1.0, -1.0, -1.0])
-    sgn = -1.0 if reflected else 1.0
-    pat[1, 0, 2] = pat[1, 2, 0] = 1.0
-    pat[1, 1, 3] = pat[1, 3, 1] = sgn
-    pat[2, 0, 3] = pat[2, 3, 0] = 1.0
-    pat[2, 1, 2] = pat[2, 2, 1] = -sgn
-    return pat
+    m[1, 0, 2] = m[1, 2, 0] = 1.0
+    m[1, 1, 3] = m[1, 3, 1] = sgn
+    m[2, 0, 3] = m[2, 3, 0] = 1.0
+    m[2, 1, 2] = m[2, 2, 1] = -sgn
+    return m
 
 
 def farfield_numerators(y: np.ndarray, reflected: bool = False,
                         order: int = 1) -> tuple:
-    """The numerators n_c(y) = yᵀM_c y of :func:`farfield_scalars` in closed
-    form, and above order 0 their gradients 2M_c y, component axes first.
+    """The numerators n_c(y) = yᵀM[c]y of :func:`farfield_scalars` in closed
+    form, and above order 0 their gradients 2M[c]y, component axes first.
 
-    Each row of M_c has one nonzero entry ±1, so every gradient is a signed
+    Each row of M[c] has one nonzero entry ±1, so every gradient is a signed
     permutation of 2y.  Takes y component-first, (4, ...), and returns
     (values (3, ...), gradients (3, 4, ...) or ``None``).
     """
@@ -244,7 +233,7 @@ def farfield_numerators(y: np.ndarray, reflected: bool = False,
     n[2] = 2.0 * (y1 * y4 - sgn * (y2 * y3))
     if order == 0:
         return n, None
-    scal = np.stack(farfield_scalars(reflected))
+    scal = farfield_scalars(reflected)
     perm = np.abs(scal).argmax(axis=-1)                   # (3, 4)
     sign = np.take_along_axis(scal, perm[..., None], axis=-1)[..., 0]
     return n, (2.0 * y)[perm] * sign.reshape(sign.shape + (1,) * (y.ndim - 1))
@@ -278,12 +267,12 @@ def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
         return vals, grads, None
 
     # ∂_l ∂_k (n/ρ^6) = (∂²n)_{kl}/ρ^6 - 6[(∂_k n) y_l + (∂_l n) y_k + n δ_{kl}]/ρ^8
-    #                   + 48 n y_k y_l / ρ^10,   with the constant ∂²n = 2M_c;
+    #                   + 48 n y_k y_l / ρ^10,   with the constant ∂²n = 2M[c];
     # the y-dependent terms are u_k y_l + u_l y_k, u = -6 ∂n/ρ^8 + 24 n y/ρ^10
     u = dn * w8 + (n * (24.0 * inv6 * inv2 * inv2))[:, None] * yt
     hess = u[:, :, None] * yt
     hess += np.swapaxes(hess, 1, 2)   # numpy buffers the overlapping operand
-    scal = np.stack(farfield_scalars(reflected))
+    scal = farfield_scalars(reflected)
     c, p, q = np.nonzero(scal)
     hess[c, p, q] += np.multiply.outer(2.0 * scal[c, p, q], inv6)
     diag = np.arange(DIM)
@@ -292,11 +281,12 @@ def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
 
 
 def farfield_expand(scalar_jets: tuple, reflected: bool) -> Sym2Jet:
-    """Tensor jets -Σ_n pattern[n]·(n-th scalar) from scalar jets laid out as
-    :func:`farfield_scalar_jets` returns them.  Each pattern entry is 0 or
-    ±1 with disjoint supports, so every component is exactly ± one scalar."""
+    """Tensor jets -Σ_c M[c]·(c-th scalar) of the form table M of
+    :func:`farfield_scalars` from scalar jets laid out as
+    :func:`farfield_scalar_jets` returns them.  Each entry of M is 0 or ±1
+    with disjoint supports, so every component is exactly ± one scalar."""
     vals, grads, hesses = scalar_jets
-    pat = farfield_pattern(reflected)
+    pat = farfield_scalars(reflected)
     return Sym2Jet(
         -np.einsum("...n,nij->...ij", vals, pat, optimize=False),
         None if grads is None else
@@ -307,7 +297,8 @@ def farfield_expand(scalar_jets: tuple, reflected: bool) -> Sym2Jet:
 
 def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym2Jet:
     """Far-field tensor at points y: components -n_c(y)/ρ^6 arranged by
-    :func:`farfield_pattern`, with exact first and second derivatives."""
+    the form table of :func:`farfield_scalars`, with exact first and second
+    derivatives."""
     return farfield_expand(farfield_scalar_jets(y, reflected, order), reflected)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .curvature import curvature_at, lichnerowicz, trace_jet
 from .fields import eh_metric, kernel_mode
 from .jets import DIM, DomainError, Jet2, jet_radius
-from .lattice import BackgroundField
+from .lattice import BackgroundField, parity_of
 from .quadrature import line_fit, s3_quadrature
 from .sym2 import Sym2Jet, inverse_metric, pair
 
@@ -56,12 +56,20 @@ def _nearest_site(x: np.ndarray):
     return x, site, y, np.sqrt(np.einsum("...i,...i->...", y, y))
 
 
+def _regions(r: np.ndarray, delta: float):
+    """The (inner r ≤ δ/2, annulus, outer r ≥ δ) masks of the distances r
+    from the nearest site: the dispatch of :class:`GluedMetric`."""
+    inner = r <= 0.5 * delta
+    outer = r >= delta
+    return inner, ~inner & ~outer, outer
+
+
 def region_tag(x: np.ndarray, params: GlueParams) -> np.ndarray:
     """0 = inner (r ≤ δ/2), 1 = annulus, 2 = outer (r ≥ δ), per point,
-    measured from the nearest lattice site."""
-    r = _nearest_site(x)[3]
-    return np.where(r <= 0.5 * params.delta, 0,
-                    np.where(r >= params.delta, 2, 1))
+    measured from the nearest lattice site, as the glued metric
+    dispatches."""
+    inner, _, outer = _regions(_nearest_site(x)[3], params.delta)
+    return np.where(inner, 0, np.where(outer, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,12 @@ def outer_metric(bg: Sym2Jet, eps: float) -> Sym2Jet:
     return out
 
 
+def gap_tensor(bg: Sym2Jet, eps: float, cap: Sym2Jet) -> Sym2Jet:
+    """The gap (outer branch) - (cap metric) from the background jets bg
+    and the cap jets, to the lower of their jet orders."""
+    return outer_metric(bg, eps) - cap
+
+
 def _put(out: Sym2Jet, mask: np.ndarray, jets: Sym2Jet):
     """out[mask] = jets, to the jet depth of out."""
     out.val[mask] = jets.val
@@ -182,12 +196,6 @@ class GluedMetric:
         self._mode1 = {False: kernel_mode(1, params.eps),
                        True: kernel_mode(1, params.eps, reflected=True)}
 
-    def _outer_jets(self, x: np.ndarray, order: int,
-                    bg: Sym2Jet | None = None) -> Sym2Jet:
-        if bg is None:
-            bg = self.background.jets(x, order=order)
-        return outer_metric(bg, self.params.eps)
-
     def _piecewise(self, x: np.ndarray, order: int, bg: Sym2Jet | None,
                    caps: dict, far) -> Sym2Jet:
         """caps[parity of the nearest site] within δ/2 of it, far(background
@@ -202,12 +210,10 @@ class GluedMetric:
         if bg is None:
             bg = background_beyond(self.background, x, 0.5 * self.params.delta,
                                    order)
-        odd = (np.abs(site).sum(axis=-1).astype(np.int64) & 1).astype(bool)
+        odd = parity_of(site.astype(np.int64))
         delta = self.params.delta
         out = Sym2Jet.zeros(x.shape[:-1], order)
-        inner_m = r <= 0.5 * delta
-        outer_m = r >= delta
-        ann_m = ~inner_m & ~outer_m
+        inner_m, ann_m, outer_m = _regions(r, delta)
 
         def cap_at(mask):
             return _per_parity(caps, y[mask], odd[mask], order)

@@ -232,7 +232,7 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
     before accumulating, which makes the shell contributions absolutely
     summable; the value differs only by rounding.
     The three far-field scalar jets are summed over the sites and expanded
-    through the pattern once per parity at the end.  Deterministic: fixed
+    through the form table once per parity at the end.  Deterministic: fixed
     slab-major enumeration per parity, a pairwise sum along each block's
     site axis and compensated accumulation across blocks and slabs.
     """
@@ -430,7 +430,7 @@ def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
     Returns (exponents (n_mono, 4) int array, coeffs (3, n_mono)).
     """
     k, e, beta, nu, w = _taylor_plan(degree)
-    scal = np.stack(farfield_scalars(reflected=odd))
+    scal = farfield_scalars(reflected=odd)
     eye = np.eye(DIM, dtype=np.int64)
     # the nonzero entries (c, p, q) of the three matrices, row-major per c,
     # and per entry the moment and monomial shifts of the three branches
@@ -685,7 +685,7 @@ class BackgroundField:
     def _eval_parity(self, x: np.ndarray, odd: bool, order: int,
                      exclude_origin: bool) -> Sym2Jet:
         """Near-site scalar jets summed in site order plus the far
-        polynomial's, expanded through the pattern once per point."""
+        polynomial's, expanded through the form table once per point."""
         sites = self._near[odd]
         if exclude_origin and not odd:
             sites = sites[np.any(sites != 0, axis=-1)]

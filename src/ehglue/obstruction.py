@@ -22,17 +22,27 @@ import numpy as np
 
 from .curvature import christoffel, covariant_d1, curvature_at, div_trace
 from .fields import eh_metric, farfield_jets, kernel_mode
-from .glue import GlueParams, GluedMetric, check_cutoff, outer_metric
+from .glue import GlueParams, GluedMetric, check_cutoff, gap_tensor
 from .jets import DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
-from .quadrature import (KahanAccumulator, chunked_kahan_dot, kahan_sum,
-                         s3_quadrature)
+from .quadrature import (KahanAccumulator, chunked_kahan_dot, gauss_panel,
+                         kahan_sum, s3_quadrature)
 from .sym2 import Sym2Jet, inverse_metric, pair
 
 _E = dict(optimize=False)
-# constant of the flux's O(eps^12 delta^-10) correction budget
-CORRECTION_CONSTANT = 10.0
+
+
+def correction_budget(eps: float, delta: float) -> float:
+    """The flux's O(eps^12 delta^-10) correction budget, 10 eps^12 delta^-10."""
+    return 10.0 * eps ** 12 * delta ** -10
+
+
+def _with_estimate(value_on, s3_order: int) -> tuple[float, float]:
+    """(value_on(s3_order), its distance to the coarse value at order
+    max(8, s3_order - 8)): a sphere integral and its quadrature estimate."""
+    fine = value_on(s3_order)
+    return fine, abs(fine - value_on(max(8, s3_order - 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +69,6 @@ def normal_covariant(h: Sym2Jet, gam: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """(∇_ν h)_{ij} = ν^k ∇_k h_{ij}."""
     nabla = covariant_d1(h, gam)
     return np.einsum("...k,...ijk->...ij", nu, nabla, **_E)
-
-
-def _exact_gap(bg: BackgroundField, nodes: np.ndarray, eps: float,
-              cap: Sym2Jet) -> Sym2Jet:
-    """The gap (outer expression) - (cap metric) at nodes, to first order."""
-    return outer_metric(bg.jets(nodes, order=1), eps) - cap
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +126,11 @@ def distributional_check(u_jet_fn, i: int, j: int, form: str, delta: float,
     vol_acc = KahanAccumulator()
     hi = delta
     ang = s3_quadrature(max(8, s3_order - 6), 1.0)
-    from numpy.polynomial.legendre import leggauss
-    gl_x, gl_w = leggauss(radial_points)
     last_panel = 0.0
     for level in range(radial_levels):
         lo = hi * 0.5
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         panel = KahanAccumulator()
-        for rr, ww in zip(mid + half * gl_x, half * gl_w):
+        for rr, ww in zip(*gauss_panel(lo, hi, radial_points)):
             nodes = ang.nodes * rr
             uj = u_jet_fn(nodes)
             lap = np.einsum("...kk->...", uj.hess, **_E)
@@ -169,7 +170,7 @@ def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
     nu, area, _ = surface_geometry(gj, nodes)
 
     if exact_gap:
-        hbar = _exact_gap(bg, nodes, eps, gj)
+        hbar = gap_tensor(bg.jets(nodes, order=1), eps, gj)
     else:
         bgj = bg.jets(nodes, order=1, exclude_origin=True)
         hbar = bgj.scaled(0.5 * eps ** 4)
@@ -199,14 +200,13 @@ def flux_integral(params: GlueParams, s3_order: int,
     check_cutoff(params, background)
     if s3_order < 16:
         raise ValueError("flux_integral needs s3_order >= 16")
-    fine = _flux_on_rule(params, background,
-                         s3_quadrature(s3_order, params.delta), exact_gap)
-    coarse = _flux_on_rule(params, background,
-                           s3_quadrature(s3_order - 8, params.delta),
-                           exact_gap)
+    fine, est = _with_estimate(
+        lambda order: _flux_on_rule(params, background,
+                                    s3_quadrature(order, params.delta),
+                                    exact_gap), s3_order)
     predicted = 32.0 * np.pi ** 2 * params.eps ** 8 * omega
-    corr = CORRECTION_CONSTANT * params.eps ** 12 * params.delta ** -10
-    return FluxReport(fine, predicted, corr, abs(fine - coarse))
+    return FluxReport(fine, predicted,
+                      correction_budget(params.eps, params.delta), est)
 
 
 def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
@@ -232,10 +232,8 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
                      - np.einsum("...ij,...ij->...", moved.val, dnu_c, **_E))
         return chunked_kahan_dot(rule.weights, integrand)
 
-    fine = value_on(s3_order)
-    coarse = value_on(max(8, s3_order - 8))
-    predicted = flux_term_exact(site)
-    return FluxReport(fine, predicted, 0.0, abs(fine - coarse))
+    fine, est = _with_estimate(value_on, s3_order)
+    return FluxReport(fine, flux_term_exact(site), 0.0, est)
 
 
 def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
@@ -256,16 +254,14 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
         if zero_gap:
             hbar = Sym2Jet.zeros(nodes.shape[:-1], 1)
         else:
-            hbar = _exact_gap(background, nodes, eps, gj)
+            hbar = gap_tensor(background.jets(nodes, order=1), eps, gj)
         _, _, z_vec = div_trace(gj, hbar)
         mode = kernel_mode(1, eps).jets(nodes, order=0)
         integrand = 2.0 * np.einsum("...ij,...i,...j->...", mode.val, z_vec,
                                     nu, **_E)
         return chunked_kahan_dot(rule.weights * area, integrand)
 
-    fine = value_on(s3_order)
-    coarse = value_on(max(8, s3_order - 8))
-    return fine, abs(fine - coarse)
+    return _with_estimate(value_on, s3_order)
 
 
 def gauge_vector_sup(params: GlueParams, s3_order: int,
@@ -275,7 +271,8 @@ def gauge_vector_sup(params: GlueParams, s3_order: int,
     nodes = s3_quadrature(s3_order, params.delta).nodes
     eps = params.eps
     gj = eh_metric(eps).jets(nodes, order=1)
-    _, _, z_vec = div_trace(gj, _exact_gap(background, nodes, eps, gj))
+    _, _, z_vec = div_trace(gj, gap_tensor(background.jets(nodes, order=1),
+                                           eps, gj))
     sq = np.einsum("...ij,...i,...j->...", gj.val, z_vec, z_vec, **_E)
     return float(np.sqrt(np.max(sq)))
 
@@ -302,15 +299,12 @@ def _shell_radii(params: GlueParams, annulus_points: int, outer_points: int):
     its integrand has sharp radial structure from the cutoff's second
     derivative -- plus the saturated collar [5δ/6, δ].
     """
-    from numpy.polynomial.legendre import leggauss
     d = params.delta
     shells = []
     for (lo, hi, n) in ((2.0 * d / 3.0, 5.0 * d / 6.0, 2 * annulus_points),
                         (5.0 * d / 6.0, d, annulus_points),
                         (d, 0.5, outer_points)):
-        gx, gw = leggauss(n)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        shells.extend(zip(mid + half * gx, half * gw))
+        shells.extend(zip(*gauss_panel(lo, hi, n)))
     return shells
 
 
@@ -321,6 +315,17 @@ def _corner_sample(n_per_axis: int = 8):
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     keep = np.einsum("ij,ij->i", pts, pts) > 0.25
     return pts[keep], (1.0 / n_per_axis) ** 4
+
+
+def _projection_densities(gm: GluedMetric, nodes: np.ndarray, bgj: Sym2Jet):
+    """(-2⟨o, Ric⟩ dvol, -2R dvol) per node of one glued metric, from the
+    background jets bgj at the nodes."""
+    gj = gm.jets(nodes, order=2, bg=bgj)
+    curv = curvature_at(gj)
+    ob = gm.obstruction_jets(nodes, order=0, bg=bgj, g=gj)
+    dens = np.sqrt(np.linalg.det(gj.val))
+    return (-2.0 * pair(curv.ginv, ob.val, curv.ricci) * dens,
+            -2.0 * curv.scalar * dens)
 
 
 def projection_integrals(eps_list, delta: float, background: BackgroundField,
@@ -349,14 +354,9 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
             weights = ang.weights * rho ** 3 * w_r
             bgj = background.jets(nodes, order=2)
             for idx, gm in enumerate(metrics):
-                gj = gm.jets(nodes, order=2, bg=bgj)
-                curv = curvature_at(gj)
-                ob = gm.obstruction_jets(nodes, order=0, bg=bgj, g=gj)
-                dens = np.sqrt(np.linalg.det(gj.val))
-                val_o = pair(curv.ginv, ob.val, curv.ricci)
-                acc_o[idx].add(chunked_kahan_dot(weights, -2.0 * val_o * dens))
-                acc_g[idx].add(chunked_kahan_dot(weights,
-                                                 -2.0 * curv.scalar * dens))
+                dens_o, dens_g = _projection_densities(gm, nodes, bgj)
+                acc_o[idx].add(chunked_kahan_dot(weights, dens_o))
+                acc_g[idx].add(chunked_kahan_dot(weights, dens_g))
         return [a.result() for a in acc_o], [a.result() for a in acc_g]
 
     fine_o, fine_g = sweep(s3_order, annulus_points, outer_points)
@@ -371,13 +371,9 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
     bgj_corner = background.jets(pts, order=2)
     results = []
     for idx, gm in enumerate(metrics):
-        gj = gm.jets(pts, order=2, bg=bgj_corner)
-        curv = curvature_at(gj)
-        ob = gm.obstruction_jets(pts, order=0, bg=bgj_corner, g=gj)
-        dens = np.sqrt(np.linalg.det(gj.val))
-        corner_o = float(kahan_sum(-2.0 * pair(curv.ginv, ob.val, curv.ricci)
-                                   * dens, 0)) * cell
-        corner_g = float(kahan_sum(-2.0 * curv.scalar * dens, 0)) * cell
+        dens_o, dens_g = _projection_densities(gm, pts, bgj_corner)
+        corner_o = float(kahan_sum(dens_o, 0)) * cell
+        corner_g = float(kahan_sum(dens_g, 0)) * cell
         corner_bound = 2.0 * abs(corner_o)
 
         # inner residual: the cap is Ricci flat, sample one inner sphere

@@ -100,7 +100,7 @@ class QuadratureRule:
             r0 = self.tail_node
             tail = float(f(np.array([r0]))[0]) * r0 / (self.tail_power - 4.0)
             # empirical tail error: re-estimate from one doubling further out
-            mid_nodes, mid_w = _gauss_panel(r0, 2.0 * r0, 32)
+            mid_nodes, mid_w = gauss_panel(r0, 2.0 * r0, 32)
             mid = chunked_kahan_dot(mid_w, np.asarray(f(mid_nodes), dtype=float))
             tail2 = float(f(np.array([2.0 * r0]))[0]) * 2.0 * r0 / (self.tail_power - 4.0)
             val += tail
@@ -146,7 +146,8 @@ def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
     return QuadratureRule("surface", nodes, W.reshape(-1), radius=radius)
 
 
-def _gauss_panel(a: float, b: float, n: int):
+def gauss_panel(a: float, b: float, n: int):
+    """The n-point Gauss-Legendre rule on [a, b]: (nodes, weights)."""
     u, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * u, half * w
@@ -183,8 +184,8 @@ def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
     # single integrand evaluation yields both values and an error estimate.
     nodes, weights, coarse = [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = _gauss_panel(lo, hi, points_per_panel)
-        xc, wc = _gauss_panel(lo, hi, points_per_panel // 2)
+        xs, ws = gauss_panel(lo, hi, points_per_panel)
+        xc, wc = gauss_panel(lo, hi, points_per_panel // 2)
         nodes.extend([xs, xc])
         weights.extend([ws, np.zeros_like(wc)])
         coarse.extend([np.zeros_like(ws), wc])

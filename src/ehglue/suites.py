@@ -19,8 +19,8 @@ from .curvature import (bianchi_residual, curvature_at, div_trace, fd_sym2jet,
 from .fields import (eh_metric, farfield_tensor, kernel_mode,
                      map_collection, point_generators, symmetry_check,
                      vector_fields, alpha_forms, radial_vector)
-from .glue import (GlueParams, GluedMetric, decay_scans, region_tag,
-                   sphere_sups)
+from .glue import (GlueParams, GluedMetric, decay_scans, gap_tensor,
+                   outer_metric, region_tag, sphere_sups)
 from .heat import (KernelQuery, decay_rate_scan, heat_kernel_minus,
                    heat_kernel_plus, kernel_on_grid, semigroup_defect,
                    sup_deviation)
@@ -28,8 +28,8 @@ from .jets import DomainError
 from .lattice import (BackgroundCache, BackgroundField, background_partial,
                       background_values, default_cache_dir, flux_term_exact,
                       interaction_weight, omega_partial)
-from .obstruction import (distributional_check, flux_integral,
-                          flux_single_site, gauge_vector_sup,
+from .obstruction import (correction_budget, distributional_check,
+                          flux_integral, flux_single_site, gauge_vector_sup,
                           projection_integrals, z_flux)
 from .quadrature import line_fit, radial_quadrature, s3_quadrature
 from .report import Report, write_csv
@@ -48,6 +48,13 @@ BUDGET_SECONDS = {
     "project": 600.0, "dist-laplace": 30.0, "glue-scan": 120.0,
     "heat": 60.0, "flow": 60.0, "verify-eh": 30.0, "verify-glue": 300.0,
     "verify-all": 300.0,
+}
+
+# configuration defaults of a CLI task that differ from RunConfig's
+TASK_DEFAULTS = {
+    "omega": {"cutoff": 40},
+    "flow": {"cutoff": 16},
+    "dist-laplace": {"s3_order": 16},
 }
 
 
@@ -183,8 +190,8 @@ def run_zterm(cfg: RunConfig) -> Report:
     rep = Report("zterm", cfg.echo())
     bg = shared_background(cfg)
     params = GlueParams(cfg.eps, cfg.delta, cfg.cutoff)
-    val, est = z_flux(params, max(16, cfg.s3_order // 1), bg)
-    bound = 10.0 * cfg.eps ** 12 * cfg.delta ** -10
+    val, est = z_flux(params, max(16, cfg.s3_order), bg)
+    bound = correction_budget(cfg.eps, cfg.delta)
     rep.add("value", val, budget=est, passed=abs(val) <= bound + est)
     rep.add("bound", bound)
     zero, _ = z_flux(params, 16, bg, zero_gap=True)
@@ -266,11 +273,11 @@ def run_dist_laplace(cfg: RunConfig) -> Report:
 
     for delta_label, delta in (("", 0.5), ("_half", 0.25)):
         r1 = distributional_check(u_offdiag, 0, 1, "offdiag", delta,
-                                  s3_order=16)
+                                  s3_order=cfg.s3_order)
         rep.add(f"offdiag_reconstructed{delta_label}", r1.reconstructed,
                 budget=r1.quad_estimate, expected=1.0, tolerance=1e-6)
         r2 = distributional_check(u_diagdiff, 0, 1, "diagdiff", delta,
-                                  s3_order=16)
+                                  s3_order=cfg.s3_order)
         rep.add(f"diagdiff_reconstructed{delta_label}", r2.reconstructed,
                 budget=r2.quad_estimate, expected=4.0, tolerance=1e-6)
     rep.require("delta_independent",
@@ -340,10 +347,9 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     x = s3_quadrature(6, 0.7 * cfg.delta).nodes
     bgx = bg.jets(x, order=0)
     for eps in (0.05, cfg.eps):
-        m = GluedMetric(GlueParams(eps, cfg.delta, cfg.cutoff), bg)
-        cap_vals = eh_metric(eps).jets(x, order=0).val
-        outer_vals = m._outer_jets(x, 0, bg=bgx).val
-        mismatches.append(float(np.max(np.abs(cap_vals - outer_vals))))
+        GlueParams(eps, cfg.delta, cfg.cutoff)      # raises unless they glue
+        gap = gap_tensor(bgx, eps, eh_metric(eps).jets(x, order=0))
+        mismatches.append(float(np.max(np.abs(gap.val))))
     slope_mm = np.log(mismatches[1] / mismatches[0]) / np.log(cfg.eps / 0.05)
     rep.add("branch_mismatch", mismatches[1])
     rep.add("branch_mismatch_prefactor", mismatches[1] / cfg.eps ** 4)
@@ -586,8 +592,8 @@ def run_verify_glue(cfg: RunConfig) -> Report:
                                   - eh_metric(params.eps).values(x_low))))
     rep.at_most("blend_saturates_inner", dev_low, 1e-15)
     x_high = s3_quadrature(4, 0.9 * params.delta).nodes
-    dev_high = float(np.max(np.abs(gm.values(x_high)
-                                   - gm._outer_jets(x_high, 0).val)))
+    outer = outer_metric(bg.jets(x_high, order=0), params.eps)
+    dev_high = float(np.max(np.abs(gm.values(x_high) - outer.val)))
     rep.at_most("blend_saturates_outer", dev_high, 1e-15)
 
     # positive definiteness across regions

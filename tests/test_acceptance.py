@@ -1,10 +1,11 @@
 """Acceptance gate: the ten quantitative exit criteria.
 
-Criteria 1–9 each run one suite of :mod:`ehglue.suites` at its default
-parameters and assert that suite's own pass flags, so every tolerance is
-stated once, in the suite; criteria 2 and 3 read one run of the pointwise
-suite, and criterion 9 also runs the flow suite on the deep past and on a
-step count whose RK4 sample ends on t_max.  Each test prints one PASS/FAIL
+Criteria 1–9 each run one suite of :mod:`ehglue.suites` at the CLI's
+defaults (``RunConfig``'s, with ``suites.TASK_DEFAULTS`` on top) and assert
+that suite's own pass flags, so every tolerance is stated once, in the
+suite; criteria 2 and 3 read one run of the pointwise suite, and criterion
+9 also runs the flow suite on the deep past and on a step count whose RK4
+sample ends on t_max.  Each test prints one PASS/FAIL
 line with the gated values; run with ``pytest -s`` to see the table.
 Criterion 5 is known red at its stated parameters: the honest volume
 projection carries a genuine desk-scale correction that no reading of the
@@ -23,6 +24,7 @@ from ehglue import suites
 from ehglue.config import RunConfig
 
 BUDGET = suites.BUDGET_SECONDS
+DEFAULTS = suites.TASK_DEFAULTS
 
 
 def report(num, label, ok, detail, elapsed, budget):
@@ -77,7 +79,8 @@ def verify_eh(cache_dir):
 def test_criterion_01_obstruction_constant(cache_dir):
     assert not failed_gates(1, "obstruction constant",
                             timed(suites.run_omega,
-                                  RunConfig(cutoff=40, cache_dir=cache_dir)),
+                                  RunConfig(**DEFAULTS["omega"],
+                                            cache_dir=cache_dir)),
                             BUDGET["omega"])
 
 
@@ -129,7 +132,8 @@ def test_criterion_06_decay_exponents(cache_dir):
 def test_criterion_07_distributional_laplacian(cache_dir):
     assert not failed_gates(7, "distributional reconstruction",
                             timed(suites.run_dist_laplace,
-                                  RunConfig(cache_dir=cache_dir)),
+                                  RunConfig(**DEFAULTS["dist-laplace"],
+                                            cache_dir=cache_dir)),
                             BUDGET["dist-laplace"])
 
 
@@ -144,9 +148,9 @@ def test_criterion_09_flow_dynamics(cache_dir):
     # the defaults; the deep past t in [-1e8, -1e6], where the defaults'
     # assumption grid does not reach; and 64 * 1563 steps, whose sampled RK4
     # steps end on t_max
-    cfgs = [RunConfig(cutoff=16, cache_dir=cache_dir),
-            RunConfig(cutoff=16, t_min=-1e8, t_max=-1e6, cache_dir=cache_dir),
-            RunConfig(cutoff=16, ode_steps=64 * 1563, cache_dir=cache_dir)]
+    cfgs = [RunConfig(**DEFAULTS["flow"], cache_dir=cache_dir, **extra)
+            for extra in ({}, dict(t_min=-1e8, t_max=-1e6),
+                          dict(ode_steps=64 * 1563))]
     assert not failed_gates(9, "flow dynamics", timed(suites.run_flow, *cfgs),
                             BUDGET["flow"])
 

@@ -129,6 +129,24 @@ def test_cli_config_file_respected(tmp_path):
     assert payload["config"]["cutoff"] == 8
 
 
+@pytest.mark.parametrize("args", [
+    ["flux", "--fast"], ["zterm", "--fast"], ["glue-scan", "--fast"],
+    ["glue-scan", "--s3-order", "5"], ["verify", "eh", "--s3-order", "5"],
+    ["omega", "--config", "threads.cfg"],
+], ids=["flux-fast", "zterm-fast", "glue-scan-fast", "glue-scan-s3-order",
+        "verify-s3-order", "config-threads"])
+def test_cli_rejects_knobs_no_suite_reads(tmp_path, monkeypatch, args):
+    # flags and config keys that no suite reads are configuration errors,
+    # rejected before any suite runs
+    from ehglue import cli
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    (tmp_path / "threads.cfg").write_text("threads = 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*args, "--out", "report.json"]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_reports_byte_identical_across_thread_counts(tmp_path):
     """Rerunning any suite with a different thread budget gives the same
     bytes (acceptance determinism gate, exercised on three fast suites; the

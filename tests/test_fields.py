@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from ehglue.fields import (alpha_forms, eh_metric, farfield_jets,
-                           farfield_numerators, farfield_pattern,
-                           farfield_scalar_jets, farfield_scalars,
-                           farfield_tensor, kernel_mode, map_collection,
-                           point_generators, symmetry_check, vector_fields,
-                           FRAME, REFLECTION)
+                           farfield_numerators, farfield_scalar_jets,
+                           farfield_scalars, farfield_tensor, kernel_mode,
+                           map_collection, point_generators, symmetry_check,
+                           vector_fields, FRAME, REFLECTION)
 from ehglue.jets import DomainError, Jet2, coordinate_jets, radius2_jet
 from ehglue.sym2 import Sym2Jet, inverse_metric, pair
 
@@ -134,7 +133,7 @@ def test_farfield_jets_are_pattern_expansion_of_scalars(rng, order, reflected):
     y = rng.normal(size=(5, 7, 4))
     jets = farfield_jets(y, reflected, order)
     scalars = farfield_scalar_jets(y, reflected, order)
-    pat = farfield_pattern(reflected)
+    pat = farfield_scalars(reflected)
     assert np.array_equal(np.abs(pat).sum(axis=0) <= 1, np.ones((4, 4), bool))
     for k, (tensor, scal) in enumerate(zip((jets.val, jets.d1, jets.d2),
                                            scalars)):

@@ -4,7 +4,8 @@ import pytest
 from ehglue.curvature import curvature_at, fd_sym2jet
 from ehglue.fields import eh_metric, kernel_mode
 from ehglue.glue import (GlueParams, GluedMetric, cutoff_jet, cutoff_scalar,
-                         decay_scans, region_tag, remove_trace, sphere_sups)
+                         decay_scans, outer_metric, region_tag, remove_trace,
+                         sphere_sups)
 from ehglue.jets import DomainError
 from ehglue.obstruction import flux_integral, gauge_vector_sup, z_flux
 from ehglue.quadrature import s3_quadrature
@@ -83,19 +84,40 @@ def test_region_dispatch_exact():
     assert list(tags) == [0, 2, 1, 0]       # last: inner zone of a neighbour
 
 
+@pytest.mark.parametrize("site", [(0, 0, 0, 0), (1, 0, 0, 0)],
+                         ids=["even", "odd"])
+def test_dispatch_boundaries_are_bitwise_branches(glued8, background8, site):
+    # on r = δ/2 the glued metric is the cap of the site's parity and on
+    # r = δ the outer branch, bit for bit, where region_tag says so; the
+    # probes step along axes on which the site has no component, so their
+    # distance to it is exactly the radius
+    delta, eps = glued8.params.delta, glued8.params.eps
+    site = np.asarray(site, dtype=float)
+    cap = eh_metric(eps, reflected=bool(site.sum() % 2))
+    axes = np.eye(4)[site == 0.0]
+    steps = np.concatenate([axes, -axes])
+    for radius, tag in ((0.5 * delta, 0), (delta, 2)):
+        x = site + radius * steps
+        assert np.all(region_tag(x, glued8.params) == tag)
+        branch = (cap.values(x - site) if tag == 0 else
+                  outer_metric(background8.jets(x, order=0), eps).val)
+        assert glued8.values(x).tobytes() == branch.tobytes()
+
+
 def test_inner_branch_matches_cap(glued8):
     x = s3_quadrature(4, 0.1).nodes
     cap = eh_metric(glued8.params.eps).values(x)
     assert np.array_equal(glued8.values(x), cap)
 
 
-def test_blend_saturates_on_both_sides(glued8):
+def test_blend_saturates_on_both_sides(glued8, background8):
     delta = glued8.params.delta
     x_low = s3_quadrature(4, 0.55 * delta).nodes     # below 2δ/3
     cap = eh_metric(glued8.params.eps).values(x_low)
     assert np.max(np.abs(glued8.values(x_low) - cap)) == 0.0
     x_high = s3_quadrature(4, 0.9 * delta).nodes     # above 5δ/6
-    outer = glued8._outer_jets(x_high, 0).val
+    outer = outer_metric(background8.jets(x_high, order=0),
+                         glued8.params.eps).val
     assert np.max(np.abs(glued8.values(x_high) - outer)) == 0.0
 
 

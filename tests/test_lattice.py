@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ehglue import lattice
-from ehglue.fields import farfield_jets, farfield_pattern
+from ehglue.fields import farfield_jets, farfield_scalars
 from ehglue.jets import DomainError
 from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
                             BackgroundField, background_partial,
@@ -366,7 +366,8 @@ def test_compact_polynomial_matches_dense_oracle(background8, rng, odd):
 def test_background_jets_equal_tensor_route_and_agree_across_orders(
         background8):
     # near sites summed as full far-field tensors, then the far polynomial
-    # expanded through the pattern: the scalar channel matches it bit for bit
+    # expanded through the form table: the scalar channel matches it bit for
+    # bit
     x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1],
                   [-0.4, 0.3, 0.2, -0.1]])
     for exclude_origin in (False, True):
@@ -376,7 +377,7 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
             sites = near_sites(1, odd, exclude_origin and not odd)
             near = farfield_jets(x[:, None, :] - sites, odd, order=2)
             far = background8._poly[odd].evaluate(x, 2)
-            pat = farfield_pattern(odd)
+            pat = farfield_scalars(odd)
             for k, (tensor, spec) in enumerate(zip(
                     (near.val, near.d1, near.d2),
                     ("pn,nij->pij", "pnk,nij->pijk", "pnkl,nij->pijkl"))):

@@ -61,6 +61,19 @@ def test_distributional_delta_independent():
     assert abs(r1.reconstructed - r2.reconstructed) < 1e-10
 
 
+def test_dist_laplace_suite_computes_at_its_s3_order():
+    # the suite reports its s3_order and must compute at it: two orders
+    # echo and give different reconstructions (both pass their gates)
+    from ehglue import suites
+    from ehglue.config import RunConfig
+    reps = [suites.run_dist_laplace(RunConfig(task="dist-laplace",
+                                              s3_order=order))
+            for order in (12, 16)]
+    assert [r.config["s3_order"] for r in reps] == [12, 16]
+    assert reps[0].results != reps[1].results
+    assert all(r.all_passed for r in reps)
+
+
 def test_surface_geometry_matches_closed_form():
     # cap-metric area factor on |x| = δ is (eps^4 + δ^4)^(1/4)/δ... squared
     eps, delta = 0.1, 0.3
