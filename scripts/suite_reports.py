@@ -3,9 +3,11 @@
 
 Runs each CLI suite of the reference set, one after another, with OUTDIR as
 the working directory and relative --out names, and records every exit code
-in OUTDIR/exit_codes.json.  The reports echo `out`, `csv` and `cache_dir`,
-so two checkouts give comparable reports only with the same names and the
-same cache directory; the cache directory is made absolute here.  Compare
+in OUTDIR/exit_codes.json and the wall seconds of each run, measured around
+the subprocess, in OUTDIR/timings.json (so no timing enters a canonical
+report).  The reports echo `out`, `csv` and `cache_dir`, so two checkouts
+give comparable reports only with the same names and the same cache
+directory; the cache directory is made absolute here.  Compare
 two such directories with report_diff.py, and the flow CSVs with cmp:
 
     python3 scripts/suite_reports.py /tmp/before --cache-dir /tmp/cache
@@ -19,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -51,16 +54,21 @@ def main(argv=None) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     cache = os.path.abspath(args.cache_dir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
-    codes = {}
+    codes, timings = {}, {}
     for name, cli_args in REPORTS.items():
         cmd = [sys.executable, "-m", "ehglue.cli", *cli_args,
                "--out", f"{name}.json", "--cache-dir", cache]
+        start = time.perf_counter()
         codes[name] = subprocess.run(cmd, cwd=args.outdir, env=env).returncode
-        print(f"{name}: exit {codes[name]}", file=sys.stderr)
-    with open(os.path.join(args.outdir, "exit_codes.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(codes, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        timings[name] = round(time.perf_counter() - start, 3)
+        print(f"{name}: exit {codes[name]}, {timings[name]:.2f} s",
+              file=sys.stderr)
+    for filename, data in (("exit_codes.json", codes),
+                           ("timings.json", timings)):
+        with open(os.path.join(args.outdir, filename), "w",
+                  encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return 0
 
 

@@ -159,6 +159,7 @@ def _merge_reports(paths, out) -> int:
     from .report import atomic_write, canonical_json
 
     merged = {"task": "report", "suites": {}}
+    source = {}
     ok = True
     for path in paths:
         try:
@@ -167,7 +168,16 @@ def _merge_reports(paths, out) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"eh-glue: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        merged["suites"][payload.get("task", path)] = payload
+        if not isinstance(payload, dict):
+            print(f"eh-glue: {path} is not a report", file=sys.stderr)
+            return 2
+        task = payload.get("task", path)
+        if task in source:
+            print(f"eh-glue: {source[task]} and {path} are both '{task}' "
+                  "reports", file=sys.stderr)
+            return 2
+        source[task] = path
+        merged["suites"][task] = payload
         ok &= bool(payload.get("all_passed", False))
     merged["all_passed"] = ok
     text = canonical_json(merged) + "\n"

@@ -1,12 +1,12 @@
 """Modulation dynamics of the instanton scale under Ricci flow.
 
 To leading order the cap scale obeys eps' = 8·omega·eps^5 on t < 0, whose
-ancient solution is eps(t) = (-32 omega t)^(-1/4); a configurable forcing
-term eta perturbs the closed form through the radicand.  The curvature
-maximum of the unit-scale cap metric, extrapolated to the bolt, converts the
-scale into the curvature blow-up prediction sup|Rm| ~ M eps(t)^-2 =
-M sqrt(32 omega) (-t)^(1/2), while the Ricci proxy of the glued family
-decays like eps(t)^4 — strictly faster than the (-t)^(-1/2+kappa) target.
+ancient solution is eps(t) = (-32 omega t)^(-1/4), taken on t ≤ -LAMBDA.
+The curvature maximum of the unit-scale cap metric, extrapolated to the
+bolt, converts the scale into the curvature blow-up prediction
+sup|Rm| ~ M eps(t)^-2 = M sqrt(32 omega) (-t)^(1/2), while the Ricci proxy
+of the glued family decays like eps(t)^4 — strictly faster than the
+(-t)^(-1/2+kappa) target.
 """
 
 from __future__ import annotations
@@ -14,34 +14,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .curvature import curvature_at
 from .fields import eh_metric
-from .glue import GlueParams, GluedMetric, sphere_sups
+from .glue import MAX_DELTA, GlueParams, GluedMetric, sphere_sups
 from .lattice import OMEGA_REFERENCE, BackgroundField
 from .quadrature import line_fit
 
+LAMBDA = 1000.0             # the scale is defined for t <= -LAMBDA
+HOELDER_ALPHA = 1e-4        # time-Hölder exponent of the admissibility check
+PEAK_RADII = (0.2, 0.1, 0.05)   # axis radii extrapolated by curvature_peak
 
-def epsilon_of_t(t: float, lam: float = 1000.0, eta=None,
-                 omega: float = OMEGA_REFERENCE) -> float:
-    """Closed-form scale: (∫_t^{-lam} eta - 32 omega t)^(-1/4)."""
-    if t > -lam:
-        raise ValueError("need t <= -lam")
+
+def epsilon_of_t(t: float, omega: float = OMEGA_REFERENCE) -> float:
+    """Closed-form scale: (-32 omega t)^(-1/4)."""
+    if t > -LAMBDA:
+        raise ValueError("need t <= -LAMBDA")
     radicand = -32.0 * omega * t
-    if eta is not None:
-        integral, _ = quad(eta, t, -lam, limit=200)
-        radicand += integral
     if radicand <= 0.0:
-        raise ValueError("radicand not positive; forcing too large")
+        raise ValueError("radicand not positive; need omega > 0")
     return radicand ** -0.25
 
 
-def epsilon_derivative(t: float, lam: float = 1000.0, eta=None,
-                       omega: float = OMEGA_REFERENCE) -> float:
-    eps = epsilon_of_t(t, lam, eta, omega)
-    forcing = eta(t) if eta is not None else 0.0
-    return 0.25 * eps ** 5 * (forcing + 32.0 * omega)
+def epsilon_derivative(t: float, omega: float = OMEGA_REFERENCE) -> float:
+    return 0.25 * epsilon_of_t(t, omega) ** 5 * (32.0 * omega)
 
 
 def modulation_residual(t: float, eps: float, deps: float,
@@ -65,20 +61,19 @@ class AssumptionReport:
                 and self.hoelder_ok)
 
 
-def assumption_check(t_grid, lam: float = 1000.0, eta=None,
-                     omega: float = OMEGA_REFERENCE,
-                     alpha: float = 1e-4) -> AssumptionReport:
+def assumption_check(t_grid,
+                     omega: float = OMEGA_REFERENCE) -> AssumptionReport:
     """Scale-function admissibility on a grid of times.
 
     Clauses: (-1000 t)^{-1/4} ≤ eps(t) ≤ (-t)^{-1/4}; |eps'| ≤ (-t)^{-5/4};
     and the time-Hölder bound |eps'(t) - eps'(t')| ≤
-    |t-t'|^alpha (-t)^{-5/4} eps(t)^{-2 alpha}, checked on the stencils
-    |t-t'| ∈ {(-t)^{-1/2}, (-t)^{-1}} (the full two-parameter supremum is
-    not computable; stencils are).
+    |t-t'|^α (-t)^{-5/4} eps(t)^{-2α} with α = HOELDER_ALPHA, checked on
+    the stencils |t-t'| ∈ {(-t)^{-1/2}, (-t)^{-1}} (the full two-parameter
+    supremum is not computable; stencils are).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    eps = np.array([epsilon_of_t(t, lam, eta, omega) for t in t_grid])
-    deps = np.array([epsilon_derivative(t, lam, eta, omega) for t in t_grid])
+    eps = np.array([epsilon_of_t(t, omega) for t in t_grid])
+    deps = np.array([epsilon_derivative(t, omega) for t in t_grid])
     lower = (-1000.0 * t_grid) ** -0.25
     upper = (-t_grid) ** -0.25
     dbound = (-t_grid) ** -1.25
@@ -89,10 +84,10 @@ def assumption_check(t_grid, lam: float = 1000.0, eta=None,
     worst = 0.0
     for t, e in zip(t_grid, eps):
         for dt in ((-t) ** -0.5, (-t) ** -1.0):
-            tp = t - dt
-            dd = abs(epsilon_derivative(tp, lam, eta, omega)
-                     - epsilon_derivative(t, lam, eta, omega))
-            bound = dt ** alpha * (-t) ** -1.25 * e ** (-2.0 * alpha)
+            dd = abs(epsilon_derivative(t - dt, omega)
+                     - epsilon_derivative(t, omega))
+            bound = (dt ** HOELDER_ALPHA * (-t) ** -1.25
+                     * e ** (-2.0 * HOELDER_ALPHA))
             worst = max(worst, dd / bound)
             if dd > bound:
                 hoelder_ok = False
@@ -142,15 +137,15 @@ def ode_integrate(eps0: float, t0: float, t1: float, steps: int,
 # curvature blow-up
 # ---------------------------------------------------------------------------
 
-def curvature_peak(radii=(0.2, 0.1, 0.05)) -> float:
+def curvature_peak() -> float:
     """max |Rm| of the unit-scale cap, Richardson-extrapolated to the bolt.
 
     |Rm|² on the axis grows monotonically toward the bolt; the three radii
-    give two Richardson levels in the r^4 expansion parameter.
+    PEAK_RADII give two Richardson levels in the r^4 expansion parameter.
     """
     metric = eh_metric(1.0)
     vals = []
-    for r in radii:
+    for r in PEAK_RADII:
         pt = np.array([[r, 0.0, 0.0, 0.0]])
         vals.append(float(curvature_at(metric.jets(pt)).riemann_sq()[0]))
     # nodes in h = r^4 with ratio 16: two-level Richardson
@@ -161,10 +156,9 @@ def curvature_peak(radii=(0.2, 0.1, 0.05)) -> float:
     return float(np.sqrt(ext))
 
 
-def blowup_prediction(t: float, peak: float, lam: float = 1000.0,
-                      omega: float = OMEGA_REFERENCE):
+def blowup_prediction(t: float, peak: float, omega: float = OMEGA_REFERENCE):
     """(sup|Rm| prediction, rate constant c = peak · sqrt(32 omega))."""
-    eps = epsilon_of_t(t, lam, omega=omega)
+    eps = epsilon_of_t(t, omega)
     return peak * eps ** -2, peak * np.sqrt(32.0 * omega)
 
 
@@ -177,22 +171,20 @@ class ProxyPolicy:
     """How the flow builds glue parameters at desk scale.
 
     The schedule delta(t) = (-t)^(-1/400) approaches 1 from below for any
-    reachable time, which exceeds the geometric bound delta <= 0.45 of the
-    piecewise construction (overlapping necks); the proxy therefore caps the
-    neck radius and tracks the eps(t)-driven decay, which dominates.  Once
-    capped, δ is the same at every proxy time, so all times sample the same
-    spheres frac·δ and share their background evaluations.
+    reachable time, which exceeds the geometric bound delta <= MAX_DELTA of
+    the piecewise construction (overlapping necks); the proxy therefore caps
+    the neck radius there and tracks the eps(t)-driven decay, which
+    dominates.  Once capped, δ is the same at every proxy time, so all times
+    sample the same spheres frac·δ and share their background evaluations.
     """
 
     lattice_cutoff: int = 16
-    delta_cap: float = 0.45
     s3_order: int = 6
     radial_fractions: tuple = (0.70, 0.75, 0.78, 0.82, 0.90, 1.05)
-    lam: float = 1000.0
     omega: float = OMEGA_REFERENCE
 
     def delta_of_t(self, t: float) -> float:
-        return min((-t) ** (-1.0 / 400.0), self.delta_cap)
+        return min((-t) ** (-1.0 / 400.0), MAX_DELTA)
 
 
 @dataclass
@@ -214,7 +206,7 @@ def ricci_decay_proxy(times, policy: ProxyPolicy,
     background evaluation.
     """
     times = np.asarray(sorted(times), dtype=float)
-    epss = [epsilon_of_t(t, policy.lam, omega=policy.omega) for t in times]
+    epss = [epsilon_of_t(t, policy.omega) for t in times]
     dels = [policy.delta_of_t(t) for t in times]
     metrics = [GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff),
                            background) for eps, delta in zip(epss, dels)]

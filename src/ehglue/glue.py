@@ -25,6 +25,8 @@ from .lattice import BackgroundField, parity_of
 from .quadrature import line_fit, s3_quadrature
 from .sym2 import Sym2Jet, inverse_metric, pair
 
+MAX_DELTA = 0.45        # the largest neck radius inside the unit cell
+
 
 @dataclass(frozen=True)
 class GlueParams:
@@ -32,7 +34,7 @@ class GlueParams:
 
     Geometric well-definedness is enforced: the caps must sit well inside
     their necks (eps ≤ delta/2) and the neck must stay inside the unit cell
-    (delta ≤ 0.45).
+    (delta ≤ MAX_DELTA).
     """
 
     eps: float
@@ -44,8 +46,9 @@ class GlueParams:
             raise ValueError("eps and delta must be positive")
         if self.eps > 0.5 * self.delta:
             raise ValueError("cap does not fit its neck: need eps <= delta/2")
-        if self.delta > 0.45:
-            raise ValueError("neck leaves the unit cell: need delta <= 0.45")
+        if self.delta > MAX_DELTA:
+            raise ValueError("neck leaves the unit cell: "
+                             f"need delta <= {MAX_DELTA}")
 
 
 def _nearest_site(x: np.ndarray):

@@ -23,6 +23,8 @@ import numpy as np
 from .quadrature import line_fit
 
 TIME_SPLIT = 0.25       # direct below, dual above; both ~1e-15 tails there
+TAIL_TOL = 1e-16        # lattice-sum truncation tolerance
+GRID_POINTS = 17        # periodic grid points per axis of the grid scans
 
 
 @dataclass(frozen=True)
@@ -36,12 +38,12 @@ class KernelQuery:
         return np.asarray(self.x, dtype=float) - np.asarray(self.x0, dtype=float)
 
 
-def direct_cutoff(t: float, tol: float = 1e-16) -> int:
-    """Gaussian tail bound: boxes beyond this contribute below tol."""
-    return int(np.ceil(np.sqrt(4.0 * t * np.log(1.0 / tol)))) + 2
+def direct_cutoff(t: float) -> int:
+    """Gaussian tail bound: boxes beyond this contribute below TAIL_TOL."""
+    return int(np.ceil(np.sqrt(4.0 * t * np.log(1.0 / TAIL_TOL)))) + 2
 
 
-def dual_cutoff(t: float, tol: float = 1e-16) -> int:
+def dual_cutoff(t: float, tol: float = TAIL_TOL) -> int:
     return int(np.ceil(np.sqrt(-np.log(tol) / (4.0 * np.pi ** 2 * t)))) + 1
 
 
@@ -138,7 +140,7 @@ def theta_1d_deviation(z: np.ndarray, t: float) -> np.ndarray:
                   * np.cos(2.0 * np.pi * np.outer(z, k))).sum(axis=-1)
 
 
-def sup_deviation(t: float, signed: bool, n_per_axis: int = 17) -> float:
+def sup_deviation(t: float, signed: bool, n_per_axis: int) -> float:
     """sup over the grid of |kernel - 1| (plain) or |kernel| (alternating).
 
     The plain deviation is assembled as expm1(Σ log1p(u_i)) from the 1D
@@ -162,21 +164,21 @@ class DecayFit:
     rate: float
 
 
-def decay_rate_scan(signed: bool, times, n_per_axis: int = 17) -> DecayFit:
+def decay_rate_scan(signed: bool, times) -> DecayFit:
     """Fit log sup-deviation against t; the dual spectral gap gives -4π²."""
     times = np.asarray(times, dtype=float)
-    sups = np.array([sup_deviation(t, signed, n_per_axis) for t in times])
+    sups = np.array([sup_deviation(t, signed, GRID_POINTS) for t in times])
     keep = sups > 1e-300
     times_k, sups_k = times[keep], sups[keep]
     rate, _ = line_fit(times_k, np.log(sups_k))
     return DecayFit(times_k, sups_k, rate)
 
 
-def semigroup_defect(t: float, s: float, n_per_axis: int = 17) -> float:
+def semigroup_defect(t: float, s: float) -> float:
     """max |K(t+s) - K(t) * K(s)| with * the grid convolution (FFT)."""
-    kt = kernel_on_grid(n_per_axis, t, signed=False)
-    ks = kernel_on_grid(n_per_axis, s, signed=False)
-    kts = kernel_on_grid(n_per_axis, t + s, signed=False)
+    kt = kernel_on_grid(GRID_POINTS, t, signed=False)
+    ks = kernel_on_grid(GRID_POINTS, s, signed=False)
+    kts = kernel_on_grid(GRID_POINTS, t + s, signed=False)
     conv = np.real(np.fft.ifftn(np.fft.fftn(kt) * np.fft.fftn(ks)))
-    conv = conv / n_per_axis ** 4
+    conv = conv / GRID_POINTS ** 4
     return float(np.max(np.abs(conv - kts)))

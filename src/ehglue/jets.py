@@ -160,15 +160,13 @@ def radius2_jet(x: np.ndarray) -> Jet2:
     return Jet2(np.einsum("...i,...i->...", x, x), 2.0 * x, hess)
 
 
-def jet_radius(x: np.ndarray, r_min: float = 0.0) -> Jet2:
+def jet_radius(x: np.ndarray) -> Jet2:
     """Jet of the radial coordinate r = |x|.
 
-    Value |x|, gradient x/|x|, Hessian (I - x⊗x/|x|^2)/|x|.  Raises
-    :class:`DomainError` at (or numerically below ``r_min`` of) the origin,
-    where the radial coordinate is singular.
+    Value |x|, gradient x/|x|, Hessian (I - x⊗x/|x|^2)/|x|; raises
+    :class:`DomainError` at the origin, where r is singular.
     """
-    x = np.asarray(x, dtype=float)
-    r2 = np.einsum("...i,...i->...", x, x)
-    if np.any(r2 <= r_min * r_min):
+    r2 = radius2_jet(x)
+    if np.any(r2.value <= 0.0):
         raise DomainError("radial coordinate evaluated at the origin")
-    return radius2_jet(x).sqrt()
+    return r2.sqrt()

@@ -44,7 +44,7 @@ import numpy as np
 from .fields import (farfield_expand, farfield_jets, farfield_scalar_jets,
                      farfield_scalars)
 from .jets import DIM, DomainError
-from .quadrature import KahanAccumulator, kahan_sum
+from .quadrature import KAHAN_CHUNK, KahanAccumulator, kahan_sum
 from .report import atomic_write
 from .sym2 import Sym2Jet
 
@@ -86,14 +86,9 @@ def parity_of(sites: np.ndarray) -> np.ndarray:
     return (sites.sum(axis=-1) & 1).astype(bool)   # True = odd
 
 
-def near_sites(n0: int, odd: bool, exclude_origin: bool = False) -> np.ndarray:
-    rng = np.arange(-n0, n0 + 1)
-    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    sites = np.stack([g.ravel() for g in grids], axis=-1)
-    mask = parity_of(sites) == odd
-    if exclude_origin:
-        mask &= np.any(sites != 0, axis=-1)
-    return sites[mask]
+def near_sites(n0: int, odd: bool) -> np.ndarray:
+    """One parity class of the cube max|a_i| ≤ n0, in slab_sites order."""
+    return np.concatenate(list(parity_slabs(n0, odd)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +218,7 @@ def _lattice_point_guard(x: np.ndarray):
 
 
 def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
-                       paired: bool = False,
-                       exclude_origin: bool = False) -> Sym2Jet:
+                       paired: bool = False) -> Sym2Jet:
     """Direct symmetric-cube partial sum of the translated far-field tensors:
     the plain kernel on even sites plus the reflected one on odd sites.
 
@@ -246,8 +240,6 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
         acc = [KahanAccumulator(x.shape[:-1] + (3,) + (DIM,) * k)
                for k in range(order + 1)]
         for part in parity_slabs(cutoff, is_odd):
-            if exclude_origin:
-                part = part[np.any(part != 0, axis=-1)]
             if paired:
                 part = _orbit_fold(part, is_odd)
             for lo in range(0, part.shape[0], block):
@@ -261,10 +253,9 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
     return parts[0] + parts[1]
 
 
-def background_values(x, cutoff: int, paired: bool = False,
-                      exclude_origin: bool = False) -> np.ndarray:
+def background_values(x, cutoff: int, paired: bool = False) -> np.ndarray:
     """Value-only :func:`background_partial` at one point (4,) or a batch."""
-    return background_partial(x, cutoff, 0, paired, exclude_origin).val
+    return background_partial(x, cutoff, 0, paired).val
 
 
 def _orbit_fold(sites: np.ndarray, odd: bool) -> np.ndarray:
@@ -382,9 +373,8 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
                 levels[lvl] = levels[lvl - 1]
         prefix = key
         acc = KahanAccumulator()
-        chunk = 1 << 18
-        for lo in range(0, a.shape[0], chunk):
-            acc.add(np.sum(levels[4][lo:lo + chunk]))
+        for lo in range(0, a.shape[0], KAHAN_CHUNK):
+            acc.add(np.sum(levels[4][lo:lo + KAHAN_CHUNK]))
         out[(beta, key[0])] = acc.result()
     return out
 
@@ -600,6 +590,13 @@ class BackgroundCache:
         return path
 
 
+def far_table_header(cutoff: int, degree: int, odd: bool) -> dict:
+    """The cache key of one parity's far table (files are named by it)."""
+    return {"kind": "far-table", "version": 1, "n": cutoff,
+            "n0": NEAR_SHELL, "degree": degree,
+            "parity": "odd" if odd else "even", "grid": "taylor-origin"}
+
+
 def default_cache_dir() -> str:
     return os.environ.get(
         "EH_GLUE_CACHE_DIR",
@@ -634,10 +631,7 @@ class BackgroundField:
     # -- far table ---------------------------------------------------------
 
     def _load_or_build_far(self, odd: bool):
-        header = {"kind": "far-table", "version": 1, "n": self.cutoff,
-                  "n0": NEAR_SHELL, "degree": self.degree,
-                  "parity": "odd" if odd else "even",
-                  "grid": "taylor-origin"}
+        header = far_table_header(self.cutoff, self.degree, odd)
         exps = _canonical_exponents(self.degree)
         if self.cache is not None:
             payload = self.cache.load(header)
@@ -646,12 +640,9 @@ class BackgroundField:
         raw_exps, table = farfield_taylor(self.cutoff, NEAR_SHELL,
                                           self.degree, odd)
         # reindex onto the canonical exponent ordering
-        index = {tuple(e): i for i, e in enumerate(raw_exps)}
+        index = {tuple(e): i for i, e in enumerate(exps.tolist())}
         full = np.zeros((3, exps.shape[0]))
-        for i, e in enumerate(exps):
-            j = index.get(tuple(e))
-            if j is not None:
-                full[:, i] = table[:, j]
+        full[:, [index[tuple(e)] for e in raw_exps.tolist()]] = table
         if self.cache is not None:
             self.cache.store(header, full)
         return exps, full

@@ -31,6 +31,10 @@ from .quadrature import (KahanAccumulator, chunked_kahan_dot, gauss_panel,
 from .sym2 import Sym2Jet, inverse_metric, pair
 
 _E = dict(optimize=False)
+MIN_FLUX_ORDER = 16     # lowest sphere order of a flux; its estimate runs at 8
+RADIAL_LEVELS = 48      # most halvings of the distributional check's radius
+RADIAL_POINTS = 16      # Gauss points per halving panel
+CORNER_POINTS = 8       # corner midpoint grid points per axis
 
 
 def correction_budget(eps: float, delta: float) -> float:
@@ -95,8 +99,7 @@ class DistributionalResult:
 
 
 def distributional_check(u_jet_fn, i: int, j: int, form: str, delta: float,
-                         s3_order: int = 16, radial_levels: int = 48,
-                         radial_points: int = 16) -> DistributionalResult:
+                         s3_order: int = 16) -> DistributionalResult:
     """Quadrature check of the half-π² second-derivative reconstruction.
 
     Evaluates the boundary integral ∫ [v ∂_ν u - u ∂_ν v] dμ on |x| = δ and
@@ -127,10 +130,10 @@ def distributional_check(u_jet_fn, i: int, j: int, form: str, delta: float,
     hi = delta
     ang = s3_quadrature(max(8, s3_order - 6), 1.0)
     last_panel = 0.0
-    for level in range(radial_levels):
+    for level in range(RADIAL_LEVELS):
         lo = hi * 0.5
         panel = KahanAccumulator()
-        for rr, ww in zip(*gauss_panel(lo, hi, radial_points)):
+        for rr, ww in zip(*gauss_panel(lo, hi, RADIAL_POINTS)):
             nodes = ang.nodes * rr
             uj = u_jet_fn(nodes)
             lap = np.einsum("...kk->...", uj.hess, **_E)
@@ -198,8 +201,8 @@ def flux_integral(params: GlueParams, s3_order: int,
     the default (the asymptotic limits agree; see the cross-route suite).
     """
     check_cutoff(params, background)
-    if s3_order < 16:
-        raise ValueError("flux_integral needs s3_order >= 16")
+    if s3_order < MIN_FLUX_ORDER:
+        raise ValueError(f"flux_integral needs s3_order >= {MIN_FLUX_ORDER}")
     fine, est = _with_estimate(
         lambda order: _flux_on_rule(params, background,
                                     s3_quadrature(order, params.delta),
@@ -244,6 +247,8 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
     is replaced by zero (the integral is then exactly zero).
     """
     check_cutoff(params, background)
+    if s3_order < MIN_FLUX_ORDER:
+        raise ValueError(f"z_flux needs s3_order >= {MIN_FLUX_ORDER}")
 
     def value_on(order):
         rule = s3_quadrature(order, params.delta)
@@ -308,13 +313,13 @@ def _shell_radii(params: GlueParams, annulus_points: int, outer_points: int):
     return shells
 
 
-def _corner_sample(n_per_axis: int = 8):
+def _corner_sample():
     """Deterministic midpoint grid on the cube minus the inscribed ball."""
-    c = (np.arange(n_per_axis) + 0.5) / n_per_axis - 0.5
+    c = (np.arange(CORNER_POINTS) + 0.5) / CORNER_POINTS - 0.5
     grids = np.meshgrid(c, c, c, c, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     keep = np.einsum("ij,ij->i", pts, pts) > 0.25
-    return pts[keep], (1.0 / n_per_axis) ** 4
+    return pts[keep], (1.0 / CORNER_POINTS) ** 4
 
 
 def _projection_densities(gm: GluedMetric, nodes: np.ndarray, bgj: Sym2Jet):

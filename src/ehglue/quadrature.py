@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+KAHAN_CHUNK = 1 << 18       # terms per pairwise np.sum in a chunked sum
+PANEL_POINTS = 32           # Gauss points per radial panel (coarse: half)
+TAIL_DOUBLINGS = 40         # geometric panels of an infinite radial range
+
 
 # ---------------------------------------------------------------------------
 # compensated summation
@@ -55,11 +59,11 @@ def kahan_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return acc.total
 
 
-def chunked_kahan_dot(a: np.ndarray, b: np.ndarray, chunk: int = 1 << 18) -> float:
+def chunked_kahan_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Deterministic Σ a_i b_i: pairwise np.sum per chunk, Kahan across chunks."""
     acc = KahanAccumulator()
-    for lo in range(0, a.shape[0], chunk):
-        acc.add(np.sum(a[lo:lo + chunk] * b[lo:lo + chunk]))
+    for lo in range(0, a.shape[0], KAHAN_CHUNK):
+        acc.add(np.sum(a[lo:lo + KAHAN_CHUNK] * b[lo:lo + KAHAN_CHUNK]))
     return acc.result()
 
 
@@ -71,7 +75,7 @@ def chunked_kahan_dot(a: np.ndarray, b: np.ndarray, chunk: int = 1 << 18) -> flo
 class QuadratureRule:
     """Nodes and positive weights for one of the integral kinds used here.
 
-    kind "surface": nodes are points on the sphere |x| = radius in R^4 and
+    kind "surface": nodes are points on a sphere |x| = ρ in R^4 and
     weights approximate the Euclidean surface measure.  kind "radial": nodes
     are radii with panel-Gauss weights, plus an optional analytic tail.
     """
@@ -79,13 +83,9 @@ class QuadratureRule:
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    radius: float = 0.0
     tail_node: float = 0.0
     tail_power: float = 0.0
     coarse_weights: np.ndarray | None = field(default=None, repr=False)
-
-    def total_weight(self) -> float:
-        return float(kahan_sum(self.weights, axis=0))
 
     def integrate(self, f) -> tuple[float, float]:
         """Apply the rule to a callable; returns (value, error estimate)."""
@@ -100,7 +100,7 @@ class QuadratureRule:
             r0 = self.tail_node
             tail = float(f(np.array([r0]))[0]) * r0 / (self.tail_power - 4.0)
             # empirical tail error: re-estimate from one doubling further out
-            mid_nodes, mid_w = gauss_panel(r0, 2.0 * r0, 32)
+            mid_nodes, mid_w = gauss_panel(r0, 2.0 * r0, PANEL_POINTS)
             mid = chunked_kahan_dot(mid_w, np.asarray(f(mid_nodes), dtype=float))
             tail2 = float(f(np.array([2.0 * r0]))[0]) * 2.0 * r0 / (self.tail_power - 4.0)
             val += tail
@@ -143,7 +143,7 @@ def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
     ], axis=-1).reshape(-1, 4) * radius
     W = (w1[:, None, None] * w2[None, :, None]
          * np.full((1, 1, nphi), wphi)) * radius ** 3
-    return QuadratureRule("surface", nodes, W.reshape(-1), radius=radius)
+    return QuadratureRule("surface", nodes, W.reshape(-1))
 
 
 def gauss_panel(a: float, b: float, n: int):
@@ -154,8 +154,7 @@ def gauss_panel(a: float, b: float, n: int):
 
 
 def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
-                      points_per_panel: int = 32, scale: float = 1.0,
-                      max_doublings: int = 40) -> QuadratureRule:
+                      scale: float = 1.0) -> QuadratureRule:
     """Composite Gauss rule on [a, b] (b may be np.inf).
 
     For infinite b the integrand must behave like C r^(3-p) with
@@ -173,7 +172,7 @@ def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
     if infinite:
         r = max(scale, a + scale)
         edges.append(r)
-        for _ in range(max_doublings):
+        for _ in range(TAIL_DOUBLINGS):
             r *= 2.0
             edges.append(r)
     else:
@@ -184,18 +183,16 @@ def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
     # single integrand evaluation yields both values and an error estimate.
     nodes, weights, coarse = [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = gauss_panel(lo, hi, points_per_panel)
-        xc, wc = gauss_panel(lo, hi, points_per_panel // 2)
+        xs, ws = gauss_panel(lo, hi, PANEL_POINTS)
+        xc, wc = gauss_panel(lo, hi, PANEL_POINTS // 2)
         nodes.extend([xs, xc])
         weights.extend([ws, np.zeros_like(wc)])
         coarse.extend([np.zeros_like(ws), wc])
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    coarse = np.concatenate(coarse)
-    return QuadratureRule("radial", nodes, weights,
+    return QuadratureRule("radial", np.concatenate(nodes),
+                          np.concatenate(weights),
                           tail_node=edges[-1] if infinite else 0.0,
                           tail_power=decay_power if infinite else 0.0,
-                          coarse_weights=coarse)
+                          coarse_weights=np.concatenate(coarse))
 
 
 def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -159,16 +159,15 @@ def atomic_write(path: str, data: str | bytes):
         raise
 
 
-def write_report(report: Report, path: str | None, elapsed: float | None = None):
+def write_report(report: Report, path: str | None, elapsed: float):
     text = report.to_json()
     if path:
         atomic_write(path, text)
     else:
         sys.stdout.write(text)
-    if elapsed is not None:
-        print(f"[eh-glue] {report.task}: "
-              f"{'PASS' if report.all_passed else 'FAIL'} "
-              f"({elapsed:.1f} s)", file=sys.stderr)
+    print(f"[eh-glue] {report.task}: "
+          f"{'PASS' if report.all_passed else 'FAIL'} "
+          f"({elapsed:.1f} s)", file=sys.stderr)
 
 
 def write_csv(path: str, header: list[str], rows):

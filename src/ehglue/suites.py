@@ -28,8 +28,9 @@ from .jets import DomainError
 from .lattice import (BackgroundCache, BackgroundField, background_partial,
                       background_values, default_cache_dir, flux_term_exact,
                       interaction_weight, omega_partial)
-from .obstruction import (correction_budget, distributional_check,
-                          flux_integral, flux_single_site, gauge_vector_sup,
+from .obstruction import (MIN_FLUX_ORDER, correction_budget,
+                          distributional_check, flux_integral,
+                          flux_single_site, gauge_vector_sup,
                           projection_integrals, z_flux)
 from .quadrature import line_fit, radial_quadrature, s3_quadrature
 from .report import Report, write_csv
@@ -188,9 +189,11 @@ def run_flux(cfg: RunConfig) -> Report:
 
 def run_zterm(cfg: RunConfig) -> Report:
     rep = Report("zterm", cfg.echo())
+    if cfg.s3_order < MIN_FLUX_ORDER:
+        raise ValueError(f"zterm needs --s3-order >= {MIN_FLUX_ORDER}")
     bg = shared_background(cfg)
     params = GlueParams(cfg.eps, cfg.delta, cfg.cutoff)
-    val, est = z_flux(params, max(16, cfg.s3_order), bg)
+    val, est = z_flux(params, cfg.s3_order, bg)
     bound = correction_budget(cfg.eps, cfg.delta)
     rep.add("value", val, budget=est, passed=abs(val) <= bound + est)
     rep.add("bound", bound)
@@ -224,6 +227,9 @@ def run_project(cfg: RunConfig) -> Report:
     3% / exponent-8 gates as specified.
     """
     rep = Report("project", cfg.echo())
+    # the flux route runs 8 orders below the suite's sphere order
+    if cfg.s3_order - 8 < MIN_FLUX_ORDER:
+        raise ValueError(f"project needs --s3-order >= {MIN_FLUX_ORDER + 8}")
     bg = shared_background(cfg)
     omega = reference_omega(cfg)
     eps_list = [0.05, 0.07, cfg.eps]
@@ -233,7 +239,7 @@ def run_project(cfg: RunConfig) -> Report:
                                outer_points=cfg.outer_points,
                                with_estimate=not cfg.fast)
     params = GlueParams(cfg.eps, cfg.delta, cfg.cutoff)
-    flux = flux_integral(params, max(16, cfg.s3_order - 8), bg, omega)
+    flux = flux_integral(params, cfg.s3_order - 8, bg, omega)
     proj = res[-1]
     rel = abs(proj.onto_obstruction / flux.value - 1.0)
     rep.add("projection", proj.onto_obstruction, budget=proj.quad_estimate)
@@ -391,35 +397,31 @@ def run_heat(cfg: RunConfig) -> Report:
 def run_flow(cfg: RunConfig) -> Report:
     rep = Report("flow", cfg.echo())
     omega = reference_omega(cfg)
-    lam = 1000.0
 
-    eps0 = epsilon_of_t(cfg.t_min, lam, omega=omega)
+    eps0 = epsilon_of_t(cfg.t_min, omega)
     ts, es = ode_integrate(eps0, cfg.t_min, cfg.t_max, cfg.ode_steps, omega)
     stride = max(1, cfg.ode_steps // 64)
-    exact = np.array([epsilon_of_t(t, lam, omega=omega) for t in ts[::stride]])
+    exact = np.array([epsilon_of_t(t, omega) for t in ts[::stride]])
     dev = float(np.max(np.abs(es[::stride] / exact - 1.0)))
     rep.at_most("rk4_vs_closed_form", dev, 1e-9)
 
     grid = -np.logspace(np.log10(-cfg.t_max), np.log10(-cfg.t_min), 60)
-    ass = assumption_check(grid, lam, omega=omega)
+    ass = assumption_check(grid, omega)
     rep.require("assumption_clauses", ass.all_ok)
     rep.results["assumption_margins"] = ass.margins
 
-    t_ref = cfg.t_min
-    eps_ref = epsilon_of_t(t_ref, lam, omega=omega)
-    resid = modulation_residual(t_ref, eps_ref,
-                                epsilon_derivative(t_ref, lam, omega=omega),
-                                omega)
-    resid_floor = 1e-14 * 32.0 * np.pi ** 2 * omega * eps_ref ** 8
+    resid = modulation_residual(cfg.t_min, eps0,
+                                epsilon_derivative(cfg.t_min, omega), omega)
+    resid_floor = 1e-14 * 32.0 * np.pi ** 2 * omega * eps0 ** 8
     rep.add("closed_form_residual", resid, budget=resid_floor,
             passed=abs(resid) <= resid_floor)
 
     peak = curvature_peak()
     rep.add("curvature_peak", peak)
     tgrid = -np.logspace(4, 8, 9)
-    ratios = np.array([blowup_prediction(t, peak, lam, omega)[0]
+    ratios = np.array([blowup_prediction(t, peak, omega)[0]
                        / np.sqrt(-t) for t in tgrid])
-    c_val = blowup_prediction(tgrid[0], peak, lam, omega)[1]
+    c_val = blowup_prediction(tgrid[0], peak, omega)[1]
     spread = float(np.max(ratios) / np.min(ratios) - 1.0)
     rep.at_most("blowup_ratio_spread", spread, 0.01)
     rep.add("blowup_constant", c_val,
@@ -444,8 +446,8 @@ def run_flow(cfg: RunConfig) -> Report:
     if cfg.csv:
         rows = []
         for t, sup in zip(proxy.times, proxy.sup_ric):
-            pred, _ = blowup_prediction(t, peak, lam, omega)
-            rows.append([float(t), float(epsilon_of_t(t, lam, omega=omega)),
+            pred, _ = blowup_prediction(t, peak, omega)
+            rows.append([float(t), float(epsilon_of_t(t, omega)),
                          float(pred), float(sup)])
         write_csv(cfg.csv, ["t", "epsilon", "pred_sup_rm", "ric_proxy"], rows)
     return rep

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -117,6 +119,82 @@ def test_cli_report_merge(tmp_path):
     payload = json.loads(merged.read_text())
     assert set(payload["suites"]) == {"omega", "heat"}
     assert payload["all_passed"]
+
+
+def test_cli_report_rejects_input_that_is_not_an_object(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1]\n")
+    res = run_cli(["report", str(bad)])
+    assert res.returncode == 2
+    assert str(bad) in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("first,second", [
+    ({"task": "flow"}, {"task": "flow"}),
+    ({"task": "flux", "config": {"site": ""}},
+     {"task": "flux", "config": {"site": "1,0,0,0"}}),
+], ids=["flow-twice", "flux-and-flux-site"])
+def test_cli_report_rejects_two_reports_of_one_task(tmp_path, first, second):
+    # merging keys each report by its task, so a second one would replace
+    # the first
+    paths = []
+    for name, payload in (("a", first), ("b", second)):
+        path = tmp_path / name / f"{payload['task']}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(dict(payload, all_passed=True)) + "\n")
+        paths.append(str(path))
+    merged = tmp_path / "merged.json"
+    res = run_cli(["report", *paths, "--out", str(merged)])
+    assert res.returncode == 2
+    assert all(p in res.stderr for p in paths)
+    assert not merged.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["zterm", "--s3-order", "8"], ["project", "--s3-order", "20"],
+], ids=["zterm", "project"])
+def test_cli_rejects_a_flux_order_below_16(tmp_path, monkeypatch, args):
+    # zterm's flux runs at --s3-order and project's flux route 8 below it;
+    # an order under 16 is refused before any background is built
+    from ehglue import cli
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cache").mkdir()
+    assert cli.main([*args, "--out", "report.json",
+                     "--cache-dir", "cache"]) == 2
+    assert not (tmp_path / "report.json").exists()
+    assert not list((tmp_path / "cache").iterdir())
+
+
+def test_cli_and_suites_import_no_scipy():
+    res = run_python(["-c", "import sys, ehglue.cli, ehglue.suites; "
+                            "print(sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == 'scipy'))"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        block = re.search(r"^dependencies = \[(.*?)\]", fh.read(),
+                          re.S | re.M).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_]+)', block))
+    imported = set()
+    package = os.path.join(root, "src", "ehglue")
+    for name in os.listdir(package):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
+    assert third_party == declared == {"numpy"}
 
 
 def test_cli_config_file_respected(tmp_path):

@@ -21,22 +21,9 @@ def test_closed_form_monotone_increasing():
     assert np.all(np.diff(eps) > 0.0)
 
 
-def test_closed_form_with_forcing():
-    eta = lambda s: (-s) ** (-1.0 / 1000.0) * 0.5
-    e0 = epsilon_of_t(-1e5, eta=None, omega=OMEGA)
-    e1 = epsilon_of_t(-1e5, eta=eta, omega=OMEGA)
-    # positive forcing increases the radicand, decreasing the scale
-    assert e1 < e0
-    d = epsilon_derivative(-1e5, eta=eta, omega=OMEGA)
-    h = 1.0
-    fd = (epsilon_of_t(-1e5 + h, eta=eta, omega=OMEGA)
-          - epsilon_of_t(-1e5 - h, eta=eta, omega=OMEGA)) / (2 * h)
-    assert d == pytest.approx(fd, rel=1e-6)
-
-
 def test_state_and_weight_validation():
     with pytest.raises(ValueError):
-        epsilon_of_t(-10.0, lam=1000.0)
+        epsilon_of_t(-10.0)
 
 
 def test_modulation_residual_closed_form_is_zero():

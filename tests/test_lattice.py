@@ -11,8 +11,8 @@ from ehglue.fields import farfield_jets, farfield_scalars
 from ehglue.jets import DomainError
 from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
                             BackgroundField, background_partial,
-                            background_values, farfield_taylor,
-                            flux_term_exact,
+                            background_values, far_table_header,
+                            farfield_taylor, flux_term_exact,
                             gegenbauer_terms, interaction_weight,
                             lattice_moments, near_sites, omega_domain,
                             omega_partial, parity_of, slab_sites)
@@ -213,23 +213,22 @@ def _tensor_route_partial(x, cutoff, parities, exclude_origin):
 def test_direct_sum_matches_tensor_route_oracle():
     x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1],
                   [-0.4, 0.3, 0.2, -0.1]])
-    for exclude_origin in (False, True):
-        oracle = _tensor_route_partial(x, 3, (False, True), exclude_origin)
-        for order, paired in product((0, 1, 2), (False, True)):
-            got = background_partial(x, 3, order, paired, exclude_origin)
-            for k, part in enumerate((got.val, got.d1, got.d2)):
-                if k > order:
-                    assert part is None
-                    continue
-                scale = np.max(np.abs(oracle[k]))
-                assert np.max(np.abs(part - oracle[k])) <= 1e-14 * scale
-            if order == 0:
-                values = background_values(x, 3, paired, exclude_origin)
-                assert values.tobytes() == got.val.tobytes()
-                single = background_values(x[1], 3, paired, exclude_origin)
-                one = background_partial(x[1], 3, 0, paired, exclude_origin)
-                assert single.shape == (4, 4)
-                assert single.tobytes() == one.val.tobytes()
+    oracle = _tensor_route_partial(x, 3, (False, True), False)
+    for order, paired in product((0, 1, 2), (False, True)):
+        got = background_partial(x, 3, order, paired)
+        for k, part in enumerate((got.val, got.d1, got.d2)):
+            if k > order:
+                assert part is None
+                continue
+            scale = np.max(np.abs(oracle[k]))
+            assert np.max(np.abs(part - oracle[k])) <= 1e-14 * scale
+        if order == 0:
+            values = background_values(x, 3, paired)
+            assert values.tobytes() == got.val.tobytes()
+            single = background_values(x[1], 3, paired)
+            one = background_partial(x[1], 3, 0, paired)
+            assert single.shape == (4, 4)
+            assert single.tobytes() == one.val.tobytes()
 
 
 def test_direct_sums_reject_unknown_parity_and_bad_cutoff():
@@ -374,7 +373,9 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
         ref = [np.zeros((3, 4, 4)), np.zeros((3, 4, 4, 4)),
                np.zeros((3, 4, 4, 4, 4))]
         for odd in (False, True):
-            sites = near_sites(1, odd, exclude_origin and not odd)
+            sites = near_sites(1, odd)
+            if exclude_origin:
+                sites = sites[np.any(sites != 0, axis=-1)]
             near = farfield_jets(x[:, None, :] - sites, odd, order=2)
             far = background8._poly[odd].evaluate(x, 2)
             pat = farfield_scalars(odd)
@@ -423,6 +424,7 @@ def test_far_table_under_current_header_loads_without_rebuild(
         header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
                   "degree": 8, "parity": "odd" if odd else "even",
                   "grid": "taylor-origin"}
+        assert far_table_header(4, 8, odd) == header
         assert fresh._poly[odd].coeffs.shape == (3, 495)
         cache.store(header, fresh._poly[odd].coeffs)
 
@@ -456,8 +458,7 @@ def test_background_guard_radius(background8):
 
 def test_cache_roundtrip_bit_identical(tmp_path):
     cache = BackgroundCache(str(tmp_path))
-    header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
-              "degree": 6, "parity": "even", "grid": "taylor-origin"}
+    header = far_table_header(4, 6, odd=False)
     payload = np.linspace(0.0, 1.0, 30).reshape(3, 10)
     path = cache.store(header, payload)
     loaded = cache.load(header)
@@ -498,8 +499,7 @@ def test_damaged_cache_header_is_a_miss(tmp_path, damage):
         end = raw.index(b"\n", start) + 1
         f.write_bytes(raw[:start] + damage(json.loads(raw[start:end]))
                       + raw[end:])
-    header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
-              "degree": 8, "parity": "even", "grid": "taylor-origin"}
+    header = far_table_header(4, 8, odd=False)
     assert cache.path_for(header) in {str(f) for f in files}
     assert cache.load(header) is None
     rebuilt = BackgroundField(4, degree=8, cache=cache).jets(pts,
@@ -513,8 +513,7 @@ def test_damaged_cache_header_is_a_miss(tmp_path, damage):
 def test_writes_use_private_temporary_files(tmp_path):
     # a stale directory at the old fixed temporary name must not matter
     cache = BackgroundCache(str(tmp_path))
-    header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
-              "degree": 6, "parity": "odd", "grid": "taylor-origin"}
+    header = far_table_header(4, 6, odd=True)
     payload = np.linspace(0.0, 1.0, 30).reshape(3, 10)
     os.mkdir(cache.path_for(header) + ".tmp")
     cache.store(header, payload)
