@@ -34,6 +34,9 @@ REPORTS = {
     "zterm": ["zterm"],
     "project": ["project", "--vol-order", "6", "--annulus-points", "4",
                 "--outer-points", "4", "--fast"],
+    # the coarse sweep behind quad_estimate runs only without --fast
+    "project-estimate": ["project", "--vol-order", "6", "--annulus-points",
+                         "4", "--outer-points", "4"],
     "dist-laplace": ["dist-laplace"],
     "glue-scan": ["glue-scan"],
     "heat": ["heat"],

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     numeric(p, "cutoff")
 
     p = sub.add_parser("background", help="lattice background convergence")
-    numeric(p, "cutoff", "taylor_degree")
+    numeric(p, "taylor_degree")
 
     for name in ("flux", "zterm", "project"):
         p = sub.add_parser(name)
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
         os.environ[var] = str(args.threads)
 
     from .config import ConfigError, RunConfig, parse_config_file
-    from .suites import BUDGET_SECONDS, SUITES, TASK_DEFAULTS, run_verify
+    from .suites import BUDGET_SECONDS, SUITES, TASK_DEFAULTS
 
     cfg = RunConfig(task=args.task, **TASK_DEFAULTS.get(args.task, {}))
     try:
@@ -128,12 +128,11 @@ def main(argv=None) -> int:
 
     from .report import write_report
 
+    # `verify X` runs the suite keyed verify-X
+    suite = args.task + ("-" + args.which if "which" in args else "")
     start = time.monotonic()
     try:
-        if args.task == "verify":
-            report = run_verify(cfg, args.which)
-        else:
-            report = SUITES[args.task](cfg)
+        report = SUITES[suite](cfg)
     except (ValueError, ConfigError) as exc:
         print(f"eh-glue: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
         return 3
     if not report.all_passed:
         failing = sorted(k for k, v in report.passes.items() if not v)
-        print(f"eh-glue: suite '{args.task}' failed: {', '.join(failing)}",
+        print(f"eh-glue: suite '{suite}' failed: {', '.join(failing)}",
               file=sys.stderr)
         return 3
     return 0

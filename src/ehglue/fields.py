@@ -282,24 +282,24 @@ def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
 
 def farfield_expand(scalar_jets: tuple, reflected: bool) -> Sym2Jet:
     """Tensor jets -Σ_c M[c]·(c-th scalar) of the form table M of
-    :func:`farfield_scalars` from scalar jets laid out as
+    :func:`farfield_scalars` from the scalar jets present (values, then
+    gradients and Hessians to the jet depth), laid out as
     :func:`farfield_scalar_jets` returns them.  Each entry of M is 0 or ±1
     with disjoint supports, so every component is exactly ± one scalar."""
-    vals, grads, hesses = scalar_jets
     pat = farfield_scalars(reflected)
-    return Sym2Jet(
-        -np.einsum("...n,nij->...ij", vals, pat, optimize=False),
-        None if grads is None else
-        -np.einsum("...nk,nij->...ijk", grads, pat, optimize=False),
-        None if hesses is None else
-        -np.einsum("...nkl,nij->...ijkl", hesses, pat, optimize=False))
+    return Sym2Jet(*(-np.einsum(spec, jet, pat, optimize=False)
+                     for spec, jet in zip(("...n,nij->...ij",
+                                           "...nk,nij->...ijk",
+                                           "...nkl,nij->...ijkl"),
+                                          scalar_jets)))
 
 
 def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym2Jet:
     """Far-field tensor at points y: components -n_c(y)/ρ^6 arranged by
     the form table of :func:`farfield_scalars`, with exact first and second
     derivatives."""
-    return farfield_expand(farfield_scalar_jets(y, reflected, order), reflected)
+    return farfield_expand(farfield_scalar_jets(y, reflected, order)[:order + 1],
+                           reflected)
 
 
 def farfield_tensor(reflected: bool = False) -> TensorField:

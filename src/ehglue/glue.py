@@ -143,15 +143,6 @@ def gap_tensor(bg: Sym2Jet, eps: float, cap: Sym2Jet) -> Sym2Jet:
     return outer_metric(bg, eps) - cap
 
 
-def _put(out: Sym2Jet, mask: np.ndarray, jets: Sym2Jet):
-    """out[mask] = jets, to the jet depth of out."""
-    out.val[mask] = jets.val
-    if out.d1 is not None:
-        out.d1[mask] = jets.d1
-    if out.d2 is not None:
-        out.d2[mask] = jets.d2
-
-
 def check_cutoff(params: GlueParams, background: BackgroundField):
     """Raise ValueError unless the background sums the params' lattice."""
     if background.cutoff != params.lattice_cutoff:
@@ -172,7 +163,7 @@ def background_beyond(background: BackgroundField, x: np.ndarray,
     if np.all(need):
         return background.jets(x, order=order)
     out = Sym2Jet.zeros(x.shape[:-1], order)
-    _put(out, need, background.jets(x[need], order=order))
+    out[need] = background.jets(x[need], order=order)
     return out
 
 
@@ -183,7 +174,7 @@ def _per_parity(fields: dict, y: np.ndarray, odd: np.ndarray,
     for is_odd in (False, True):
         m = odd == is_odd
         if np.any(m):
-            _put(out, m, fields[is_odd].jets(y[m], order))
+            out[m] = fields[is_odd].jets(y[m], order)
     return out
 
 
@@ -222,21 +213,19 @@ class GluedMetric:
             return _per_parity(caps, y[mask], odd[mask], order)
 
         def far_at(mask):
-            return far(Sym2Jet(bg.val[mask],
-                               bg.d1[mask] if order >= 1 else None,
-                               bg.d2[mask] if order >= 2 else None))
+            return far(bg.truncated(order)[mask])
 
         if np.any(inner_m):
-            _put(out, inner_m, cap_at(inner_m))
+            out[inner_m] = cap_at(inner_m)
         if np.any(outer_m):
-            _put(out, outer_m, far_at(outer_m))
+            out[outer_m] = far_at(outer_m)
         if np.any(ann_m):
             cap = cap_at(ann_m)
             far_jets = far_at(ann_m)
             chi = cutoff_jet(x[ann_m], delta, site[ann_m])
             one_minus = Jet2(1.0 - chi.value, -chi.grad, -chi.hess)
-            _put(out, ann_m, cap.scaled_by_jet(one_minus)
-                 + far_jets.scaled_by_jet(chi))
+            out[ann_m] = (cap.scaled_by_jet(one_minus)
+                          + far_jets.scaled_by_jet(chi))
         return out
 
     # -- public -------------------------------------------------------------
@@ -268,10 +257,8 @@ class GluedMetric:
 
 def remove_trace(u: Sym2Jet, g: Sym2Jet) -> Sym2Jet:
     """u - ¼ (tr_g u) g with jets (order limited by the inputs)."""
-    order = min(u.order, g.order)
-    g = Sym2Jet(g.val, g.d1 if order >= 1 else None,
-                g.d2 if order >= 2 else None)
-    tr, _ = trace_jet(g, u, inverse_metric(g.val), order)
+    g = g.truncated(u.order)
+    tr, _ = trace_jet(g, u, inverse_metric(g.val), g.order)
     quarter = Jet2(*(None if a is None else 0.25 * a
                      for a in (tr.value, tr.grad, tr.hess)))
     return u - g.scaled_by_jet(quarter)
@@ -283,7 +270,6 @@ def remove_trace(u: Sym2Jet, g: Sym2Jet) -> Sym2Jet:
 
 @dataclass
 class DecayScan:
-    radii: np.ndarray
     sup_values: np.ndarray
     fitted_exponent: float
 
@@ -333,5 +319,5 @@ def decay_scans(pairs, radii, s3_order: int = 8) -> list[DecayScan]:
     scans = []
     for col in sups.T:
         slope, _ = line_fit(np.log(radii), np.log(np.maximum(col, 1e-300)))
-        scans.append(DecayScan(radii, col, slope))
+        scans.append(DecayScan(col, slope))
     return scans

@@ -157,21 +157,14 @@ def sup_deviation(t: float, signed: bool, n_per_axis: int) -> float:
     return float(np.max(np.abs(np.expm1(total))))
 
 
-@dataclass
-class DecayFit:
-    times: np.ndarray
-    sups: np.ndarray
-    rate: float
-
-
-def decay_rate_scan(signed: bool, times) -> DecayFit:
-    """Fit log sup-deviation against t; the dual spectral gap gives -4π²."""
+def decay_rate_scan(signed: bool, times) -> float:
+    """Fit log sup-deviation against t and return the rate; the dual
+    spectral gap gives -4π²."""
     times = np.asarray(times, dtype=float)
     sups = np.array([sup_deviation(t, signed, GRID_POINTS) for t in times])
     keep = sups > 1e-300
-    times_k, sups_k = times[keep], sups[keep]
-    rate, _ = line_fit(times_k, np.log(sups_k))
-    return DecayFit(times_k, sups_k, rate)
+    rate, _ = line_fit(times[keep], np.log(sups[keep]))
+    return rate
 
 
 def semigroup_defect(t: float, s: float) -> float:

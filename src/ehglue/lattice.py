@@ -32,6 +32,7 @@ with A = ⟨x,a⟩, B = |x|²|a|², giving the exact degree-k coefficients
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -248,8 +249,7 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
                 for a, jet in zip(acc, jets):
                     # contiguous site axis: np.sum reduces it pairwise
                     a.add(np.moveaxis(jet, site_axis, -1).copy().sum(axis=-1))
-        parts.append(farfield_expand(tuple(a.total for a in acc)
-                                     + (None,) * (2 - order), is_odd))
+        parts.append(farfield_expand(tuple(a.total for a in acc), is_odd))
     return parts[0] + parts[1]
 
 
@@ -308,6 +308,26 @@ def _multi_indices(total: int) -> list[tuple[int, int, int, int]]:
             for k in range(total - i - j + 1):
                 out.append((i, j, k, total - i - j - k))
     return out
+
+
+@functools.cache
+def monomial_table(degree: int) -> tuple:
+    """The one numbering of the monomials x^μ of total degree ≤ ``degree``:
+    ordered by total degree, then lexicographically.
+
+    Returns (exponents (n_mono, 4), place, column): the monomial x^μ sits in
+    column ``column[μ @ place]``, and ``column`` is -1 at codes of no
+    monomial.  Far tables, the cache payload and :class:`_PolyJet` all use
+    this layout; built once per degree, read-only.
+    """
+    exps = np.array([mu for total in range(degree + 1)
+                     for mu in _multi_indices(total)], dtype=np.int64)
+    place = (degree + 1) ** np.arange(DIM - 1, -1, -1)
+    column = np.full((degree + 1) ** DIM, -1, dtype=np.int64)
+    column[exps @ place] = np.arange(exps.shape[0])
+    for a in (exps, place, column):
+        a.flags.writeable = False
+    return exps, place, column
 
 
 def _multinomial(total: int, beta) -> float:
@@ -414,10 +434,10 @@ def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
     a^(β+e_q) into x^(β+2ν+e_p) with -2w·n_pq (when k+1 ≤ K), and a^β into
     x^(β+2ν+e_p+e_q) with w·n_pq (when k+2 ≤ K); a branch whose moment
     index has an odd entry vanishes.  Every coefficient is Kahan-summed over
-    its contributions in plan order, and the monomials are numbered in
-    order of first contribution.
+    its contributions in plan order, straight into its column of
+    :func:`monomial_table`.
 
-    Returns (exponents (n_mono, 4) int array, coeffs (3, n_mono)).
+    Returns the coefficients (3, n_mono), the far table's cache payload.
     """
     k, e, beta, nu, w = _taylor_plan(degree)
     scal = farfield_scalars(reflected=odd)
@@ -446,32 +466,28 @@ def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
     value = scale * np.array([moments[r] for r in requests])[key_of]
     mu = beta[row] + 2 * nu[row] + mono_shift[entry, branch]
 
-    # monomials numbered by first contribution
-    _, first, mono_of = np.unique(mu @ radix ** np.arange(DIM - 1, -1, -1),
-                                  return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    exps = mu[np.sort(first)]
-    target = c[entry] * first.size + rank[mono_of]
+    exps, place, column = monomial_table(degree)
+    n_mono = exps.shape[0]
+    target = c[entry] * n_mono + column[mu @ place]
 
     # round r adds the r-th contribution of every target, as a per-target
     # Kahan accumulation in plan order would
     by_target = np.argsort(target, kind="stable")
-    counts = np.bincount(target, minlength=3 * first.size)
+    counts = np.bincount(target, minlength=3 * n_mono)
     nth = np.empty_like(target)
     nth[by_target] = np.arange(target.size) - np.repeat(
         np.cumsum(counts) - counts, counts)
     by_round = np.argsort(nth, kind="stable")
     edges = np.searchsorted(nth[by_round], np.arange(nth.max() + 2))
-    total = np.zeros(3 * first.size)
-    comp = np.zeros(3 * first.size)
+    total = np.zeros(3 * n_mono)
+    comp = np.zeros(3 * n_mono)
     for lo, hi in zip(edges[:-1], edges[1:]):
         idx = target[by_round[lo:hi]]
         y = value[by_round[lo:hi]] - comp[idx]
         t = total[idx] + y
         comp[idx] = (t - total[idx]) - y
         total[idx] = t
-    return exps, total.reshape(3, first.size)
+    return total.reshape(3, n_mono)
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +495,22 @@ def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
 # ---------------------------------------------------------------------------
 
 class _PolyJet:
-    """Evaluate scalar polynomials (shared exponent table) with jets.
+    """Evaluate scalar polynomials of degree ≤ ``degree`` with jets, their
+    coefficients (n_poly, n_mono) laid out by :func:`monomial_table`.
 
     The derivative tables ∂_d (c x^mu) = c mu_d x^(mu - e_d) live on the
     same monomial space; each order keeps only the monomial columns where
     its table has a nonzero entry, and gathers its basis from a power table.
     """
 
-    def __init__(self, exps: np.ndarray, coeffs: np.ndarray):
+    def __init__(self, degree: int, coeffs: np.ndarray):
+        exps, place, column = monomial_table(degree)
         self.exps = exps
-        self.coeffs = coeffs          # (n_poly, n_mono)
-        self.kmax = int(exps.max())
-        # column of each monomial by its base-(kmax+1) code; the table holds
-        # every monomial up to its degree, so mu - e_d has a column
-        place = (self.kmax + 1) ** np.arange(3, -1, -1)
+        self.coeffs = coeffs
+        self.degree = degree
+        # the table holds every monomial up to its degree, so mu - e_d has
+        # a column
         code = exps @ place
-        column = np.empty((self.kmax + 1) ** 4, dtype=np.int64)
-        column[code] = np.arange(exps.shape[0])
 
         def derived(table):           # (..., n_mono) -> (..., 4, n_mono)
             out = np.zeros(table.shape[:-1] + (4, table.shape[-1]))
@@ -516,8 +531,8 @@ class _PolyJet:
     def evaluate(self, x: np.ndarray, order: int = 2):
         """Returns (values, grads, hesses) stacked per polynomial."""
         x = np.asarray(x, dtype=float)
-        pw = np.ones(x.shape[:-1] + (4, self.kmax + 1))
-        for g in range(1, self.kmax + 1):
+        pw = np.ones(x.shape[:-1] + (4, self.degree + 1))
+        for g in range(1, self.degree + 1):
             pw[..., g] = pw[..., g - 1] * x
         out = [None, None, None]
         for k, spec in enumerate(("...m,pm->...p", "...m,pdm->...pd",
@@ -623,29 +638,20 @@ class BackgroundField:
         self.cache = cache
         self._near = {odd: near_sites(NEAR_SHELL, odd)
                       for odd in (False, True)}
-        self._poly: dict[bool, _PolyJet] = {}
-        for odd in (False, True):
-            exps, table = self._load_or_build_far(odd)
-            self._poly[odd] = _PolyJet(exps, table)
+        self._poly = {odd: _PolyJet(degree, self._load_or_build_far(odd))
+                      for odd in (False, True)}
 
     # -- far table ---------------------------------------------------------
 
-    def _load_or_build_far(self, odd: bool):
+    def _load_or_build_far(self, odd: bool) -> np.ndarray:
+        """One parity's far table: the stored one, else built and stored."""
         header = far_table_header(self.cutoff, self.degree, odd)
-        exps = _canonical_exponents(self.degree)
-        if self.cache is not None:
-            payload = self.cache.load(header)
-            if payload is not None:
-                return exps, payload
-        raw_exps, table = farfield_taylor(self.cutoff, NEAR_SHELL,
-                                          self.degree, odd)
-        # reindex onto the canonical exponent ordering
-        index = {tuple(e): i for i, e in enumerate(exps.tolist())}
-        full = np.zeros((3, exps.shape[0]))
-        full[:, [index[tuple(e)] for e in raw_exps.tolist()]] = table
-        if self.cache is not None:
-            self.cache.store(header, full)
-        return exps, full
+        table = None if self.cache is None else self.cache.load(header)
+        if table is None:
+            table = farfield_taylor(self.cutoff, NEAR_SHELL, self.degree, odd)
+            if self.cache is not None:
+                self.cache.store(header, table)
+        return table
 
     # -- evaluation ---------------------------------------------------------
 
@@ -659,19 +665,16 @@ class BackgroundField:
             raise DomainError(
                 f"background expansion used beyond |x| = {MAX_RADIUS:.3f}")
         block = POINT_BLOCK_O2 if order >= 2 else POINT_BLOCK
-        out = Sym2Jet.zeros(shape, order)
         flat = x.reshape(-1, 4)
+        out = Sym2Jet.zeros(flat.shape[:1], order)
         for odd in (False, True):
             for lo in range(0, flat.shape[0], block):
-                blk = flat[lo:lo + block]
-                sl = slice(lo, lo + blk.shape[0])
-                jets = self._eval_parity(blk, odd, order, exclude_origin)
-                out.val.reshape(-1, 4, 4)[sl] += jets.val
-                if order >= 1:
-                    out.d1.reshape(-1, 4, 4, 4)[sl] += jets.d1
-                if order >= 2:
-                    out.d2.reshape(-1, 4, 4, 4, 4)[sl] += jets.d2
-        return out
+                sl = slice(lo, lo + block)
+                jets = self._eval_parity(flat[sl], odd, order, exclude_origin)
+                # in place, through views: no block-sized temporaries
+                for a, b in zip(out[sl].parts, jets.parts):
+                    a += b
+        return Sym2Jet(*(a.reshape(shape + a.shape[1:]) for a in out.parts))
 
     def _eval_parity(self, x: np.ndarray, odd: bool, order: int,
                      exclude_origin: bool) -> Sym2Jet:
@@ -684,12 +687,5 @@ class BackgroundField:
                                     reflected=odd, order=order)
         far = self._poly[odd].evaluate(x, order)
         return farfield_expand(tuple(
-            None if n is None else kahan_sum(n, axis=1) + f
-            for n, f in zip(near, far)), reflected=odd)
-
-
-def _canonical_exponents(degree: int) -> np.ndarray:
-    out = []
-    for total in range(degree + 1):
-        out.extend(_multi_indices(total))
-    return np.asarray(out, dtype=np.int64)
+            kahan_sum(n, axis=1) + f for n, f in zip(near[:order + 1], far)),
+            reflected=odd)

@@ -144,20 +144,17 @@ def run_background(cfg: RunConfig) -> Report:
             budget=1e-10, passed=float(np.max(np.abs(plain - paired))) < 1e-10)
 
     # accelerated field agrees with the direct sum
-    if cfg.cutoff >= 8:
-        pts = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1]])
-        direct = background_partial(pts, 8, order=1)
-        accel = shared_background(replace(cfg, cutoff=8)).jets(pts, order=1)
-        dev = max(float(np.max(np.abs(direct.val - accel.val))),
-                  float(np.max(np.abs(direct.d1 - accel.d1))))
-        rep.add("accelerated_vs_direct", dev, budget=1e-8, passed=dev < 1e-8)
+    pts = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1]])
+    direct = background_partial(pts, 8, order=1)
+    accel = shared_background(replace(cfg, cutoff=8)).jets(pts, order=1)
+    dev = max(float(np.max(np.abs(direct.val - accel.val))),
+              float(np.max(np.abs(direct.d1 - accel.d1))))
+    rep.add("accelerated_vs_direct", dev, budget=1e-8, passed=dev < 1e-8)
     return rep
 
 
 def run_flux(cfg: RunConfig) -> Report:
     rep = Report("flux", cfg.echo())
-    bg = shared_background(cfg)
-    omega = reference_omega(cfg)
     params = GlueParams(cfg.eps, cfg.delta, cfg.cutoff)
     if cfg.site:
         site = tuple(int(v) for v in cfg.site.split(","))
@@ -169,7 +166,8 @@ def run_flux(cfg: RunConfig) -> Report:
                     <= max(1e-3 * abs(single.predicted), 10 * single.quad_estimate))
         return rep
 
-    full = flux_integral(params, cfg.s3_order, bg, omega)
+    full = flux_integral(params, cfg.s3_order, shared_background(cfg),
+                         reference_omega(cfg))
     rel = abs(full.value / full.predicted - 1.0)
     rep.add("value", full.value, budget=full.quad_estimate)
     rep.add("predicted", full.predicted)
@@ -377,9 +375,9 @@ def run_heat(cfg: RunConfig) -> Report:
     target = -4.0 * np.pi ** 2
     times = np.linspace(0.3, 1.5, 7)
     for name, signed in (("plus", False), ("minus", True)):
-        fit = decay_rate_scan(signed, times)
-        rel = abs(fit.rate / target - 1.0)
-        rep.add(f"{name}_decay_rate", fit.rate, budget=0.05 * abs(target),
+        rate = decay_rate_scan(signed, times)
+        rel = abs(rate / target - 1.0)
+        rep.add(f"{name}_decay_rate", rate, budget=0.05 * abs(target),
                 passed=rel <= 0.05)
     sg = semigroup_defect(0.5, 0.5)
     rep.at_most("semigroup_defect", sg, 1e-6)
@@ -662,11 +660,7 @@ def run_verify_glue(cfg: RunConfig) -> Report:
     return rep
 
 
-def run_verify(cfg: RunConfig, which: str = "all") -> Report:
-    if which == "eh":
-        return run_verify_eh(cfg)
-    if which == "glue":
-        return run_verify_glue(cfg)
+def run_verify_all(cfg: RunConfig) -> Report:
     rep_eh = run_verify_eh(cfg)
     rep_glue = run_verify_glue(cfg)
     rep = Report("verify-all", cfg.echo())
@@ -688,4 +682,7 @@ SUITES = {
     "glue-scan": run_glue_scan,
     "heat": run_heat,
     "flow": run_flow,
+    "verify-eh": run_verify_eh,
+    "verify-glue": run_verify_glue,
+    "verify-all": run_verify_all,
 }

@@ -8,7 +8,9 @@ coordinate derivatives:
     d2[..., i, j, k, l]     ∂_k ∂_l h_ij
 
 ``d1``/``d2`` may be ``None`` when a caller only needs lower jet depth (the
-background lattice sums are much cheaper at value+gradient level).
+background lattice sums are much cheaper at value+gradient level).  The
+depth is this class's business: indexed reads and writes, truncation and
+the arithmetic below act on the parts present, so callers never test it.
 """
 
 from __future__ import annotations
@@ -30,36 +32,39 @@ class Sym2Jet:
     def order(self) -> int:
         return 0 if self.d1 is None else (1 if self.d2 is None else 2)
 
+    @property
+    def parts(self) -> tuple:
+        """(val, d1, d2) to the jet depth: the arrays that are present."""
+        return (self.val, self.d1, self.d2)[:self.order + 1]
+
     @staticmethod
     def zeros(shape, order: int = 2) -> "Sym2Jet":
-        return Sym2Jet(
-            np.zeros(shape + (DIM, DIM)),
-            np.zeros(shape + (DIM, DIM, DIM)) if order >= 1 else None,
-            np.zeros(shape + (DIM, DIM, DIM, DIM)) if order >= 2 else None,
-        )
+        return Sym2Jet(*(np.zeros(shape + (DIM,) * (2 + k))
+                         for k in range(order + 1)))
+
+    def __getitem__(self, index) -> "Sym2Jet":
+        return Sym2Jet(*(a[index] for a in self.parts))
+
+    def __setitem__(self, index, jet: "Sym2Jet"):
+        """self[index] = jet, to the jet depth of self."""
+        if jet.order < self.order:
+            raise ValueError(f"cannot write an order-{jet.order} jet into "
+                             f"an order-{self.order} one")
+        for a, b in zip(self.parts, jet.parts):
+            a[index] = b
+
+    def truncated(self, order: int) -> "Sym2Jet":
+        """The same arrays, to jet depth at most ``order``."""
+        return Sym2Jet(*self.parts[:order + 1])
 
     def __add__(self, other: "Sym2Jet") -> "Sym2Jet":
-        order = min(self.order, other.order)
-        return Sym2Jet(
-            self.val + other.val,
-            self.d1 + other.d1 if order >= 1 else None,
-            self.d2 + other.d2 if order >= 2 else None,
-        )
+        return Sym2Jet(*(a + b for a, b in zip(self.parts, other.parts)))
 
     def __sub__(self, other: "Sym2Jet") -> "Sym2Jet":
-        order = min(self.order, other.order)
-        return Sym2Jet(
-            self.val - other.val,
-            self.d1 - other.d1 if order >= 1 else None,
-            self.d2 - other.d2 if order >= 2 else None,
-        )
+        return Sym2Jet(*(a - b for a, b in zip(self.parts, other.parts)))
 
     def scaled(self, c: float) -> "Sym2Jet":
-        return Sym2Jet(
-            c * self.val,
-            c * self.d1 if self.d1 is not None else None,
-            c * self.d2 if self.d2 is not None else None,
-        )
+        return Sym2Jet(*(c * a for a in self.parts))
 
     def scaled_by_jet(self, s: Jet2) -> "Sym2Jet":
         """Product s(x) · h(x) with exact jets (s a scalar jet)."""

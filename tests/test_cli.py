@@ -210,9 +210,9 @@ def test_cli_config_file_respected(tmp_path):
 @pytest.mark.parametrize("args", [
     ["flux", "--fast"], ["zterm", "--fast"], ["glue-scan", "--fast"],
     ["glue-scan", "--s3-order", "5"], ["verify", "eh", "--s3-order", "5"],
-    ["omega", "--config", "threads.cfg"],
+    ["omega", "--config", "threads.cfg"], ["background", "--cutoff", "4"],
 ], ids=["flux-fast", "zterm-fast", "glue-scan-fast", "glue-scan-s3-order",
-        "verify-s3-order", "config-threads"])
+        "verify-s3-order", "config-threads", "background-cutoff"])
 def test_cli_rejects_knobs_no_suite_reads(tmp_path, monkeypatch, args):
     # flags and config keys that no suite reads are configuration errors,
     # rejected before any suite runs
@@ -266,6 +266,49 @@ def test_cli_checks_the_suite_budget_of_the_report_task(tmp_path,
                      str(tmp_path / "eh.json"), "--cache-dir", str(tmp_path)])
     assert code == 3
     assert "suite 'verify-eh' exceeded its 0s budget" in capsys.readouterr().err
+
+
+def test_flux_site_builds_no_background(tmp_path, monkeypatch,
+                                        background32, cache_dir):
+    # the single-site flux reads no lattice: on an empty cache directory it
+    # writes nothing there and reports what it reports with a warm one
+    from ehglue import cli
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    payloads = []
+    for name, cache in (("warm", cache_dir), ("empty", str(empty))):
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["flux", "--site", "1,0,0,0", "--out", str(out),
+                         "--cache-dir", cache]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"].pop("cache_dir") == cache
+        assert payload["config"].pop("out") == str(out)
+        payloads.append(payload)
+    assert not list(empty.iterdir())
+    assert payloads[0] == payloads[1]
+
+
+def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
+                                                   background_calls):
+    # without --fast the projection's budget is its distance to a coarse
+    # sweep at half the radial points (--fast reports exactly 0)
+    import hashlib
+
+    from ehglue import suites
+    from ehglue.glue import GlueParams
+    from ehglue.obstruction import _shell_radii
+    from ehglue.quadrature import s3_quadrature
+    cfg = RunConfig(task="project", cutoff=8, vol_order=6, annulus_points=2,
+                    outer_points=2, cache_dir=cache_dir)
+    estimate = suites.run_project(cfg).budgets["projection"]
+    assert np.isfinite(estimate) and estimate > 0.0
+    ang = s3_quadrature(6, 1.0).nodes
+    coarse = {hashlib.sha256((ang * rho).tobytes()).hexdigest()
+              for rho, _ in _shell_radii(GlueParams(cfg.eps, cfg.delta, 8),
+                                         1, 1)}
+    assert coarse <= {digest for digest, _, _ in background_calls}
 
 
 def test_cache_regeneration_bit_identical(tmp_path):

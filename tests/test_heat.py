@@ -72,8 +72,8 @@ def test_decay_rates_match_spectral_gap():
     target = -4 * np.pi ** 2
     times = np.linspace(0.3, 1.5, 7)
     for signed in (False, True):
-        fit = decay_rate_scan(signed, times)
-        assert abs(fit.rate / target - 1.0) <= 0.05
+        rate = decay_rate_scan(signed, times)
+        assert abs(rate / target - 1.0) <= 0.05
 
 
 def test_sup_grid_refinement():

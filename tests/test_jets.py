@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehglue.jets import DIM, DomainError, Jet2, coordinate_jets, jet_radius
+from ehglue.sym2 import Sym2Jet
 
 
 # -- independent oracle: dense polynomial calculus --------------------------
@@ -171,3 +172,53 @@ def test_radius_jet_matches_finite_differences(rng):
 def test_radius_rejects_origin():
     with pytest.raises(DomainError):
         jet_radius(np.zeros((1, 4)))
+
+
+# -- Sym2Jet: the parts to the jet depth ------------------------------------
+
+def _sym2(rng, n, order):
+    return Sym2Jet(*(rng.normal(size=(n,) + (DIM,) * (2 + k))
+                     for k in range(order + 1)))
+
+
+def _bits(*arrays):
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_sym2jet_parts_follow_the_jet_depth(rng, order):
+    a, b = _sym2(rng, 6, order), _sym2(rng, 6, 2)
+    mask = np.array([True, False, True, True, False, False])
+    parts = [(a.val, a.d1, a.d2)[k] for k in range(order + 1)]
+    none = [None] * (2 - order)
+    assert a.order == order and len(a.parts) == order + 1
+
+    got = a[mask]
+    assert _bits(got.val, got.d1, got.d2) == _bits(
+        *[p[mask] for p in parts], *none)
+    for k in range(3):
+        cut = a.truncated(k)
+        assert _bits(cut.val, cut.d1, cut.d2) == _bits(
+            *parts[:k + 1], *[None] * (2 - min(k, order)))
+    for res, op in ((a + b, np.add), (a - b, np.subtract),
+                    (b + a, lambda x, y: y + x)):
+        assert _bits(res.val, res.d1, res.d2) == _bits(
+            *[op(p, q) for p, q in zip(parts, (b.val, b.d1, b.d2))], *none)
+    res = a.scaled(0.3)
+    assert _bits(res.val, res.d1, res.d2) == _bits(
+        *[0.3 * p for p in parts], *none)
+
+    # a write fills the parts of the target, to its depth
+    out = Sym2Jet.zeros((6,), order)
+    out[mask] = b[mask]
+    for k, p in enumerate(out.parts):
+        want = np.zeros_like(p)
+        want[mask] = (b.val, b.d1, b.d2)[k][mask]
+        assert p.tobytes() == want.tobytes()
+    deep = Sym2Jet.zeros((6,), 2)
+    if order < 2:
+        with pytest.raises(ValueError):
+            deep[mask] = a[mask]
+    else:
+        deep[mask] = a[mask]
+        assert deep.d2[mask].tobytes() == a.d2[mask].tobytes()

@@ -14,8 +14,9 @@ from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
                             background_values, far_table_header,
                             farfield_taylor, flux_term_exact,
                             gegenbauer_terms, interaction_weight,
-                            lattice_moments, near_sites, omega_domain,
-                            omega_partial, parity_of, slab_sites)
+                            lattice_moments, monomial_table, near_sites,
+                            omega_domain, omega_partial, parity_of,
+                            slab_sites)
 from ehglue.quadrature import KahanAccumulator, kahan_sum
 from ehglue.report import atomic_write
 
@@ -392,26 +393,38 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
                 assert got.tobytes() == ref[k].tobytes()
 
 
-# sha256 of farfield_taylor(6, 1, 12, odd): exponents as little-endian
-# int64, coefficients as little-endian doubles, as the per-coefficient Kahan
-# loop produced them before the assembly was vectorised
+# sha256 of farfield_taylor(6, 1, 12, odd) as little-endian doubles, as the
+# per-coefficient Kahan loop produced them before the assembly was
+# vectorised, laid out in the degree-12 monomial table, whose little-endian
+# int64 exponents are pinned too
 FAR_TABLE_DIGESTS = {
-    "exponents": "339f7b1a48e1e99b587582afd55d7c27"
-                 "35e52ec0904e034452324f59eb9f2167",
-    False: "c48aac476ff36a52a346d92cce3e9b9c10665de09cefa34d7507643ce21889e9",
-    True: "0cd3c77f1ce692a6b159b3cdd35afc321a5b58cdd6f4f665126cd817c20914bb",
+    "monomials": "4b25ace5e545ec47e49771eb65476afe"
+                 "f1386f1909ed135e189b0597a2ada0a5",
+    False: "285b07125d77652340cbdd32bda46e4a86959ded6d9d99e5efe7ba7fc2dfde24",
+    True: "882277ce4c8c95dcc18c11804710bd68c4117e7d763a8012918a8b9cfdd6e52f",
 }
 
 
 @pytest.mark.parametrize("odd", [False, True])
 def test_far_table_bit_identical_to_recorded_digest(odd):
-    exps, coeffs = farfield_taylor(6, 1, 12, odd)
-    assert exps.dtype == np.int64 and exps.shape == (714, 4)
-    assert coeffs.shape == (3, 714)
+    exps = monomial_table(12)[0]
+    assert exps.dtype == np.int64 and exps.shape == (1820, 4)
     assert (hashlib.sha256(exps.astype("<i8").tobytes()).hexdigest()
-            == FAR_TABLE_DIGESTS["exponents"])
+            == FAR_TABLE_DIGESTS["monomials"])
+    coeffs = farfield_taylor(6, 1, 12, odd)
+    assert coeffs.shape == (3, 1820)
     assert (hashlib.sha256(coeffs.astype("<f8").tobytes()).hexdigest()
             == FAR_TABLE_DIGESTS[odd])
+
+
+def test_monomial_table_orders_by_degree_then_lexicographically():
+    exps, place, column = monomial_table(5)
+    keys = [(int(e.sum()), *e.tolist()) for e in exps]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len(keys) == len([mu for mu in product(range(6), repeat=4)
+                             if sum(mu) <= 5])
+    assert np.array_equal(column[exps @ place], np.arange(len(keys)))
+    assert monomial_table(5) is monomial_table(5)     # built once per degree
 
 
 def test_far_table_under_current_header_loads_without_rebuild(
