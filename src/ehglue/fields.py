@@ -239,59 +239,82 @@ def farfield_numerators(y: np.ndarray, reflected: bool = False,
     return n, (2.0 * y)[perm] * sign.reshape(sign.shape + (1,) * (y.ndim - 1))
 
 
+def hessian_pairs() -> tuple:
+    """The ten Hessian entries (k, l) with k ≤ l, in ``np.triu_indices``
+    order, and the (4, 4) map from an entry (k, l) or (l, k) to its pair."""
+    k, l = np.triu_indices(DIM)
+    mirror = np.empty((DIM, DIM), dtype=np.intp)
+    mirror[k, l] = mirror[l, k] = np.arange(k.size)
+    return k, l, mirror
+
+
 def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
                          order: int = 2) -> tuple:
-    """The three far-field scalars n_c(y)/ρ^6 at points y with exact jets.
+    """The three far-field scalars n_c(y)/ρ^6 at points y (..., 4) with
+    exact jets.
 
-    Returns (values (..., 3), gradients (..., 3, 4), Hessians (..., 3, 4, 4)),
-    the derivatives ``None`` above ``order``.  The numerators come in closed
-    form from :func:`farfield_numerators`, the derivatives from the explicit
-    product rule; the work runs component-first, so every array operation
-    spans the whole batch, and the results are views of that layout.  This
-    is cheap enough to run over (points × lattice sites) batches.
+    Returns component-first arrays: values (3, ...), gradients (3, 4, ...)
+    and the ten Hessian pairs (3, 10, ...) of :func:`hessian_pairs`, the
+    derivatives ``None`` above ``order``; :func:`farfield_expand` mirrors
+    the pairs.  The numerators come in closed form from
+    :func:`farfield_numerators`, the derivatives from the explicit product
+    rule, and every array operation spans the whole batch.  This is cheap
+    enough for (lattice sites × points) batches: laid out that way, each
+    site's jets are contiguous rows.
     """
     y = np.asarray(y, dtype=float)
-    yt = np.moveaxis(y, -1, 0)
+    yt = np.ascontiguousarray(np.moveaxis(y, -1, 0))
     inv2 = 1.0 / np.einsum("...i,...i->...", y, y)
     inv6 = inv2 * inv2 * inv2
     n, dn = farfield_numerators(yt, reflected, min(order, 1))
-    vals = np.moveaxis(n * inv6, 0, -1)
+    vals = n * inv6
     if order == 0:
         return vals, None, None
 
     # ∂_k (n/ρ^6) = (∂_k n)/ρ^6 - 6 n y_k / ρ^8
     w8 = -6.0 * inv6 * inv2
     nw8 = n * w8
-    grads = np.moveaxis(dn * inv6 + nw8[:, None] * yt, (0, 1), (-2, -1))
+    grads = dn * inv6
+    grads += nw8[:, None] * yt
     if order == 1:
         return vals, grads, None
 
     # ∂_l ∂_k (n/ρ^6) = (∂²n)_{kl}/ρ^6 - 6[(∂_k n) y_l + (∂_l n) y_k + n δ_{kl}]/ρ^8
     #                   + 48 n y_k y_l / ρ^10,   with the constant ∂²n = 2M[c];
     # the y-dependent terms are u_k y_l + u_l y_k, u = -6 ∂n/ρ^8 + 24 n y/ρ^10
-    u = dn * w8 + (n * (24.0 * inv6 * inv2 * inv2))[:, None] * yt
-    hess = u[:, :, None] * yt
-    hess += np.swapaxes(hess, 1, 2)   # numpy buffers the overlapping operand
+    u = dn * w8
+    u += (n * (24.0 * inv6 * inv2 * inv2))[:, None] * yt
     scal = farfield_scalars(reflected)
-    c, p, q = np.nonzero(scal)
-    hess[c, p, q] += np.multiply.outer(2.0 * scal[c, p, q], inv6)
-    diag = np.arange(DIM)
-    hess[:, diag, diag] += nw8[:, None]
-    return vals, grads, np.moveaxis(hess, (0, 1, 2), (-3, -2, -1))
+    k, l, _ = hessian_pairs()
+    hess = np.empty((3, k.size) + yt.shape[1:])
+    for pair, (i, j) in enumerate(zip(k, l)):
+        h = hess[:, pair]
+        np.multiply(u[:, i], yt[j], out=h)
+        h += u[:, j] * yt[i]
+        for c in np.flatnonzero(scal[:, i, j]):
+            h[c] += (2.0 * scal[c, i, j]) * inv6
+        if i == j:
+            h += nw8
+    return vals, grads, hess
 
 
 def farfield_expand(scalar_jets: tuple, reflected: bool) -> Sym2Jet:
     """Tensor jets -Σ_c M[c]·(c-th scalar) of the form table M of
     :func:`farfield_scalars` from the scalar jets present (values, then
-    gradients and Hessians to the jet depth), laid out as
-    :func:`farfield_scalar_jets` returns them.  Each entry of M is 0 or ±1
-    with disjoint supports, so every component is exactly ± one scalar."""
+    gradients and Hessian pairs to the jet depth), laid out as
+    :func:`farfield_scalar_jets` returns them; the tensors come point-first.
+    Each entry of M is 0 or ±1 with disjoint supports, so every component
+    is exactly ± one scalar, and each Hessian pair fills both (k, l) and
+    (l, k)."""
     pat = farfield_scalars(reflected)
+    jets = list(scalar_jets)
+    if len(jets) > 2:
+        jets[2] = jets[2][:, hessian_pairs()[2]]
     return Sym2Jet(*(-np.einsum(spec, jet, pat, optimize=False)
-                     for spec, jet in zip(("...n,nij->...ij",
-                                           "...nk,nij->...ijk",
-                                           "...nkl,nij->...ijkl"),
-                                          scalar_jets)))
+                     for spec, jet in zip(("n...,nij->...ij",
+                                           "nk...,nij->...ijk",
+                                           "nkl...,nij->...ijkl"),
+                                          jets)))
 
 
 def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym2Jet:

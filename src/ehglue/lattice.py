@@ -41,9 +41,11 @@ from fractions import Fraction
 
 import numpy as np
 
-# perfbench/micro.py rebinds lattice.farfield_jets and lattice.kahan_sum
+# perfbench/micro.py times lattice.farfield_jets and lattice.kahan_sum by
+# rebinding them here; only kahan_sum is called here (the near-site
+# reduction), so its near-site split counts the reduction alone
 from .fields import (farfield_expand, farfield_jets, farfield_scalar_jets,
-                     farfield_scalars)
+                     farfield_scalars, hessian_pairs)
 from .jets import DIM, DomainError
 from .quadrature import KAHAN_CHUNK, KahanAccumulator, kahan_sum
 from .report import atomic_write
@@ -234,12 +236,11 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     x = _lattice_point_guard(x)
-    site_axis = x.ndim - 1
     block = max(1, DIRECT_BLOCK // max(1, x.size // DIM))
     parts = []
     for is_odd in (False, True):
-        acc = [KahanAccumulator(x.shape[:-1] + (3,) + (DIM,) * k)
-               for k in range(order + 1)]
+        acc = [KahanAccumulator(lead + x.shape[:-1]) for lead in
+               ((3,), (3, DIM), (3, hessian_pairs()[0].size))[:order + 1]]
         for part in parity_slabs(cutoff, is_odd):
             if paired:
                 part = _orbit_fold(part, is_odd)
@@ -248,7 +249,7 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
                     x[..., None, :] - part[lo:lo + block], is_odd, order)
                 for a, jet in zip(acc, jets):
                     # contiguous site axis: np.sum reduces it pairwise
-                    a.add(np.moveaxis(jet, site_axis, -1).copy().sum(axis=-1))
+                    a.add(np.ascontiguousarray(jet).sum(axis=-1))
         parts.append(farfield_expand(tuple(a.total for a in acc), is_odd))
     return parts[0] + parts[1]
 
@@ -499,8 +500,13 @@ class _PolyJet:
     coefficients (n_poly, n_mono) laid out by :func:`monomial_table`.
 
     The derivative tables ∂_d (c x^mu) = c mu_d x^(mu - e_d) live on the
-    same monomial space; each order keeps only the monomial columns where
-    its table has a nonzero entry, and gathers its basis from a power table.
+    same monomial space, the Hessian's as its ten pairs d ≤ e.  Each table
+    row is a sum over its nonzero coefficients in column order, the sum the
+    full row gives, since a zero term leaves a sum in that order unchanged.
+    Rows with the same nonzero columns form a group, contracted over those
+    columns alone against a basis x^mu = ((x1^a x2^b) x3^c) x4^d gathered
+    from a table of the (a, b, c) products, multiplied in the order of the
+    four-way product.
     """
 
     def __init__(self, degree: int, coeffs: np.ndarray):
@@ -520,38 +526,96 @@ class _PolyJet:
                     exps[src, d] * table[..., src])
             return out
 
-        self.tables = []              # per order: (exponents, coefficients)
-        table = coeffs
-        for _ in range(3):
-            cols = np.flatnonzero(np.any(table.reshape(-1, table.shape[-1]),
-                                         axis=0))
-            self.tables.append((exps[cols], table[..., cols]))
-            table = derived(table)
+        k, l, _ = hessian_pairs()
+        grads = derived(coeffs)
+        _, first, triple = np.unique(exps[:, :3] @ place[1:],
+                                     return_index=True, return_inverse=True)
+        self._triples = exps[first, :3].T
+        self._plans = [self._plan(table, triple, exps[:, 3])
+                       for table in (coeffs, grads, derived(grads)[:, k, l])]
+
+    @staticmethod
+    def _plan(table: np.ndarray, triple: np.ndarray, x4: np.ndarray):
+        """One order's contraction plan: the row shape, the rows sorted by
+        group, and per group of rows with equal nonzero columns its row
+        slice, its columns as (a, b, c) triple and x4 power, and its
+        coefficients.
+
+        The groups' coefficients are column blocks of one (columns, rows)
+        array, never contiguous along the summed columns, so numpy sums each
+        output in column order at any point count (a dot product of two
+        contiguous operands would be split into vector lanes).
+        """
+        flat = table.reshape(-1, table.shape[-1])
+        members: dict[bytes, list] = {}
+        for row, mask in enumerate(flat != 0):
+            members.setdefault(mask.tobytes(), []).append(row)
+        cols = [np.flatnonzero(np.frombuffer(mask, dtype=bool))
+                for mask in members]
+        coef = np.zeros((sum(c.size for c in cols), flat.shape[0]))
+        groups, lo, m = [], 0, 0
+        for rows, c in zip(members.values(), cols):
+            r = slice(lo, lo + len(rows))
+            block = coef[m:m + c.size, r]
+            block[...] = flat[np.ix_(rows, c)].T
+            if c.size:                  # identically zero rows stay zero
+                groups.append((r, triple[c], x4[c], block))
+            lo, m = r.stop, m + c.size
+        by_group = np.concatenate(list(members.values()))
+        return table.shape[:-1], by_group, groups
+
+    def jets(self, x: np.ndarray, order: int = 2) -> tuple:
+        """Component-first jets at points x (P, 4), as
+        :func:`farfield_scalar_jets` lays them out: values (n_poly, P),
+        gradients (n_poly, 4, P) and Hessian pairs (n_poly, 10, P), the
+        derivatives ``None`` above ``order``."""
+        xt = np.asarray(x, dtype=float).T
+        n_pts = xt.shape[1]
+        pw = np.ones((DIM, self.degree + 1, n_pts))
+        for g in range(1, self.degree + 1):
+            pw[:, g] = pw[:, g - 1] * xt
+        a, b, c = self._triples
+        prefix = pw[0, a]
+        prefix *= pw[1, b]
+        prefix *= pw[2, c]
+        out = [None, None, None]
+        for k, (shape, by_group, groups) in enumerate(self._plans[:order + 1]):
+            rows = np.zeros((by_group.size, n_pts))
+            for r, triple, x4, coef in groups:
+                basis = prefix[triple]
+                basis *= pw[3, x4]
+                np.einsum("mp,mg->gp", basis, coef, out=rows[r],
+                          optimize=False)
+            ordered = np.empty_like(rows)
+            ordered[by_group] = rows
+            out[k] = ordered.reshape(shape + (n_pts,))
+        return tuple(out)
 
     def evaluate(self, x: np.ndarray, order: int = 2):
-        """Returns (values, grads, hesses) stacked per polynomial."""
-        x = np.asarray(x, dtype=float)
-        pw = np.ones(x.shape[:-1] + (4, self.degree + 1))
-        for g in range(1, self.degree + 1):
-            pw[..., g] = pw[..., g - 1] * x
-        out = [None, None, None]
-        for k, spec in enumerate(("...m,pm->...p", "...m,pdm->...pd",
-                                  "...m,pdem->...pde")[:order + 1]):
-            exps, table = self.tables[k]
-            basis = (pw[..., 0, exps[:, 0]] * pw[..., 1, exps[:, 1]]
-                     * pw[..., 2, exps[:, 2]] * pw[..., 3, exps[:, 3]])
-            out[k] = np.einsum(spec, basis, table, optimize=False)
-        return tuple(out)
+        """Returns (values, grads, hesses) point-first, (P, n_poly, ...),
+        each Hessian pair mirrored."""
+        vals, grads, pairs = self.jets(x, order)
+        if pairs is not None:
+            pairs = pairs[:, hessian_pairs()[2]]
+        return tuple(None if a is None else np.moveaxis(a, -1, 0)
+                     for a in (vals, grads, pairs))
 
 
 # ---------------------------------------------------------------------------
 # accelerated background field
 # ---------------------------------------------------------------------------
 
-POINT_BLOCK_O2 = 256      # points per BackgroundField.jets block at order 2
-POINT_BLOCK = 4096        # points per block at orders 0 and 1
+POINT_BLOCK = 256         # points per BackgroundField.jets block
 NEAR_SHELL = 1            # sites with max|a_i| ≤ NEAR_SHELL are summed directly
-MAX_RADIUS = 0.6 * (NEAR_SHELL + 1)  # far Taylor error ≲ 0.6^(degree+1)
+# The far Taylor series converges for |x| below the nearest far site, at
+# distance NEAR_SHELL + 1 = 2.  Its degree-k terms grow with the Gegenbauer
+# factor C_k^(3)(1) = binom(k + 5, 5) of the |x - a|^-6 expansion, so the
+# degree-K remainder of the value is ≲ binom(K + 6, 5)·(|x|/2)^(K+1) of the
+# far sum, and each derivative loses about a factor K/|x| more: at degree 12
+# (binom(18, 5) = 8568) 1.3e-4 at |x| = 0.5, 0.18 at the corner grid's 0.875
+# and 1 at |x| = 1.  This guard keeps the series convergent; it states no
+# accuracy.
+MAX_RADIUS = 0.6 * (NEAR_SHELL + 1)
 
 @dataclass
 class BackgroundCache:
@@ -623,10 +687,12 @@ class BackgroundField:
 
     Near sites (max|a_i| ≤ NEAR_SHELL) are summed directly; the remaining
     cube max|a_i| ≤ cutoff enters through its exact degree-``degree`` Taylor
-    polynomial about the origin, valid for |x| below the nearest far site
-    (truncation error ~ (|x|/(NEAR_SHELL+1))^(degree+1), and structurally
-    harmless: the truncated tail stays harmonic, trace-free and
-    divergence-free).  Jets are available for |x| ≤ MAX_RADIUS.
+    polynomial about the origin, which converges for |x| below the nearest
+    far site, at NEAR_SHELL + 1.  The truncation error is
+    ≲ binom(degree + 6, 5)·(|x|/(NEAR_SHELL + 1))^(degree + 1) of the far
+    sum (the Gegenbauer growth of the expansion; see MAX_RADIUS), and
+    structurally harmless: the truncated tail stays harmonic, trace-free and
+    divergence-free.  Jets are available for |x| ≤ MAX_RADIUS.
     """
 
     def __init__(self, cutoff: int = 32, degree: int = 12,
@@ -664,12 +730,11 @@ class BackgroundField:
         if np.any(r > MAX_RADIUS):
             raise DomainError(
                 f"background expansion used beyond |x| = {MAX_RADIUS:.3f}")
-        block = POINT_BLOCK_O2 if order >= 2 else POINT_BLOCK
         flat = x.reshape(-1, 4)
         out = Sym2Jet.zeros(flat.shape[:1], order)
         for odd in (False, True):
-            for lo in range(0, flat.shape[0], block):
-                sl = slice(lo, lo + block)
+            for lo in range(0, flat.shape[0], POINT_BLOCK):
+                sl = slice(lo, lo + POINT_BLOCK)
                 jets = self._eval_parity(flat[sl], odd, order, exclude_origin)
                 # in place, through views: no block-sized temporaries
                 for a, b in zip(out[sl].parts, jets.parts):
@@ -683,9 +748,10 @@ class BackgroundField:
         sites = self._near[odd]
         if exclude_origin and not odd:
             sites = sites[np.any(sites != 0, axis=-1)]
-        near = farfield_scalar_jets(x[:, None, :] - sites.astype(float),
+        # (component, site, point) layout: each site's jets are one row
+        near = farfield_scalar_jets(x - sites[:, None, :].astype(float),
                                     reflected=odd, order=order)
-        far = self._poly[odd].evaluate(x, order)
+        far = self._poly[odd].jets(x, order)
         return farfield_expand(tuple(
-            kahan_sum(n, axis=1) + f for n, f in zip(near[:order + 1], far)),
+            kahan_sum(n, axis=-2) + f for n, f in zip(near[:order + 1], far)),
             reflected=odd)

@@ -125,6 +125,24 @@ def test_farfield_jets_match_finite_differences(rng):
         assert np.max(np.abs(fd - jets.d1[..., k])) < 1e-7
 
 
+def _point_first(scalars):
+    """farfield_scalar_jets' component-first jets, point-first and with
+    each Hessian pair (k ≤ l, in triu_indices order) written to both (k, l)
+    and (l, k): (..., 3), (..., 3, 4), (..., 3, 4, 4)."""
+    vals, grads, pairs = scalars
+    hess = None
+    if pairs is not None:
+        assert pairs.shape[:2] == (3, 10)
+        k, l = np.triu_indices(4)
+        hess = np.empty((3, 4, 4) + pairs.shape[2:])
+        hess[:, k, l] = pairs
+        hess[:, l, k] = pairs
+    return tuple(None if a is None else np.moveaxis(a, lead, tail)
+                 for a, lead, tail in zip(
+                     (vals, grads, hess), (0, (0, 1), (0, 1, 2)),
+                     (-1, (-2, -1), (-3, -2, -1))))
+
+
 @pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_farfield_jets_are_pattern_expansion_of_scalars(rng, order, reflected):
@@ -132,7 +150,7 @@ def test_farfield_jets_are_pattern_expansion_of_scalars(rng, order, reflected):
     # jet, and the components outside the three pattern supports are zero
     y = rng.normal(size=(5, 7, 4))
     jets = farfield_jets(y, reflected, order)
-    scalars = farfield_scalar_jets(y, reflected, order)
+    scalars = _point_first(farfield_scalar_jets(y, reflected, order))
     pat = farfield_scalars(reflected)
     assert np.array_equal(np.abs(pat).sum(axis=0) <= 1, np.ones((4, 4), bool))
     for k, (tensor, scal) in enumerate(zip((jets.val, jets.d1, jets.d2),
@@ -178,7 +196,7 @@ def _quadratic_form_scalar_jets(y, reflected):
 def test_closed_form_scalars_match_quadratic_form_oracle(rng, order, reflected):
     y = rng.normal(size=(6, 9, 4)) * rng.uniform(0.3, 3.0, size=(6, 9, 1))
     oracle, oracle_dn = _quadratic_form_scalar_jets(y, reflected)
-    got = farfield_scalar_jets(y, reflected, order)
+    got = _point_first(farfield_scalar_jets(y, reflected, order))
     # the Hessian's term 48 n y y/ρ^10 exceeds its largest entry, so a few
     # ulp of that term reach 1.3e-15 of the entry (600 random draws)
     for k, tol in enumerate((1e-15, 1e-15, 2e-15)):

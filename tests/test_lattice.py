@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -19,6 +21,7 @@ from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
                             slab_sites)
 from ehglue.quadrature import KahanAccumulator, kahan_sum
 from ehglue.report import atomic_write
+from tests.conftest import sample_offorigin
 
 
 OMEGA_PAPER = 7.70
@@ -391,6 +394,103 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
             for jet in jets[k:]:
                 got = (jet.val, jet.d1, jet.d2)[k]
                 assert got.tobytes() == ref[k].tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_background_jets_block_independent_in_bounded_memory(background8,
+                                                            order):
+    # 8,192 points: beyond its output, one call allocates at most 16 MB at
+    # its peak, and every point's jets keep their bits however the points
+    # are chunked (a lone point, a block boundary either side, the rest)
+    x = sample_offorigin(np.random.default_rng(16), 8192, 0.05, 0.5)
+    tracemalloc.start()
+    try:
+        whole = background8.jets(x, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in whole.parts) <= 16e6
+    bounds = (0, 1, 256, 513, x.shape[0])
+    chunks = [background8.jets(x[lo:hi], order)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for k, part in enumerate(whole.parts):
+        joined = np.concatenate([c.parts[k] for c in chunks])
+        assert joined.tobytes() == part.tobytes()
+
+
+def _dense_poly_jets_as_before(poly, x):
+    """Oracle: the dense polynomial evaluation the grouped one replaced, as
+    it was: per order the full derivative table on the columns where any of
+    its rows is nonzero, the basis as a four-way product from the power
+    table, and one einsum per order."""
+    exps, place, column = monomial_table(poly.degree)
+    code = exps @ place
+
+    def derived(table):
+        out = np.zeros(table.shape[:-1] + (4, table.shape[-1]))
+        for d in range(4):
+            src = np.flatnonzero(exps[:, d])
+            out[..., d, column[code[src] - place[d]]] = (
+                exps[src, d] * table[..., src])
+        return out
+
+    tables, table = [], poly.coeffs
+    for _ in range(3):
+        cols = np.flatnonzero(np.any(table.reshape(-1, table.shape[-1]),
+                                     axis=0))
+        tables.append((exps[cols], table[..., cols]))
+        table = derived(table)
+    pw = np.ones(x.shape[:-1] + (4, poly.degree + 1))
+    for g in range(1, poly.degree + 1):
+        pw[..., g] = pw[..., g - 1] * x
+    out = []
+    for (e, table), spec in zip(tables, ("...m,pm->...p", "...m,pdm->...pd",
+                                         "...m,pdem->...pde")):
+        basis = (pw[..., 0, e[:, 0]] * pw[..., 1, e[:, 1]]
+                 * pw[..., 2, e[:, 2]] * pw[..., 3, e[:, 3]])
+        out.append(np.einsum(spec, basis, table, optimize=False))
+    return out
+
+
+def test_background_hessians_are_bitwise_symmetric(background8):
+    # the far polynomial keeps the Hessian pairs d ≤ e of the dense
+    # evaluation bit for bit and mirrors them, so its Hessian, the near-site
+    # sum's and the background's equal their transposes byte for byte
+    x = sample_offorigin(np.random.default_rng(17), 2000, 0.05, 0.5)
+
+    def symmetric(h):
+        return h.tobytes() == np.swapaxes(h, -1, -2).tobytes()
+
+    d, e = np.triu_indices(4)
+    for odd in (False, True):
+        poly = background8._poly[odd]
+        got = poly.evaluate(x, 2)
+        oracle = _dense_poly_jets_as_before(poly, x)
+        assert got[0].tobytes() == oracle[0].tobytes()
+        assert got[1].tobytes() == oracle[1].tobytes()
+        assert got[2][..., d, e].tobytes() == oracle[2][..., d, e].tobytes()
+        assert symmetric(got[2])
+        for k, part in enumerate(poly.evaluate(x[:1], 2)):
+            assert part.tobytes() == got[k][:1].tobytes()
+        near = farfield_jets(x[:, None, :] - near_sites(1, odd), odd, 2)
+        assert symmetric(kahan_sum(near.d2, axis=1))
+    assert symmetric(background8.jets(x, 2).d2)
+
+
+def test_perfbench_micro_recording_targets_resolve():
+    # perfbench/micro.py times lattice functions by rebinding them through
+    # getattr, so each name it records must stay bound in lattice
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "micro.py")
+    with open(path, encoding="utf-8") as fh:
+        targets = re.findall(r'_recording\((lattice[\w.]*), "(\w+)"',
+                             fh.read())
+    assert {name for _, name in targets} >= {"farfield_jets", "kahan_sum"}
+    for owner, name in targets:
+        obj = lattice
+        for attr in owner.split(".")[1:]:
+            obj = getattr(obj, attr)
+        assert callable(getattr(obj, name))
 
 
 # sha256 of farfield_taylor(6, 1, 12, odd) as little-endian doubles, as the
