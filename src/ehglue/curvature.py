@@ -7,15 +7,27 @@ Index conventions (batched einsums, derivative indices last):
     R^ρ_{σμν} = ∂_μ Γ^ρ_{νσ} - ∂_ν Γ^ρ_{μσ} + Γ^ρ_{μλ}Γ^λ_{νσ} - Γ^ρ_{νλ}Γ^λ_{μσ}
     R_{ρσμν} = g_{ρλ} R^λ_{σμν},   Ric_{σν} = R^μ_{σμν}
 
-(the sign choice making a round sphere's Ricci positive).  The Lichnerowicz
-operator is the rough Laplacian plus curvature action,
+(the sign choice making a round sphere's Ricci positive).  ∂Γ is formed with
+∂g⁻¹ = -g⁻¹(∂g)g⁻¹ folded in, which rounds far less where g is ill-conditioned:
 
-    Δ_L h_ij = g^{kl} ∇_k ∇_l h_ij + 2 R_{ikjl} h^{kl} - Ric_i^k h_kj - Ric_j^k h_ik.
+    ∂_k Γ^m_ij = g^{ml} (½(∂_k∂_i g_lj + ∂_k∂_j g_li - ∂_k∂_l g_ij) - ∂_k g_la Γ^a_ij).
+
+The Lichnerowicz operator is the rough Laplacian plus curvature action,
+
+    Δ_L h_ij = g^{kl} ∇_k ∇_l h_ij + 2 R_{ikjl} h^{kl} - Ric_i^k h_kj - Ric_j^k h_ik,
+
+with the rough Laplacian contracted before any ∇∇h is formed:
+
+    g^{kl} ∇_k ∇_l h_ij = g^{kl} ∂_k∂_l h_ij - γ^m ∇_m h_ij - S_ij - S_ji,
+    S_ij = P^m_i h_mj + Q^{ml}_i (∂_l h_mj + ∇_l h_mj),
+    P^m_i = g^{kl} ∂_l Γ^m_ki,  Q^{ml}_i = g^{kl} Γ^m_ki,  γ^m = Q^{ml}_l.
 
 In this convention g^{kl} R_{ikjl} = Ric_ij, so Δ_L g = 0 holds structurally
 for every metric; the overall sign is pinned by the requirement that Δ_L
 annihilates the decaying kernel modes of the Ricci-flat instanton metric
-(property-tested, not assumed).
+(property-tested, not assumed).  Every einsum has at most two operands, at
+optimize=False, laid out so that a point's result has the same bits in a
+batch of any size.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import DIM, Jet2
-from .sym2 import Sym2Jet, inverse_metric
+from .sym2 import Sym2Jet, inverse_metric, raised
 
 _E = dict(optimize=False)
 
@@ -36,19 +48,20 @@ class CurvatureAt:
 
     ginv: np.ndarray         # (..., 4, 4)
     christoffel: np.ndarray  # (..., m, i, j)
-    dgam: np.ndarray         # (..., m, i, j, k) = ∂_k Γ^m_{ij}
-    riemann: np.ndarray      # (0,4) tensor R_{ρσμν}
+    dgam: np.ndarray         # (..., m, i, j, k) = ∂_k Γ^m_{ij}, laid out m, k, i, j
+    riemann: np.ndarray      # (0,4) tensor R_{ρσμν}, laid out ρ, μ, ν, σ
     ricci: np.ndarray        # (..., 4, 4)
     scalar: np.ndarray       # (...,)
 
     def riemann_sq(self) -> np.ndarray:
-        """|Rm|^2 with all indices raised by the metric."""
-        gi = self.ginv
-        up = np.einsum("...abcd,...ai->...ibcd", self.riemann, gi, **_E)
+        """|Rm|^2 with all indices raised by the metric (contracted in the
+        layout of ``riemann``; the index names are dummies)."""
+        gi, rm = self.ginv, np.moveaxis(self.riemann, -3, -1)
+        up = np.einsum("...abcd,...ai->...ibcd", rm, gi, **_E)
         up = np.einsum("...ibcd,...bj->...ijcd", up, gi, **_E)
         up = np.einsum("...ijcd,...ck->...ijkd", up, gi, **_E)
         up = np.einsum("...ijkd,...dl->...ijkl", up, gi, **_E)
-        return np.einsum("...ijkl,...ijkl->...", self.riemann, up, **_E)
+        return np.einsum("...ijkl,...ijkl->...", rm, up, **_E)
 
 
 def _gamma_term(d1: np.ndarray) -> np.ndarray:
@@ -67,101 +80,103 @@ def christoffel(g: Sym2Jet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse_d1(g: Sym2Jet, ginv: np.ndarray) -> np.ndarray:
-    """∂_k g^{mn}, indexed [..., m, n, k]."""
-    return -np.einsum("...ma,...abk,...bn->...mnk", ginv, g.d1, ginv, **_E)
+    """∂_k g^{mn} = -g^{ma} ∂_k g_ab g^{bn}, indexed [..., m, n, k]."""
+    left = np.einsum("...ma,...abk->...mbk", ginv, g.d1, **_E)
+    return -np.einsum("...mbk,...bn->...mnk", left, ginv, **_E)
 
 
 def inverse_d2(g: Sym2Jet, ginv: np.ndarray, dginv: np.ndarray) -> np.ndarray:
     """∂_k ∂_l g^{mn}, indexed [..., m, n, k, l]."""
-    return (-np.einsum("...mal,...abk,...bn->...mnkl", dginv, g.d1, ginv, **_E)
-            - np.einsum("...ma,...abkl,...bn->...mnkl", ginv, g.d2, ginv, **_E)
-            - np.einsum("...ma,...abk,...bnl->...mnkl", ginv, g.d1, dginv, **_E))
+    left = np.einsum("...mal,...abk->...mbkl", dginv, g.d1, **_E)
+    left += np.einsum("...ma,...abkl->...mbkl", ginv, g.d2, **_E)
+    out = np.einsum("...mbkl,...bn->...mnkl", left, ginv, **_E)
+    ginv_d1 = np.einsum("...ma,...abk->...mbk", ginv, g.d1, **_E)
+    out += np.einsum("...mbk,...bnl->...mnkl", ginv_d1, dginv, **_E)
+    return -out
 
 
-def trace_jet(g: Sym2Jet, h: Sym2Jet, ginv: np.ndarray, order: int):
-    """(tr_g h = g^{ij} h_ij as a Jet2 to ``order``, ∂g^{-1} or None).
+def trace_jet(g: Sym2Jet, h: Sym2Jet, ginv: np.ndarray, order: int) -> Jet2:
+    """tr_g h = g^{ij} h_ij as a Jet2 to ``order``, its gradient without
+    ∂g^{-1}: g^{ij} ∂_k h_ij - h^{ab} ∂_k g_ab.
 
     Derivatives beyond ``order`` are None; g and h need jets of that order.
     """
     tr = Jet2(np.einsum("...ij,...ij->...", ginv, h.val, **_E), None, None)
-    dginv = None
     if order >= 1:
-        dginv = inverse_d1(g, ginv)
-        tr.grad = (np.einsum("...ijk,...ij->...k", dginv, h.val, **_E)
-                   + np.einsum("...ij,...ijk->...k", ginv, h.d1, **_E))
+        tr.grad = (np.einsum("...ij,...ijk->...k", ginv, h.d1, **_E)
+                   - np.einsum("...ab,...abk->...k", raised(ginv, h.val),
+                               g.d1, **_E))
     if order >= 2:
-        ddginv = inverse_d2(g, ginv, dginv)
-        tr.hess = (np.einsum("...ijkl,...ij->...kl", ddginv, h.val, **_E)
+        dginv = inverse_d1(g, ginv)
+        tr.hess = (np.einsum("...ijkl,...ij->...kl",
+                             inverse_d2(g, ginv, dginv), h.val, **_E)
                    + np.einsum("...ijk,...ijl->...kl", dginv, h.d1, **_E)
                    + np.einsum("...ijl,...ijk->...kl", dginv, h.d1, **_E)
                    + np.einsum("...ij,...ijkl->...kl", ginv, h.d2, **_E))
-    return tr, dginv
+    return tr
 
 
-def christoffel_derivative(g: Sym2Jet, ginv: np.ndarray) -> np.ndarray:
-    """∂_k Γ^m_{ij} from an order-2 jet."""
+def christoffel_derivative(g: Sym2Jet, ginv: np.ndarray,
+                           gam: np.ndarray) -> np.ndarray:
+    """∂_k Γ^m_{ij} from an order-2 jet and Γ, without ∂g^{-1}: a view
+    indexed [..., m, i, j, k] of an array laid out [..., m, k, i, j]."""
     d2 = g.d2
-    dterm = (np.einsum("...ljik->...lijk", d2, **_E)     # ∂_k ∂_i g_{lj}
-             + d2                                         # ∂_k ∂_j g_{li}
-             - np.einsum("...ijlk->...lijk", d2, **_E))  # ∂_k ∂_l g_{ij}
-    dginv = inverse_d1(g, ginv)
-    return (0.5 * np.einsum("...mlk,...lij->...mijk", dginv, _gamma_term(g.d1), **_E)
-            + 0.5 * np.einsum("...ml,...lijk->...mijk", ginv, dterm, **_E))
+    bracket = (np.einsum("...ljki->...lkij", d2, **_E)      # ∂_k ∂_i g_{lj}
+               + np.einsum("...likj->...lkij", d2, **_E))   # ∂_k ∂_j g_{li}
+    bracket -= np.einsum("...ijkl->...lkij", d2, **_E)     # ∂_k ∂_l g_{ij}
+    bracket *= 0.5
+    bracket -= np.einsum("...lak,...aij->...lkij", g.d1, gam, **_E)
+    dgam = np.einsum("...ml,...lkij->...mkij", ginv, bracket, **_E)
+    return np.moveaxis(dgam, -3, -1)
 
 
 def curvature_at(g: Sym2Jet) -> CurvatureAt:
-    """Full curvature data from an order-2 metric jet."""
+    """Full curvature data from an order-2 metric jet.
+
+    R^r_{smn} = Y^r_{mns} - Y^r_{nms} with Y^r_{mns} = ∂_m Γ^r_{ns} +
+    Γ^r_{ml} Γ^l_{ns}, laid out [..., r, m, n, s] like R_{rsmn}, which
+    takes the memory of Y once R^r_{smn} is formed.
+    """
     ginv, gam = christoffel(g)
-    dgam = christoffel_derivative(g, ginv)
-    riem1 = (np.einsum("...rnsm->...rsmn", dgam, **_E)
-             - np.einsum("...rmsn->...rsmn", dgam, **_E)
-             + np.einsum("...rml,...lns->...rsmn", gam, gam, **_E)
-             - np.einsum("...rnl,...lms->...rsmn", gam, gam, **_E))
-    riemann = np.einsum("...rl,...lsmn->...rsmn", g.val, riem1, **_E)
-    ricci = np.einsum("...msmn->...sn", riem1, **_E)
-    scalar = np.einsum("...sn,...sn->...", ginv, ricci, **_E)
-    return CurvatureAt(ginv, gam, dgam, riemann, ricci, scalar)
+    dgam = christoffel_derivative(g, ginv, gam)
+    y = np.einsum("...rml,...lns->...rmns", gam, gam, **_E)
+    y += np.einsum("...rnsm->...rmns", dgam, **_E)
+    riem1 = y - np.swapaxes(y, -2, -3)
+    ricci = np.einsum("...mmns->...sn", riem1, **_E)
+    riemann = np.einsum("...rl,...lmns->...rmns", g.val, riem1, out=y, **_E)
+    return CurvatureAt(ginv, gam, dgam, np.moveaxis(riemann, -1, -3), ricci,
+                       np.einsum("...sn,...sn->...", ginv, ricci, **_E))
 
 
 def covariant_d1(h: Sym2Jet, gam: np.ndarray) -> np.ndarray:
-    """∇_k h_{ij}, indexed [..., i, j, k]."""
-    return (h.d1
-            - np.einsum("...mki,...mj->...ijk", gam, h.val, **_E)
-            - np.einsum("...mkj,...im->...ijk", gam, h.val, **_E))
-
-
-def _coord_d_of_covariant_d1(h: Sym2Jet, gam: np.ndarray,
-                             dgam: np.ndarray) -> np.ndarray:
-    """∂_l (∇_k h_{ij}), indexed [..., i, j, k, l] (coordinate derivative)."""
-    return (h.d2
-            - np.einsum("...mkil,...mj->...ijkl", dgam, h.val, **_E)
-            - np.einsum("...mki,...mjl->...ijkl", gam, h.d1, **_E)
-            - np.einsum("...mkjl,...im->...ijkl", dgam, h.val, **_E)
-            - np.einsum("...mkj,...iml->...ijkl", gam, h.d1, **_E))
-
-
-def covariant_d2(h: Sym2Jet, gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
-    """∇_l ∇_k h_{ij}, indexed [..., i, j, k, l]."""
-    nabla1 = covariant_d1(h, gam)
-    d_nabla1 = _coord_d_of_covariant_d1(h, gam, dgam)
-    return (d_nabla1
-            - np.einsum("...mlk,...ijm->...ijkl", gam, nabla1, **_E)
-            - np.einsum("...mli,...mjk->...ijkl", gam, nabla1, **_E)
-            - np.einsum("...mlj,...imk->...ijkl", gam, nabla1, **_E))
+    """∇_k h_ij of a symmetric h at [..., i, j, k], symmetric bit for bit."""
+    term = np.einsum("...mki,...mj->...ijk", gam, h.val, **_E)  # Γ^m_ki h_mj
+    return h.d1 - (term + np.swapaxes(term, -2, -3))
 
 
 def lichnerowicz(g: Sym2Jet, h: Sym2Jet,
                  curv: CurvatureAt | None = None) -> np.ndarray:
-    """Δ_L h at each point (pointwise components)."""
+    """Δ_L h at each point (pointwise components); symmetric bit for bit
+    when the jets of h are."""
     if curv is None:
         curv = curvature_at(g)
-    nabla2 = covariant_d2(h, curv.christoffel, curv.dgam)
-    rough = np.einsum("...kl,...ijkl->...ij", curv.ginv, nabla2, **_E)
-    hup = np.einsum("...ka,...lb,...ab->...kl", curv.ginv, curv.ginv, h.val, **_E)
-    sandwich = np.einsum("...ikjl,...kl->...ij", curv.riemann, hup, **_E)
-    ric_i = np.einsum("...ia,...ak,...kj->...ij", curv.ricci, curv.ginv, h.val, **_E)
-    ric_j = np.einsum("...ja,...ak,...ik->...ij", curv.ricci, curv.ginv, h.val, **_E)
-    return rough + 2.0 * sandwich - ric_i - ric_j
+    ginv, gam = curv.ginv, curv.christoffel
+    # Q^{ml}_i laid out [i, m, l], so that Q·F sums over a contiguous (m, l)
+    q = np.einsum("...kl,...mki->...iml", ginv, gam, order="C", **_E)
+    gamma = np.einsum("...lml->...m", q, **_E)                     # γ^m
+    p_ric = np.einsum("...lk,...mkil->...im", ginv, curv.dgam, **_E)
+    p_ric += np.einsum("...ia,...am->...im", curv.ricci, ginv, **_E)
+    nabla1 = covariant_d1(h, gam)
+    # Δ_L h = g^{kl}∂_k∂_l h - γ^m ∇_m h - E - Eᵀ with E = S + Ric·g⁻¹·h - W,
+    # W_ij = R_{ikjl} h^{kl}; F = ∂h + ∇h is symmetric, so F_mjl reads as F_jml
+    e = np.einsum("...im,...mj->...ij", p_ric, h.val, **_E)
+    e += np.einsum("...iml,...jml->...ij", q, h.d1 + nabla1, **_E)
+    e -= np.einsum("...ikjl,...lk->...ij", curv.riemann,
+                   raised(ginv, h.val), **_E)
+    out = np.einsum("...kl,...ijkl->...ij", ginv, h.d2, **_E)
+    out -= np.einsum("...m,...ijm->...ij", gamma, nabla1, **_E)
+    out -= e + np.swapaxes(e, -1, -2)
+    return out
 
 
 def div_trace(g: Sym2Jet, h: Sym2Jet, curv: CurvatureAt | None = None):
@@ -176,34 +191,10 @@ def div_trace(g: Sym2Jet, h: Sym2Jet, curv: CurvatureAt | None = None):
         ginv, gam = curv.ginv, curv.christoffel
     else:
         ginv, gam = christoffel(g)
-    nabla1 = covariant_d1(h, gam)
-    div = np.einsum("...ik,...kji->...j", ginv, nabla1, **_E)
-    tr, _ = trace_jet(g, h, ginv, 1)
+    div = np.einsum("...ki,...jki->...j", ginv, covariant_d1(h, gam), **_E)
+    tr = trace_jet(g, h, ginv, 1)
     y_vec = np.einsum("...mj,...j->...m", ginv, div - 0.5 * tr.grad, **_E)
     return div, tr.value, y_vec
-
-
-def gauge_vector_with_derivative(g: Sym2Jet, h: Sym2Jet,
-                                 curv: CurvatureAt | None = None):
-    """Y and ∂Y (dy[..., m, l] = ∂_l Y^m); needs order-2 jets of g and h."""
-    if curv is None:
-        curv = curvature_at(g)
-    ginv, gam, dgam = curv.ginv, curv.christoffel, curv.dgam
-    tr, dginv = trace_jet(g, h, ginv, 2)
-
-    nabla1 = covariant_d1(h, gam)
-    d_nabla1 = _coord_d_of_covariant_d1(h, gam, dgam)
-
-    div = np.einsum("...ik,...kji->...j", ginv, nabla1, **_E)
-    ddiv = (np.einsum("...ikl,...kji->...jl", dginv, nabla1, **_E)
-            + np.einsum("...ik,...kjil->...jl", ginv, d_nabla1, **_E))
-
-    w = div - 0.5 * tr.grad
-    dw = ddiv - 0.5 * tr.hess
-    y = np.einsum("...mj,...j->...m", ginv, w, **_E)
-    dy = (np.einsum("...mjl,...j->...ml", dginv, w, **_E)
-          + np.einsum("...mj,...jl->...ml", ginv, dw, **_E))
-    return y, dy
 
 
 def lie_derivative_sym2(u: Sym2Jet, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -280,6 +271,7 @@ def bianchi_residual(jets_fn, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
         dsc[..., k] = (8.0 * (sp - sm) - (sp2 - sm2)) / (12.0 * h)
     ginv = curv0.ginv
     cov_dric = covariant_d1(Sym2Jet(curv0.ricci, dric), curv0.christoffel)
-    div_ric = np.einsum("...ik,...kji->...j", ginv, cov_dric, **_E)
+    div_ric = np.einsum("...ki,...jki->...j", ginv, cov_dric, **_E)
     resid = div_ric - 0.5 * dsc
-    return np.sqrt(np.einsum("...j,...k,...jk->...", resid, resid, ginv, **_E))
+    up = np.einsum("...jk,...k->...j", ginv, resid, **_E)
+    return np.sqrt(np.einsum("...j,...j->...", resid, up, **_E))

@@ -236,7 +236,10 @@ def farfield_numerators(y: np.ndarray, reflected: bool = False,
     scal = farfield_scalars(reflected)
     perm = np.abs(scal).argmax(axis=-1)                   # (3, 4)
     sign = np.take_along_axis(scal, perm[..., None], axis=-1)[..., 0]
-    return n, (2.0 * y)[perm] * sign.reshape(sign.shape + (1,) * (y.ndim - 1))
+    dn = np.empty((3,) + y.shape)       # filled row by row: no temporaries
+    for c, k in np.ndindex(perm.shape):
+        np.multiply(y[perm[c, k]], 2.0 * sign[c, k], out=dn[c, k])
+    return n, dn
 
 
 def hessian_pairs() -> tuple:

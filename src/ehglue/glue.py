@@ -258,7 +258,7 @@ class GluedMetric:
 def remove_trace(u: Sym2Jet, g: Sym2Jet) -> Sym2Jet:
     """u - ¼ (tr_g u) g with jets (order limited by the inputs)."""
     g = g.truncated(u.order)
-    tr, _ = trace_jet(g, u, inverse_metric(g.val), g.order)
+    tr = trace_jet(g, u, inverse_metric(g.val), g.order)
     quarter = Jet2(*(None if a is None else 0.25 * a
                      for a in (tr.value, tr.grad, tr.hess)))
     return u - g.scaled_by_jet(quarter)

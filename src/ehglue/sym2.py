@@ -83,10 +83,15 @@ class Sym2Jet:
         return Sym2Jet(val, d1, d2)
 
 
+def raised(ginv: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a^{kl} = g^{ik} g^{jl} a_ij for an already inverted metric ginv."""
+    left = np.einsum("...ik,...ij->...kj", ginv, a, optimize=False)
+    return np.einsum("...kj,...jl->...kl", left, ginv, optimize=False)
+
+
 def pair(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """g^{ik} g^{jl} a_ij b_kl for an already inverted metric ginv."""
-    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, a, b,
-                     optimize=False)
+    return np.einsum("...kl,...kl->...", raised(ginv, a), b, optimize=False)
 
 
 class SingularMetricError(np.linalg.LinAlgError):

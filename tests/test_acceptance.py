@@ -95,7 +95,8 @@ def test_criterion_03_pointwise_suite(verify_eh):
                             BUDGET["verify-eh"],
                             gates=("det_deviation", "max_ricci",
                                    "mode?_trace", "mode?_divergence",
-                                   "mode?_lichnerowicz"))
+                                   "mode?_lichnerowicz",
+                                   "metric_lichnerowicz"))
 
 
 def test_criterion_04_flux_integral(cache_dir):

@@ -1,11 +1,16 @@
-import numpy as np
+import dataclasses
 
-from ehglue.curvature import (bianchi_residual, curvature_at, div_trace,
-                              fd_sym2jet, gauge_vector_with_derivative,
-                              lichnerowicz, lie_derivative_sym2)
+import numpy as np
+import pytest
+
+from ehglue.curvature import (bianchi_residual, covariant_d1, curvature_at,
+                              div_trace, fd_sym2jet, inverse_d1, lichnerowicz,
+                              lie_derivative_sym2, trace_jet)
 from ehglue.fields import (alpha_forms, eh_metric, euclidean_metric,
                            kernel_mode, radial_vector, vector_fields)
+from ehglue.glue import GluedMetric, GlueParams
 from ehglue.sym2 import Sym2Jet
+from tests.conftest import sample_offorigin
 
 
 def conformal_flat_jets(x, a=0.3):
@@ -164,6 +169,29 @@ def test_fd_oracle_matches_jets(rng):
     assert np.max(np.abs(curvature_at(fd).ricci)) < 1e-5
 
 
+def _gauge_vector_with_derivative(g, h, curv):
+    """Y^m = g^{mj} [(div h)_j - ½ ∂_j tr h] and ∂Y (dy[..., m, l] = ∂_l Y^m)
+    from order-2 jets of g and h."""
+    ginv, gam, dgam = curv.ginv, curv.christoffel, curv.dgam
+    tr = trace_jet(g, h, ginv, 2)
+    dginv = inverse_d1(g, ginv)
+    nabla1 = covariant_d1(h, gam)
+    d_nabla1 = (h.d2                           # ∂_l ∇_k h_ij at [i, j, k, l]
+                - np.einsum("...mkil,...mj->...ijkl", dgam, h.val)
+                - np.einsum("...mki,...mjl->...ijkl", gam, h.d1)
+                - np.einsum("...mkjl,...im->...ijkl", dgam, h.val)
+                - np.einsum("...mkj,...iml->...ijkl", gam, h.d1))
+    div = np.einsum("...ik,...kji->...j", ginv, nabla1)
+    ddiv = (np.einsum("...ikl,...kji->...jl", dginv, nabla1)
+            + np.einsum("...ik,...kjil->...jl", ginv, d_nabla1))
+    w = div - 0.5 * tr.grad
+    dw = ddiv - 0.5 * tr.hess
+    y = np.einsum("...mj,...j->...m", ginv, w)
+    dy = (np.einsum("...mjl,...j->...ml", dginv, w)
+          + np.einsum("...mj,...jl->...ml", ginv, dw))
+    return y, dy
+
+
 def test_gauged_linearization_matches_difference_quotient(rng):
     # -2 Ric_{g+sk} + 2 Ric_g + s(Δ_L k - L_Y g) = O(s²)
     from tests.conftest import sample_offorigin
@@ -172,7 +200,7 @@ def test_gauged_linearization_matches_difference_quotient(rng):
     kj = kernel_mode(2, 1.0).jets(pts)
     curv = curvature_at(gj)
     lich = lichnerowicz(gj, kj, curv)
-    y, dy = gauge_vector_with_derivative(gj, kj, curv)
+    y, dy = _gauge_vector_with_derivative(gj, kj, curv)
     lie_g = lie_derivative_sym2(gj, y, dy)
     resid = []
     for s in (1e-3, 5e-4):
@@ -181,3 +209,121 @@ def test_gauged_linearization_matches_difference_quotient(rng):
         resid.append(np.max(np.abs(r)) / s ** 2)
     # quadratic scaling: the s-normalized residuals agree within 10%
     assert abs(resid[0] / resid[1] - 1.0) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the rewritten curvature path against the formulas it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_dgam(g, ginv):
+    """∂_k Γ^m_ij by the product rule through an explicit ∂g^{-1}."""
+    d1, d2 = g.d1, g.d2
+    term = (np.einsum("...lji->...lij", d1) + d1
+            - np.einsum("...ijl->...lij", d1))
+    dterm = (np.einsum("...ljik->...lijk", d2) + d2
+             - np.einsum("...ijlk->...lijk", d2))
+    dginv = -np.einsum("...ma,...abk,...bn->...mnk", ginv, d1, ginv)
+    return (0.5 * np.einsum("...mlk,...lij->...mijk", dginv, term)
+            + 0.5 * np.einsum("...ml,...lijk->...mijk", ginv, dterm))
+
+
+def _oracle_lichnerowicz(curv, h):
+    """Δ_L h with ∇∇h formed in full, then contracted with g^{kl}."""
+    gam, dgam, ginv = curv.christoffel, curv.dgam, curv.ginv
+    nabla1 = (h.d1 - np.einsum("...mki,...mj->...ijk", gam, h.val)
+              - np.einsum("...mkj,...im->...ijk", gam, h.val))
+    d_nabla1 = (h.d2
+                - np.einsum("...mkil,...mj->...ijkl", dgam, h.val)
+                - np.einsum("...mki,...mjl->...ijkl", gam, h.d1)
+                - np.einsum("...mkjl,...im->...ijkl", dgam, h.val)
+                - np.einsum("...mkj,...iml->...ijkl", gam, h.d1))
+    nabla2 = (d_nabla1
+              - np.einsum("...mlk,...ijm->...ijkl", gam, nabla1)
+              - np.einsum("...mli,...mjk->...ijkl", gam, nabla1)
+              - np.einsum("...mlj,...imk->...ijkl", gam, nabla1))
+    rough = np.einsum("...kl,...ijkl->...ij", ginv, nabla2)
+    hup = np.einsum("...ka,...lb,...ab->...kl", ginv, ginv, h.val)
+    sandwich = np.einsum("...ikjl,...kl->...ij", curv.riemann, hup)
+    ric_i = np.einsum("...ia,...ak,...kj->...ij", curv.ricci, ginv, h.val)
+    ric_j = np.einsum("...ja,...ak,...ik->...ij", curv.ricci, ginv, h.val)
+    return rough + 2.0 * sandwich - ric_i - ric_j
+
+
+def _generic_sym2(rng, n):
+    """A random order-2 jet with the symmetries of a symmetric tensor
+    field's jet, bit for bit."""
+    val = rng.normal(size=(n, 4, 4))
+    d1 = rng.normal(size=(n, 4, 4, 4))
+    d2 = rng.normal(size=(n, 4, 4, 4, 4))
+    d2 = d2 + np.swapaxes(d2, -1, -2)
+    return Sym2Jet(val + np.swapaxes(val, -1, -2),
+                   d1 + np.swapaxes(d1, -2, -3),
+                   d2 + np.swapaxes(d2, -3, -4))
+
+
+@pytest.fixture(params=["glued-annulus", "random-quadratic"])
+def curved_metric_jets(request, background8):
+    """Order-2 jets of two metrics that are not Ricci-flat: the glued
+    metric in its annulus δ/2 < r < δ, and g = δ + A·x + ½ B:xx with
+    random A and B at |x| ≤ 0.5."""
+    rng = np.random.default_rng(31)
+    if request.param == "glued-annulus":
+        gm = GluedMetric(GlueParams(0.1, 0.3, 8), background8)
+        return gm.jets(sample_offorigin(rng, 60, 0.16, 0.29), order=2)
+    coef = _generic_sym2(rng, 1)
+    a, b = 0.2 * coef.d1[0], 0.2 * coef.d2[0]
+    x = sample_offorigin(rng, 60, 0.05, 0.5)
+    bx = np.einsum("ijkl,pl->pijk", b, x)
+    return Sym2Jet(np.eye(4) + np.einsum("ijk,pk->pij", a, x)
+                   + 0.5 * np.einsum("pijk,pk->pij", bx, x),
+                   a + bx, np.broadcast_to(b, (60, 4, 4, 4, 4)))
+
+
+def test_christoffel_derivative_matches_inverse_derivative_oracle(
+        curved_metric_jets):
+    curv = curvature_at(curved_metric_jets)
+    assert np.max(np.abs(curv.ricci)) > 1e-3
+    oracle = _oracle_dgam(curved_metric_jets, curv.ginv)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(curv.dgam - oracle)) <= 1e-12 * scale
+
+
+def test_lichnerowicz_matches_full_second_derivative_oracle(
+        curved_metric_jets):
+    gj = curved_metric_jets
+    h = _generic_sym2(np.random.default_rng(32), gj.val.shape[0])
+    curv = curvature_at(gj)
+    got = lichnerowicz(gj, h, curv)
+    oracle = _oracle_lichnerowicz(curv, h)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert got.tobytes() == np.swapaxes(got, -1, -2).tobytes()
+
+
+def test_curvature_path_is_batch_independent():
+    # every point's result has the same bits whatever batch it is in
+    pts = sample_offorigin(np.random.default_rng(33), 300, 0.3, 5.0)
+    gj, hj = eh_metric(1.0).jets(pts), kernel_mode(2, 1.0).jets(pts)
+
+    def evaluate(g, h):
+        curv = curvature_at(g)
+        out = [getattr(curv, f.name) for f in dataclasses.fields(curv)]
+        out += [*div_trace(g, h, curv), lichnerowicz(g, h, curv)]
+        for order in (0, 1, 2):
+            tr = trace_jet(g, h, curv.ginv, order)
+            out += [a for a in (tr.value, tr.grad, tr.hess) if a is not None]
+        return out
+
+    full = evaluate(gj, hj)
+    for start, n in ((0, 1), (123, 1), (299, 1), (40, 7), (43, 257)):
+        part = slice(start, start + n)
+        for got, want in zip(evaluate(gj[part], hj[part]), full):
+            assert got.tobytes() == want[part].tobytes()
+
+
+def test_lichnerowicz_annihilates_metric_on_every_draw():
+    # Δ_L g vanishes structurally; its roundoff stays far below the gate
+    # for every draw, not only for the session's
+    for seed in range(50):
+        pts = sample_offorigin(np.random.default_rng(seed), 40, 0.3, 5.0)
+        gj = eh_metric(1.0).jets(pts)
+        assert np.max(np.abs(lichnerowicz(gj, gj))) <= 1e-9, seed
