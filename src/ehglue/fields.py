@@ -57,9 +57,8 @@ class TensorField:
     coordinate singularity at the origin.
     """
 
-    name: str
     fn: object
-    r_min: float = 0.0
+    r_min: float
 
     def jets(self, x: np.ndarray, order: int = 2) -> Sym2Jet:
         x = _check_off_origin(x, self.r_min) if self.r_min >= 0.0 else np.asarray(x, float)
@@ -75,7 +74,7 @@ def euclidean_metric() -> TensorField:
         out = Sym2Jet.zeros(shape, order)
         out.val[...] = np.eye(DIM)
         return out
-    return TensorField("euclidean", fn, r_min=-1.0)
+    return TensorField(fn, r_min=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +168,14 @@ def _quadratic_jets(x: np.ndarray, e4: float, terms, order: int) -> Sym2Jet:
     return Sym2Jet(val, d1, d2)
 
 
-def _instanton_field(name: str, field, eps: float,
-                     reflected: bool) -> TensorField:
+def _instanton_field(field, eps: float, reflected: bool) -> TensorField:
     e4 = eps ** 4
     terms = _field_terms(field, e4, reflected)
 
     def fn(x, order):
         return _quadratic_jets(x, e4, terms, order)
 
-    return TensorField(name, fn, r_min=1e-6 * eps)
+    return TensorField(fn, r_min=1e-6 * eps)
 
 
 def eh_metric(eps: float, reflected: bool = False) -> TensorField:
@@ -190,8 +188,7 @@ def eh_metric(eps: float, reflected: bool = False) -> TensorField:
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return euclidean_metric()
-    name = f"eh_hat(eps={eps})" if reflected else f"eh(eps={eps})"
-    return _instanton_field(name, "eh", eps, reflected)
+    return _instanton_field("eh", eps, reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,7 @@ def farfield_jets(y: np.ndarray, reflected: bool = False, order: int = 2) -> Sym
 def farfield_tensor(reflected: bool = False) -> TensorField:
     def fn(x, order):
         return farfield_jets(x, reflected=reflected, order=order)
-    return TensorField("farfield_hat" if reflected else "farfield", fn, r_min=0.0)
+    return TensorField(fn, r_min=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +347,7 @@ def kernel_mode(i: int, eps: float, reflected: bool = False) -> TensorField:
         raise ValueError("mode index must be 1, 2, or 3")
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    name = f"mode{i}_hat(eps={eps})" if reflected else f"mode{i}(eps={eps})"
-    return _instanton_field(name, i, eps, reflected)
+    return _instanton_field(i, eps, reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,6 @@ class SymmetryMap:
 
     lin: tuple
     shift: tuple
-    label: str = ""
 
     def linear(self) -> np.ndarray:
         return np.asarray(self.lin, dtype=float)
@@ -400,18 +395,24 @@ class SymmetryMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.linear().T + self.offset()
 
+    def pull_back(self, values: np.ndarray) -> np.ndarray:
+        """Lᵀ·h·L of tensor values h [..., 4, 4], L the linear part (exact:
+        every entry is one signed entry of h)."""
+        lin = self.linear()
+        return lin.T @ values @ lin
 
-def _lin_map(rows, label) -> SymmetryMap:
-    return SymmetryMap(tuple(map(tuple, rows)), (0.0,) * 4, label)
+
+def _lin_map(rows) -> SymmetryMap:
+    return SymmetryMap(tuple(map(tuple, rows)), (0.0,) * 4)
 
 
 def point_generators() -> list[SymmetryMap]:
     """The four linear generators fixing the instanton fields."""
     return [
-        _lin_map([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "rot12"),
-        _lin_map([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], "rot34"),
-        _lin_map([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], "swap"),
-        _lin_map([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]], "swapneg"),
+        _lin_map([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        _lin_map([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
+        _lin_map([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+        _lin_map([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]]),
     ]
 
 
@@ -424,11 +425,11 @@ def torus_generators() -> list[SymmetryMap]:
         lin[i, i] = -1.0
         shift = np.zeros(4)
         shift[i] = 1.0
-        maps.append(SymmetryMap(tuple(map(tuple, lin)), tuple(shift), f"flip{i+1}"))
+        maps.append(SymmetryMap(tuple(map(tuple, lin)), tuple(shift)))
     for i in range(4):
         shift = np.zeros(4)
         shift[i] = 2.0
-        maps.append(SymmetryMap(tuple(map(tuple, eye)), tuple(shift), f"shift{i+1}"))
+        maps.append(SymmetryMap(tuple(map(tuple, eye)), tuple(shift)))
     return maps
 
 
@@ -440,9 +441,7 @@ def symmetry_check(field: TensorField, sym: SymmetryMap,
                    sample: np.ndarray) -> float:
     """max over the sample of |φ*h - h| in Euclidean component norm."""
     x = np.asarray(sample, dtype=float)
-    lin = sym.linear()
     here = field.jets(x, order=0).val
-    there = field.jets(sym.apply(x), order=0).val
-    pulled = np.einsum("ai,...ab,bj->...ij", lin, there, lin, optimize=False)
+    pulled = sym.pull_back(field.jets(sym.apply(x), order=0).val)
     return float(np.max(np.sqrt(np.einsum("...ij,...ij->...",
                                           pulled - here, pulled - here))))

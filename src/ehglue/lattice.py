@@ -591,15 +591,6 @@ class _PolyJet:
             out[k] = ordered.reshape(shape + (n_pts,))
         return tuple(out)
 
-    def evaluate(self, x: np.ndarray, order: int = 2):
-        """Returns (values, grads, hesses) point-first, (P, n_poly, ...),
-        each Hessian pair mirrored."""
-        vals, grads, pairs = self.jets(x, order)
-        if pairs is not None:
-            pairs = pairs[:, hessian_pairs()[2]]
-        return tuple(None if a is None else np.moveaxis(a, -1, 0)
-                     for a in (vals, grads, pairs))
-
 
 # ---------------------------------------------------------------------------
 # accelerated background field

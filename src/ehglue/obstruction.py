@@ -8,6 +8,10 @@ the volume projection of the Ricci tensor onto the extended obstruction
 tensor, giving an independent cross-route check, and the projection onto the
 metric itself stays at order eps^8 δ^-6.
 
+Every pairing flux, cap or single-site, integrates one kernel,
+:func:`pairing_density` ⟨m, ∇_ν h⟩ - ⟨h, ∇_ν m⟩, and every flux on |x| = δ
+goes through one sphere-integral driver with its quadrature estimate.
+
 Surface geometry is taken with respect to the cap metric as the measure
 dμ in the pairing demands: the area element against the Euclidean one is
 sqrt(det g · g^{-1}(n,n)) for Euclidean unit normal n, and the unit normal
@@ -23,7 +27,7 @@ import numpy as np
 from .curvature import christoffel, covariant_d1, curvature_at, div_trace
 from .fields import eh_metric, farfield_jets, kernel_mode
 from .glue import GlueParams, GluedMetric, check_cutoff, gap_tensor
-from .jets import DomainError, Jet2, coordinate_jets, radius2_jet
+from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
 from .quadrature import (KahanAccumulator, chunked_kahan_dot, gauss_panel,
@@ -42,9 +46,16 @@ def correction_budget(eps: float, delta: float) -> float:
     return 10.0 * eps ** 12 * delta ** -10
 
 
-def _with_estimate(value_on, s3_order: int) -> tuple[float, float]:
-    """(value_on(s3_order), its distance to the coarse value at order
-    max(8, s3_order - 8)): a sphere integral and its quadrature estimate."""
+def _sphere_integral(density, delta: float,
+                     s3_order: int) -> tuple[float, float]:
+    """(∫ integrand · area dS on |x| = δ, its distance to the coarse value
+    at order max(8, s3_order - 8)), with (integrand, area) = density(nodes)
+    and dS the Euclidean sphere rule."""
+    def value_on(order):
+        rule = s3_quadrature(order, delta)
+        integrand, area = density(rule.nodes)
+        return chunked_kahan_dot(rule.weights * area, integrand)
+
     fine = value_on(s3_order)
     return fine, abs(fine - value_on(max(8, s3_order - 8)))
 
@@ -53,8 +64,9 @@ def _with_estimate(value_on, s3_order: int) -> tuple[float, float]:
 # surface geometry helpers
 # ---------------------------------------------------------------------------
 
-def surface_geometry(gj: Sym2Jet, nodes: np.ndarray):
-    """(unit normal vector ν, area factor J) of the sphere through nodes.
+def surface_geometry(gj: Sym2Jet, ginv: np.ndarray, nodes: np.ndarray):
+    """(unit normal vector ν, area factor J) of the sphere through nodes
+    for the metric jets gj, whose inverse ginv the caller holds.
 
     n is the Euclidean unit normal x/|x|; with respect to the metric g the
     outward unit normal is g^{-1} n / |n|_{g^{-1}} and the induced area
@@ -62,17 +74,19 @@ def surface_geometry(gj: Sym2Jet, nodes: np.ndarray):
     """
     r = np.sqrt(np.einsum("...i,...i->...", nodes, nodes))
     n = nodes / r[..., None]
-    ginv = inverse_metric(gj.val)
     gnn = np.einsum("...ij,...i,...j->...", ginv, n, n, **_E)
     nu = np.einsum("...ij,...j->...i", ginv, n, **_E) / np.sqrt(gnn)[..., None]
-    area = np.sqrt(np.linalg.det(gj.val) * gnn)
-    return nu, area, ginv
+    return nu, np.sqrt(np.linalg.det(gj.val) * gnn)
 
 
-def normal_covariant(h: Sym2Jet, gam: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """(∇_ν h)_{ij} = ν^k ∇_k h_{ij}."""
-    nabla = covariant_d1(h, gam)
-    return np.einsum("...k,...ijk->...ij", nu, nabla, **_E)
+def pairing_density(ginv: np.ndarray, nu: np.ndarray, m: np.ndarray,
+                    dm: np.ndarray, h: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """⟨m, ∇_ν h⟩ - ⟨h, ∇_ν m⟩ per node, paired by ginv; dm and dh are
+    the derivatives [..., i, j, k] of m and h, covariant for a curved metric
+    and plain for the Euclidean one (ginv = I)."""
+    dnu_h = np.einsum("...k,...ijk->...ij", nu, dh, **_E)
+    dnu_m = np.einsum("...k,...ijk->...ij", nu, dm, **_E)
+    return pair(ginv, m, dnu_h) - pair(ginv, h, dnu_m)
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +177,6 @@ class FluxReport:
     quad_estimate: float
 
 
-def _flux_on_rule(params: GlueParams, bg: BackgroundField, rule,
-                  exact_gap: bool = False) -> float:
-    nodes = rule.nodes
-    eps = params.eps
-    cap = eh_metric(eps)
-    gj = cap.jets(nodes, order=1)
-    ginv, gam = christoffel(gj)
-    nu, area, _ = surface_geometry(gj, nodes)
-
-    if exact_gap:
-        hbar = gap_tensor(bg.jets(nodes, order=1), eps, gj)
-    else:
-        bgj = bg.jets(nodes, order=1, exclude_origin=True)
-        hbar = bgj.scaled(0.5 * eps ** 4)
-
-    mode = kernel_mode(1, eps).jets(nodes, order=1)
-    dnu_h = normal_covariant(hbar, gam, nu)
-    dnu_o = normal_covariant(mode, gam, nu)
-    integrand = pair(ginv, mode.val, dnu_h) - pair(ginv, hbar.val, dnu_o)
-    return chunked_kahan_dot(rule.weights * area, integrand)
-
-
 def flux_integral(params: GlueParams, s3_order: int,
                   background: BackgroundField,
                   omega: float = OMEGA_REFERENCE,
@@ -203,13 +195,25 @@ def flux_integral(params: GlueParams, s3_order: int,
     check_cutoff(params, background)
     if s3_order < MIN_FLUX_ORDER:
         raise ValueError(f"flux_integral needs s3_order >= {MIN_FLUX_ORDER}")
-    fine, est = _with_estimate(
-        lambda order: _flux_on_rule(params, background,
-                                    s3_quadrature(order, params.delta),
-                                    exact_gap), s3_order)
-    predicted = 32.0 * np.pi ** 2 * params.eps ** 8 * omega
+    eps = params.eps
+
+    def density(nodes):
+        gj = eh_metric(eps).jets(nodes, order=1)
+        ginv, gam = christoffel(gj)
+        nu, area = surface_geometry(gj, ginv, nodes)
+        if exact_gap:
+            hbar = gap_tensor(background.jets(nodes, order=1), eps, gj)
+        else:
+            hbar = background.jets(nodes, order=1, exclude_origin=True)
+            hbar = hbar.scaled(0.5 * eps ** 4)
+        mode = kernel_mode(1, eps).jets(nodes, order=1)
+        return pairing_density(ginv, nu, mode.val, covariant_d1(mode, gam),
+                               hbar.val, covariant_d1(hbar, gam)), area
+
+    fine, est = _sphere_integral(density, params.delta, s3_order)
+    predicted = 32.0 * np.pi ** 2 * eps ** 8 * omega
     return FluxReport(fine, predicted,
-                      correction_budget(params.eps, params.delta), est)
+                      correction_budget(eps, params.delta), est)
 
 
 def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
@@ -223,19 +227,13 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
         raise DomainError("site must be nonzero")
     odd = bool(parity_of(site[None])[0])
 
-    def value_on(order):
-        rule = s3_quadrature(order, delta)
-        nodes = rule.nodes
-        n = nodes / delta
+    def density(nodes):
         center = farfield_jets(nodes, reflected=False, order=1)
         moved = farfield_jets(nodes - site.astype(float), reflected=odd, order=1)
-        dnu_c = np.einsum("...k,...ijk->...ij", n, center.d1, **_E)
-        dnu_m = np.einsum("...k,...ijk->...ij", n, moved.d1, **_E)
-        integrand = (np.einsum("...ij,...ij->...", center.val, dnu_m, **_E)
-                     - np.einsum("...ij,...ij->...", moved.val, dnu_c, **_E))
-        return chunked_kahan_dot(rule.weights, integrand)
+        return pairing_density(np.eye(DIM), nodes / delta, center.val,
+                               center.d1, moved.val, moved.d1), 1.0
 
-    fine, est = _with_estimate(value_on, s3_order)
+    fine, est = _sphere_integral(density, delta, s3_order)
     return FluxReport(fine, flux_term_exact(site), 0.0, est)
 
 
@@ -249,24 +247,21 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
     check_cutoff(params, background)
     if s3_order < MIN_FLUX_ORDER:
         raise ValueError(f"z_flux needs s3_order >= {MIN_FLUX_ORDER}")
+    eps = params.eps
 
-    def value_on(order):
-        rule = s3_quadrature(order, params.delta)
-        nodes = rule.nodes
-        eps = params.eps
+    def density(nodes):
         gj = eh_metric(eps).jets(nodes, order=1)
-        nu, area, ginv = surface_geometry(gj, nodes)
+        nu, area = surface_geometry(gj, inverse_metric(gj.val), nodes)
         if zero_gap:
             hbar = Sym2Jet.zeros(nodes.shape[:-1], 1)
         else:
             hbar = gap_tensor(background.jets(nodes, order=1), eps, gj)
         _, _, z_vec = div_trace(gj, hbar)
         mode = kernel_mode(1, eps).jets(nodes, order=0)
-        integrand = 2.0 * np.einsum("...ij,...i,...j->...", mode.val, z_vec,
-                                    nu, **_E)
-        return chunked_kahan_dot(rule.weights * area, integrand)
+        return 2.0 * np.einsum("...ij,...i,...j->...", mode.val, z_vec, nu,
+                               **_E), area
 
-    return _with_estimate(value_on, s3_order)
+    return _sphere_integral(density, params.delta, s3_order)
 
 
 def gauge_vector_sup(params: GlueParams, s3_order: int,

@@ -34,6 +34,7 @@ from .obstruction import (MIN_FLUX_ORDER, correction_budget,
                           projection_integrals, z_flux)
 from .quadrature import line_fit, radial_quadrature, s3_quadrature
 from .report import Report, write_csv
+from .sym2 import pair
 from .flow import (ProxyPolicy, assumption_check, blowup_prediction,
                    curvature_peak, epsilon_derivative, epsilon_of_t,
                    modulation_residual, ode_integrate, ricci_decay_proxy)
@@ -127,9 +128,7 @@ def run_background(cfg: RunConfig) -> Report:
         base = vals_all[0]
         worst = 0.0
         for m, v in zip(map_collection(), vals_all[1:]):
-            lin = m.linear()
-            pulled = lin.T @ v @ lin
-            worst = max(worst, float(np.max(np.abs(pulled - base))))
+            worst = max(worst, float(np.max(np.abs(m.pull_back(v) - base))))
         defects[n] = worst
     slope_inv, _ = line_fit(np.log(np.array([8.0, 16.0])),
                             np.log(np.array([defects[8], defects[16]])))
@@ -512,9 +511,7 @@ def run_verify_eh(cfg: RunConfig) -> Report:
                 passed=rel <= 1e-6)
     # the pointwise norm identity behind it
     oj = kernel_mode(1, 1.0).jets(pts[:20], order=0)
-    ginv = curv.ginv[:20]
-    sq = np.einsum("pik,pjl,pij,pkl->p", ginv, ginv, oj.val, oj.val,
-                   optimize=False)
+    sq = pair(curv.ginv[:20], oj.val, oj.val)
     r2 = np.einsum("pi,pi->p", pts[:20], pts[:20])
     expect = 4.0 * (1.0 / (1.0 + r2 ** 2)) ** 2
     norm_dev = float(np.max(np.abs(sq - expect)))
@@ -609,10 +606,8 @@ def run_verify_glue(cfg: RunConfig) -> Report:
                             seed=3)
     worst = 0.0
     for m in point_generators():
-        lin = m.linear()
         here = gm.values(sym_pts)
-        there = gm.values(sym_pts @ lin.T)
-        pulled = np.einsum("ai,pab,bj->pij", lin, there, lin, optimize=False)
+        pulled = m.pull_back(gm.values(m.apply(sym_pts)))
         worst = max(worst, float(np.max(np.abs(pulled - here))))
     tail_tol = 10.0 * params.eps ** 4 / cfg.cutoff
     rep.at_most("point_group_invariance", worst, tail_tol)

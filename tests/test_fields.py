@@ -400,3 +400,14 @@ def test_origin_rejected():
         eh_metric(1.0).values(np.zeros((1, 4)))
     with pytest.raises(DomainError):
         alpha_forms(np.zeros((1, 4)))
+
+
+def test_pull_back_is_the_congruence_by_the_linear_part(rng):
+    # Lᵀ·h·L, bit for bit, for a batch and for one tensor
+    h = rng.normal(size=(7, 4, 4))
+    h = h + np.swapaxes(h, -1, -2)
+    for sym in map_collection():
+        lin = sym.linear()
+        want = np.einsum("ai,pab,bj->pij", lin, h, lin)
+        assert sym.pull_back(h).tobytes() == want.tobytes()
+        assert sym.pull_back(h[0]).tobytes() == want[0].tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ehglue import lattice
-from ehglue.fields import farfield_jets, farfield_scalars
+from ehglue.fields import farfield_jets, farfield_scalars, hessian_pairs
 from ehglue.jets import DomainError
 from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
                             BackgroundField, background_partial,
@@ -25,6 +25,16 @@ from tests.conftest import sample_offorigin
 
 
 OMEGA_PAPER = 7.70
+
+
+def poly_evaluate(poly, x, order=2):
+    """A far polynomial's jets at x point-first, (P, n_poly, ...), as
+    (values, grads, hesses) with each Hessian pair mirrored."""
+    vals, grads, pairs = poly.jets(x, order)
+    if pairs is not None:
+        pairs = pairs[:, hessian_pairs()[2]]
+    return tuple(None if a is None else np.moveaxis(a, -1, 0)
+                 for a in (vals, grads, pairs))
 
 
 def test_single_site_weights():
@@ -188,8 +198,7 @@ def test_background_invariance_defect_shrinks():
         vals = background_values(pts, n)
         worst = 0.0
         for m, v in zip(map_collection(), vals[1:]):
-            lin = m.linear()
-            worst = max(worst, float(np.max(np.abs(lin.T @ v @ lin - vals[0]))))
+            worst = max(worst, float(np.max(np.abs(m.pull_back(v) - vals[0]))))
         defects[n] = worst
     assert defects[8] < defects[4]
 
@@ -315,7 +324,7 @@ def test_far_taylor_keeps_harmonic_tracefree_structure(background8):
     # the far polynomial alone: harmonic, trace-free, divergence-free
     pts = np.array([[0.3, 0.2, -0.1, 0.05]])
     for odd in (False, True):
-        vals, grads, hesses = background8._poly[odd].evaluate(pts, order=2)
+        vals, grads, hesses = poly_evaluate(background8._poly[odd], pts)
         lap = np.einsum("pnkk->pn", hesses)
         assert np.max(np.abs(lap)) < 1e-10
     jets = background8.jets(pts, order=2)
@@ -357,7 +366,7 @@ def test_compact_polynomial_matches_dense_oracle(background8, rng, odd):
         * rng.uniform(0.05, 1.15, size=(16, 1))
     oracle = _dense_poly_jets(poly.exps, poly.coeffs, x)
     for order in (0, 1, 2):
-        got = poly.evaluate(x, order)
+        got = poly_evaluate(poly, x, order)
         for k in range(3):
             if k > order:
                 assert got[k] is None
@@ -381,7 +390,7 @@ def test_background_jets_equal_tensor_route_and_agree_across_orders(
             if exclude_origin:
                 sites = sites[np.any(sites != 0, axis=-1)]
             near = farfield_jets(x[:, None, :] - sites, odd, order=2)
-            far = background8._poly[odd].evaluate(x, 2)
+            far = poly_evaluate(background8._poly[odd], x)
             pat = farfield_scalars(odd)
             for k, (tensor, spec) in enumerate(zip(
                     (near.val, near.d1, near.d2),
@@ -464,13 +473,13 @@ def test_background_hessians_are_bitwise_symmetric(background8):
     d, e = np.triu_indices(4)
     for odd in (False, True):
         poly = background8._poly[odd]
-        got = poly.evaluate(x, 2)
+        got = poly_evaluate(poly, x)
         oracle = _dense_poly_jets_as_before(poly, x)
         assert got[0].tobytes() == oracle[0].tobytes()
         assert got[1].tobytes() == oracle[1].tobytes()
         assert got[2][..., d, e].tobytes() == oracle[2][..., d, e].tobytes()
         assert symmetric(got[2])
-        for k, part in enumerate(poly.evaluate(x[:1], 2)):
+        for k, part in enumerate(poly_evaluate(poly, x[:1])):
             assert part.tobytes() == got[k][:1].tobytes()
         near = farfield_jets(x[:, None, :] - near_sites(1, odd), odd, 2)
         assert symmetric(kahan_sum(near.d2, axis=1))
@@ -558,9 +567,7 @@ def test_background_field_exact_point_symmetry(background8):
     pts = np.array([[0.21, 0.13, -0.09, 0.31]])
     base = background8.jets(pts, order=0).val
     for m in point_generators():
-        lin = m.linear()
-        moved = background8.jets(pts @ lin.T, order=0).val
-        pulled = np.einsum("ai,pab,bj->pij", lin, moved, lin)
+        pulled = m.pull_back(background8.jets(m.apply(pts), order=0).val)
         assert np.max(np.abs(pulled - base)) < 1e-12
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from ehglue.fields import eh_metric
+from ehglue.curvature import christoffel, covariant_d1
+from ehglue.fields import eh_metric, farfield_jets, kernel_mode
 from ehglue.glue import GlueParams
 from ehglue.jets import DomainError, coordinate_jets
-from ehglue.obstruction import (distributional_check, flux_integral,
-                                flux_single_site, surface_geometry, z_flux)
+from ehglue.lattice import flux_term_exact, parity_of
+from ehglue.obstruction import (_sphere_integral, distributional_check,
+                                flux_integral, flux_single_site,
+                                pairing_density, surface_geometry, z_flux)
 from ehglue.quadrature import s3_quadrature
 
 
@@ -79,7 +82,7 @@ def test_surface_geometry_matches_closed_form():
     eps, delta = 0.1, 0.3
     rule = s3_quadrature(8, delta)
     gj = eh_metric(eps).jets(rule.nodes, order=1)
-    nu, area, ginv = surface_geometry(gj, rule.nodes)
+    nu, area = surface_geometry(gj, np.linalg.inv(gj.val), rule.nodes)
     w = np.sqrt(eps ** 4 + delta ** 4)
     assert np.max(np.abs(area - np.sqrt(w) / delta)) < 1e-13
     # unit normal: |nu|_g = 1
@@ -108,10 +111,7 @@ def test_single_site_flux_delta_independent():
 def test_flux_linearity(background8):
     # the full-mode value equals the sum of per-site contributions when the
     # gap is truncated to a small cube: same nodes, exact linearity
-    from ehglue.curvature import christoffel
-    from ehglue.fields import farfield_jets, kernel_mode
-    from ehglue.lattice import near_sites, parity_of
-    from ehglue.obstruction import normal_covariant, pair
+    from ehglue.lattice import near_sites
     from ehglue.quadrature import chunked_kahan_dot
     from ehglue.sym2 import Sym2Jet
 
@@ -120,35 +120,62 @@ def test_flux_linearity(background8):
     nodes = rule.nodes
     gj = eh_metric(eps).jets(nodes, order=1)
     ginv, gam = christoffel(gj)
-    from ehglue.obstruction import surface_geometry
-    nu, area, _ = surface_geometry(gj, nodes)
+    nu, area = surface_geometry(gj, ginv, nodes)
     mode = kernel_mode(1, eps).jets(nodes, order=1)
-    dnu_o = normal_covariant(mode, gam, nu)
+    dmode = covariant_d1(mode, gam)
 
-    def one_site(a, odd):
-        jets = farfield_jets(nodes - np.asarray(a, dtype=float),
-                             reflected=odd, order=1)
-        h = jets.scaled(0.5 * eps ** 4)
-        dnu_h = normal_covariant(h, gam, nu)
-        integrand = pair(ginv, mode.val, dnu_h) - pair(ginv, h.val, dnu_o)
+    def flux_against(h):
+        integrand = pairing_density(ginv, nu, mode.val, dmode, h.val,
+                                    covariant_d1(h, gam))
         return chunked_kahan_dot(rule.weights * area, integrand)
+
+    def site_jets(a):
+        return farfield_jets(nodes - a.astype(float),
+                             reflected=bool(parity_of(a[None])[0]), order=1)
 
     evens = near_sites(1, False)
     sites = np.concatenate([evens[np.any(evens != 0, axis=-1)],
                             near_sites(1, True)])
-    total_by_site = sum(one_site(a, bool(parity_of(a[None])[0]))
+    total_by_site = sum(flux_against(site_jets(a).scaled(0.5 * eps ** 4))
                         for a in sites)
 
     acc = Sym2Jet.zeros(nodes.shape[:-1], 1)
     for a in sites:
-        jets = farfield_jets(nodes - a.astype(float),
-                             reflected=bool(parity_of(a[None])[0]), order=1)
-        acc = acc + jets
-    h_all = acc.scaled(0.5 * eps ** 4)
-    dnu_h = normal_covariant(h_all, gam, nu)
-    integrand = pair(ginv, mode.val, dnu_h) - pair(ginv, h_all.val, dnu_o)
-    total_once = chunked_kahan_dot(rule.weights * area, integrand)
+        acc = acc + site_jets(a)
+    total_once = flux_against(acc.scaled(0.5 * eps ** 4))
     assert total_once == pytest.approx(total_by_site, rel=1e-10)
+
+
+def test_cap_single_site_pairing_matches_exact_weight():
+    # the cap-geometry pairing of mode 1 against one site's far field is
+    # flux_term_exact(a)·eps^4 up to the site-independent factor the cap
+    # metric makes at |x| = δ (measured 0.99999856); even sites vanish
+    eps, delta = 0.01, 0.3
+
+    def cap_site_flux(site):
+        a = np.asarray(site)
+        odd = bool(parity_of(a[None])[0])
+
+        def density(nodes):
+            gj = eh_metric(eps).jets(nodes, order=1)
+            ginv, gam = christoffel(gj)
+            nu, area = surface_geometry(gj, ginv, nodes)
+            mode = kernel_mode(1, eps).jets(nodes, order=1)
+            h = farfield_jets(nodes - a, reflected=odd, order=1)
+            return pairing_density(ginv, nu, mode.val,
+                                   covariant_d1(mode, gam), h.val,
+                                   covariant_d1(h, gam)), area
+
+        return _sphere_integral(density, delta, 16)[0]
+
+    odd_sites = [(1, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 0), (3, 2, 1, 1)]
+    odd_values = [cap_site_flux(a) for a in odd_sites]
+    ratios = [v / (flux_term_exact(np.asarray(a)) * eps ** 4)
+              for a, v in zip(odd_sites, odd_values)]
+    assert max(ratios) - min(ratios) <= 1e-9
+    assert all(abs(r - 1.0) <= 1e-5 for r in ratios)
+    for a in ((1, 1, 0, 0), (2, 0, 0, 0), (2, 1, 1, 0)):
+        assert abs(cap_site_flux(a)) <= 1e-12 * abs(odd_values[0])
 
 
 def test_full_flux_against_lattice_constant(background32, omega32):
