@@ -179,18 +179,23 @@ def lichnerowicz(g: Sym2Jet, h: Sym2Jet,
     return out
 
 
-def div_trace(g: Sym2Jet, h: Sym2Jet, curv: CurvatureAt | None = None):
+def div_trace(g: Sym2Jet, h: Sym2Jet,
+              held: CurvatureAt | tuple | None = None):
     """(divergence covector, trace scalar, gauge vector Y).
 
     (div h)_j = g^{ik} ∇_i h_{kj};  tr = g^{ij} h_{ij};
     Y^m = g^{mj} [(div h)_j - ½ ∂_j tr h].
 
-    Only needs order-1 jets (Christoffels, not curvature).
+    Only needs order-1 jets (Christoffels, not curvature).  ``held`` is the
+    caller's (g^{-1}, Γ) of g, as :func:`christoffel` returns them, or a
+    CurvatureAt that holds them; without it they are formed here.
     """
-    if curv is not None:
-        ginv, gam = curv.ginv, curv.christoffel
-    else:
+    if held is None:
         ginv, gam = christoffel(g)
+    elif isinstance(held, CurvatureAt):
+        ginv, gam = held.ginv, held.christoffel
+    else:
+        ginv, gam = held
     div = np.einsum("...ki,...jki->...j", ginv, covariant_d1(h, gam), **_E)
     tr = trace_jet(g, h, ginv, 1)
     y_vec = np.einsum("...mj,...j->...m", ginv, div - 0.5 * tr.grad, **_E)

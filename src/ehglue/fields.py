@@ -416,6 +416,21 @@ def point_generators() -> list[SymmetryMap]:
     ]
 
 
+def point_group() -> np.ndarray:
+    """The 64 signed-permutation matrices [64, 4, 4] generated by
+    :func:`point_generators`, the identity first and the rest in the order
+    of a breadth-first closure under right multiplication by the generators."""
+    gens = [m.linear() for m in point_generators()]
+    group, seen = [np.eye(DIM)], {np.eye(DIM).tobytes()}
+    for elem in group:     # grows while it is walked
+        for gen in gens:
+            prod = elem @ gen + 0.0     # no -0.0 entries in the keys
+            if prod.tobytes() not in seen:
+                seen.add(prod.tobytes())
+                group.append(prod)
+    return np.stack(group)
+
+
 def torus_generators() -> list[SymmetryMap]:
     """The eight affine generators of the periodic/reflection group."""
     maps = []

@@ -12,6 +12,10 @@ Every pairing flux, cap or single-site, integrates one kernel,
 :func:`pairing_density` ⟨m, ∇_ν h⟩ - ⟨h, ∇_ν m⟩, and every flux on |x| = δ
 goes through one sphere-integral driver with its quadrature estimate.
 
+The cap flux and the projections integrate scalars of tensors that the
+point group fixes; their callers pass the group, and those integrals run on
+one node per orbit of their rules with the orbit's summed weight.
+
 Surface geometry is taken with respect to the cap metric as the measure
 dμ in the pairing demands: the area element against the Euclidean one is
 sqrt(det g · g^{-1}(n,n)) for Euclidean unit normal n, and the unit normal
@@ -25,14 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import christoffel, covariant_d1, curvature_at, div_trace
-from .fields import eh_metric, farfield_jets, kernel_mode
+from .fields import eh_metric, farfield_jets, kernel_mode, point_group
 from .glue import GlueParams, GluedMetric, check_cutoff, gap_tensor
 from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
-from .quadrature import (KahanAccumulator, chunked_kahan_dot, gauss_panel,
-                         kahan_sum, s3_quadrature)
-from .sym2 import Sym2Jet, inverse_metric, pair
+from .quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
+                         gauss_panel, kahan_sum, s3_quadrature)
+from .sym2 import Sym2Jet, pair
 
 _E = dict(optimize=False)
 MIN_FLUX_ORDER = 16     # lowest sphere order of a flux; its estimate runs at 8
@@ -46,15 +50,28 @@ def correction_budget(eps: float, delta: float) -> float:
     return 10.0 * eps ** 12 * delta ** -10
 
 
-def _sphere_integral(density, delta: float,
-                     s3_order: int) -> tuple[float, float]:
+def _sphere_rule(order: int, radius: float, group):
+    """(nodes, weights) of s3_quadrature(order, radius), bit for bit, or,
+    given a group, the unit rule's orbit representatives and orbit weights
+    under it (:func:`fold_rule`) scaled to the radius.  Pass a group only
+    for integrands that it leaves invariant."""
+    rule = s3_quadrature(order)
+    nodes, weights = rule.nodes, rule.weights
+    if group is not None:
+        nodes, weights = fold_rule(nodes, weights, group)
+    return nodes * radius, weights * radius ** 3
+
+
+def _sphere_integral(density, delta: float, s3_order: int,
+                     group) -> tuple[float, float]:
     """(∫ integrand · area dS on |x| = δ, its distance to the coarse value
     at order max(8, s3_order - 8)), with (integrand, area) = density(nodes)
-    and dS the Euclidean sphere rule."""
+    and dS the Euclidean sphere rule, folded by group (or None) as in
+    :func:`_sphere_rule`."""
     def value_on(order):
-        rule = s3_quadrature(order, delta)
-        integrand, area = density(rule.nodes)
-        return chunked_kahan_dot(rule.weights * area, integrand)
+        nodes, weights = _sphere_rule(order, delta, group)
+        integrand, area = density(nodes)
+        return chunked_kahan_dot(weights * area, integrand)
 
     fine = value_on(s3_order)
     return fine, abs(fine - value_on(max(8, s3_order - 8)))
@@ -191,6 +208,10 @@ def flux_integral(params: GlueParams, s3_order: int,
     carries an O(eps^12 delta^-10) shift with a constant near 80, far
     beyond the nominal correction budget, which is why the leading gap is
     the default (the asymptotic limits agree; see the cross-route suite).
+
+    Both variants integrate scalars of tensors that the point group leaves
+    invariant, so they run on one node per orbit of the sphere rule (16:1
+    at even orders) with the orbit's summed weight.
     """
     check_cutoff(params, background)
     if s3_order < MIN_FLUX_ORDER:
@@ -210,7 +231,8 @@ def flux_integral(params: GlueParams, s3_order: int,
         return pairing_density(ginv, nu, mode.val, covariant_d1(mode, gam),
                                hbar.val, covariant_d1(hbar, gam)), area
 
-    fine, est = _sphere_integral(density, params.delta, s3_order)
+    fine, est = _sphere_integral(density, params.delta, s3_order,
+                                 point_group())
     predicted = 32.0 * np.pi ** 2 * eps ** 8 * omega
     return FluxReport(fine, predicted,
                       correction_budget(eps, params.delta), est)
@@ -220,7 +242,8 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
     """Euclidean pairing flux of the plain kernel against one translate.
 
     Odd sites pair the reflected kernel and give 64π² times the interaction
-    weight; even sites pair the plain kernel and give zero.
+    weight; even sites pair the plain kernel and give zero.  One site's
+    field is not point-group invariant, so the full sphere rule is used.
     """
     site = np.asarray(site, dtype=np.int64)
     if not np.any(site):
@@ -233,7 +256,7 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
         return pairing_density(np.eye(DIM), nodes / delta, center.val,
                                center.d1, moved.val, moved.d1), 1.0
 
-    fine, est = _sphere_integral(density, delta, s3_order)
+    fine, est = _sphere_integral(density, delta, s3_order, None)
     return FluxReport(fine, flux_term_exact(site), 0.0, est)
 
 
@@ -251,17 +274,19 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
 
     def density(nodes):
         gj = eh_metric(eps).jets(nodes, order=1)
-        nu, area = surface_geometry(gj, inverse_metric(gj.val), nodes)
+        ginv, gam = christoffel(gj)
+        nu, area = surface_geometry(gj, ginv, nodes)
         if zero_gap:
             hbar = Sym2Jet.zeros(nodes.shape[:-1], 1)
         else:
             hbar = gap_tensor(background.jets(nodes, order=1), eps, gj)
-        _, _, z_vec = div_trace(gj, hbar)
+        _, _, z_vec = div_trace(gj, hbar, (ginv, gam))
         mode = kernel_mode(1, eps).jets(nodes, order=0)
         return 2.0 * np.einsum("...ij,...i,...j->...", mode.val, z_vec, nu,
                                **_E), area
 
-    return _sphere_integral(density, params.delta, s3_order)
+    # the value is a roundoff-level difference, which folding would move
+    return _sphere_integral(density, params.delta, s3_order, None)
 
 
 def gauge_vector_sup(params: GlueParams, s3_order: int,
@@ -308,13 +333,20 @@ def _shell_radii(params: GlueParams, annulus_points: int, outer_points: int):
     return shells
 
 
-def _corner_sample():
-    """Deterministic midpoint grid on the cube minus the inscribed ball."""
+def _corner_sample(group):
+    """Deterministic midpoint grid on the cube minus the inscribed ball,
+    folded by group: (orbit representatives, orbit weights).
+
+    The grid's coordinates are dyadic, so a signed permutation maps it onto
+    itself exactly; under the full point group its 2,784 points form 51
+    orbits, and each orbit weight is its size times the cell volume, exactly.
+    """
     c = (np.arange(CORNER_POINTS) + 0.5) / CORNER_POINTS - 0.5
     grids = np.meshgrid(c, c, c, c, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    keep = np.einsum("ij,ij->i", pts, pts) > 0.25
-    return pts[keep], (1.0 / CORNER_POINTS) ** 4
+    pts = pts[np.einsum("ij,ij->i", pts, pts) > 0.25]
+    return fold_rule(pts, np.full(pts.shape[0], (1.0 / CORNER_POINTS) ** 4),
+                     group)
 
 
 def _projection_densities(gm: GluedMetric, nodes: np.ndarray, bgj: Sym2Jet):
@@ -338,8 +370,13 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
     background does not depend on eps).  The integrand vanishes inside
     radius δ/2 where the metric is the exact Ricci-flat cap; the region
     outside the inscribed ball is covered by a deterministic midpoint grid
-    and its analytic bound is reported separately.
+    and its analytic bound is reported separately.  Both densities are
+    scalars of point-group invariant tensors, so every shell runs on one
+    node per orbit of the sphere rule (16:1 at even orders) and the corner
+    grid on one point per orbit (51 of 2,784), each with its orbit's summed
+    weight; the inner residual, a sup, stays on a full sphere rule.
     """
+    group = point_group()
     metrics = [GluedMetric(GlueParams(e, delta, background.cutoff),
                            background) for e in eps_list]
 
@@ -348,10 +385,10 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
         shells = _shell_radii(params0, ann_n, out_n)
         acc_o = [KahanAccumulator() for _ in eps_list]
         acc_g = [KahanAccumulator() for _ in eps_list]
-        ang = s3_quadrature(order, 1.0)
+        ang_nodes, ang_weights = _sphere_rule(order, 1.0, group)
         for rho, w_r in shells:
-            nodes = ang.nodes * rho
-            weights = ang.weights * rho ** 3 * w_r
+            nodes = ang_nodes * rho
+            weights = ang_weights * rho ** 3 * w_r
             bgj = background.jets(nodes, order=2)
             for idx, gm in enumerate(metrics):
                 dens_o, dens_g = _projection_densities(gm, nodes, bgj)
@@ -367,13 +404,13 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
         coarse_o, coarse_g = fine_o, fine_g
 
     # corner region (|x| > 1/2 inside the cube): midpoint rule + bound
-    pts, cell = _corner_sample()
+    pts, cell_weights = _corner_sample(group)
     bgj_corner = background.jets(pts, order=2)
     results = []
     for idx, gm in enumerate(metrics):
         dens_o, dens_g = _projection_densities(gm, pts, bgj_corner)
-        corner_o = float(kahan_sum(dens_o, 0)) * cell
-        corner_g = float(kahan_sum(dens_g, 0)) * cell
+        corner_o = float(kahan_sum(cell_weights * dens_o, 0))
+        corner_g = float(kahan_sum(cell_weights * dens_g, 0))
         corner_bound = 2.0 * abs(corner_o)
 
         # inner residual: the cap is Ricci flat, sample one inner sphere

@@ -146,6 +146,85 @@ def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
     return QuadratureRule("surface", nodes, W.reshape(-1))
 
 
+FOLD_KEY = 1e-9         # node coordinates are matched on a grid this fine
+FOLD_MATCH = 1e-12      # largest mismatch of a matched node image
+_FOLDS: dict = {}       # fold_rule results by the bytes of their arguments
+
+
+def _orbit_labels(nodes: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Per node, the lowest node index of its orbit under the elements of
+    group that map the node set onto itself (its stabilizer).
+
+    Coordinates are rounded to integer keys on a grid FOLD_KEY·ρ (ρ the
+    largest node norm), which a signed permutation maps exactly; an element
+    joins when the sorted image keys equal the sorted node keys (a
+    bijection) and every matched image lies within FOLD_MATCH·ρ of its node.
+    Orbits are the connected classes of the joined elements' node maps, so
+    they are those of the subgroup the stabilizer generates.
+    """
+    scale = float(np.max(np.sqrt(np.einsum("ij,ij->i", nodes, nodes))))
+    keys = np.rint(nodes / (FOLD_KEY * scale)).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    columns = np.sort(keys, axis=0)
+    maps = []
+    for lin in group:
+        perm, sign = np.nonzero(lin)[1], lin.sum(axis=1).astype(np.int64)
+        # each image column must hold the values of its node column
+        if not all(np.array_equal(columns[:, j], columns[::s, p] * s)
+                   for j, (p, s) in enumerate(zip(perm, sign))):
+            continue
+        image = keys[:, perm] * sign            # the keys of nodes @ lin.T
+        img_order = np.lexsort(image.T[::-1])
+        if not np.array_equal(image[img_order], sorted_keys):
+            continue
+        to = np.empty_like(order)
+        to[img_order] = order                   # node i maps onto node to[i]
+        mismatch = np.max(np.abs(nodes[:, perm] * sign - nodes[to]))
+        if mismatch > FOLD_MATCH * scale:
+            continue
+        maps.append(to)
+    label = np.arange(nodes.shape[0])
+    while True:
+        new = label.copy()
+        for to in maps:
+            np.minimum.at(new, to, label)
+            np.minimum(new, new[to], out=new)
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def fold_rule(nodes: np.ndarray, weights: np.ndarray,
+              group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, orbit weights) of a rule folded by the stabilizer
+    in group (signed-permutation matrices [k, 4, 4]) of its node set.
+
+    A representative is the lowest-index node of its orbit, bit for bit,
+    and representatives keep the node order; an orbit's weight is the sum
+    of its members' weights, added in index order.  Σ w f over the rule
+    equals Σ (orbit weight)·f(representative) for every integrand f that
+    the group leaves invariant.  Folds are kept by the bytes of their
+    arguments, so each is built once per process; the arrays returned are
+    read-only.
+    """
+    key = (nodes.tobytes(), weights.tobytes(), group.tobytes())
+    if key not in _FOLDS:
+        label = _orbit_labels(nodes, group)
+        reps, size = np.unique(label, return_counts=True)
+        members = np.argsort(label, kind="stable")   # by orbit, index order
+        start = np.cumsum(size) - size
+        total = weights[members[start]]
+        for k in range(1, int(np.max(size))):
+            more = size > k
+            total[more] += weights[members[start[more] + k]]
+        folded = (nodes[reps], total)
+        for arr in folded:
+            arr.flags.writeable = False
+        _FOLDS[key] = folded
+    return _FOLDS[key]
+
+
 def gauss_panel(a: float, b: float, n: int):
     """The n-point Gauss-Legendre rule on [a, b]: (nodes, weights)."""
     u, w = np.polynomial.legendre.leggauss(n)

@@ -605,8 +605,8 @@ def run_verify_glue(cfg: RunConfig) -> Report:
     sym_pts = sample_points(25, 0.4 * params.delta, 1.2 * params.delta,
                             seed=3)
     worst = 0.0
+    here = gm.values(sym_pts)
     for m in point_generators():
-        here = gm.values(sym_pts)
         pulled = m.pull_back(gm.values(m.apply(sym_pts)))
         worst = max(worst, float(np.max(np.abs(pulled - here))))
     tail_tol = 10.0 * params.eps ** 4 / cfg.cutoff

@@ -293,14 +293,15 @@ def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
     import hashlib
 
     from ehglue import suites
+    from ehglue.fields import point_group
     from ehglue.glue import GlueParams
-    from ehglue.obstruction import _shell_radii
-    from ehglue.quadrature import s3_quadrature
+    from ehglue.obstruction import _shell_radii, _sphere_rule
     cfg = RunConfig(task="project", cutoff=8, vol_order=6, annulus_points=2,
                     outer_points=2, cache_dir=cache_dir)
     estimate = suites.run_project(cfg).budgets["projection"]
     assert np.isfinite(estimate) and estimate > 0.0
-    ang = s3_quadrature(6, 1.0).nodes
+    # the shells run on the orbit representatives of the unit sphere rule
+    ang = _sphere_rule(6, 1.0, point_group())[0]
     coarse = {hashlib.sha256((ang * rho).tobytes()).hexdigest()
               for rho, _ in _shell_radii(GlueParams(cfg.eps, cfg.delta, 8),
                                          1, 1)}

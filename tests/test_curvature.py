@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ehglue.curvature import (bianchi_residual, covariant_d1, curvature_at,
-                              div_trace, fd_sym2jet, inverse_d1, lichnerowicz,
-                              lie_derivative_sym2, trace_jet)
+from ehglue.curvature import (bianchi_residual, christoffel, covariant_d1,
+                              curvature_at, div_trace, fd_sym2jet, inverse_d1,
+                              lichnerowicz, lie_derivative_sym2, trace_jet)
 from ehglue.fields import (alpha_forms, eh_metric, euclidean_metric,
                            kernel_mode, radial_vector, vector_fields)
 from ehglue.glue import GluedMetric, GlueParams
@@ -327,3 +327,15 @@ def test_lichnerowicz_annihilates_metric_on_every_draw():
         pts = sample_offorigin(np.random.default_rng(seed), 40, 0.3, 5.0)
         gj = eh_metric(1.0).jets(pts)
         assert np.max(np.abs(lichnerowicz(gj, gj))) <= 1e-9, seed
+
+
+def test_div_trace_reads_a_held_inverse_and_christoffels():
+    # (g⁻¹, Γ) held by the caller, or in a CurvatureAt, give the bits that
+    # div_trace forms on its own
+    x = np.array([[0.3, 0.1, -0.2, 0.25], [1.1, -0.4, 0.2, 0.7]])
+    gj = eh_metric(0.5).jets(x, order=2)
+    hj = kernel_mode(2, 0.5).jets(x, order=2)
+    alone = div_trace(gj, hj)
+    for held in (christoffel(gj), curvature_at(gj)):
+        for a, b in zip(alone, div_trace(gj, hj, held)):
+            assert a.tobytes() == b.tobytes()

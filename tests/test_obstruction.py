@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from ehglue import obstruction
 from ehglue.curvature import christoffel, covariant_d1
-from ehglue.fields import eh_metric, farfield_jets, kernel_mode
-from ehglue.glue import GlueParams
+from ehglue.fields import eh_metric, farfield_jets, kernel_mode, point_group
+from ehglue.glue import GlueParams, GluedMetric
 from ehglue.jets import DomainError, coordinate_jets
-from ehglue.lattice import flux_term_exact, parity_of
-from ehglue.obstruction import (_sphere_integral, distributional_check,
-                                flux_integral, flux_single_site,
-                                pairing_density, surface_geometry, z_flux)
+from ehglue.lattice import BackgroundField, flux_term_exact, parity_of
+from ehglue.obstruction import (_corner_sample, _sphere_integral,
+                                distributional_check, flux_integral,
+                                flux_single_site, pairing_density,
+                                projection_integrals, surface_geometry, z_flux)
 from ehglue.quadrature import s3_quadrature
 
 
@@ -166,7 +168,7 @@ def test_cap_single_site_pairing_matches_exact_weight():
                                    covariant_d1(mode, gam), h.val,
                                    covariant_d1(h, gam)), area
 
-        return _sphere_integral(density, delta, 16)[0]
+        return _sphere_integral(density, delta, 16, None)[0]
 
     odd_sites = [(1, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 0), (3, 2, 1, 1)]
     odd_values = [cap_site_flux(a) for a in odd_sites]
@@ -211,3 +213,102 @@ def test_z_flux_bound_and_zero_gap(background32):
     zero, _ = z_flux(params, s3_order=16, background=background32,
                      zero_gap=True)
     assert zero == 0.0
+
+
+# ---------------------------------------------------------------------------
+# point-group folding
+# ---------------------------------------------------------------------------
+
+def _stabilizer(nodes):
+    """The point-group elements mapping the node set onto itself, by brute
+    force over all pairs (independent of the fold's key matching)."""
+    out = []
+    for lin in point_group():
+        image = nodes @ lin.T
+        gap = np.max(np.abs(image[:, None, :] - nodes[None, :, :]), axis=-1)
+        if np.max(np.min(gap, axis=1)) <= 1e-12:
+            out.append(lin)
+    return out
+
+
+@pytest.mark.parametrize("where", ["band", "outer", "corner"])
+def test_folded_tensors_are_point_group_invariant(background8, where):
+    # the tensors behind every folded density pull back to themselves under
+    # each stabilizer element of the sphere rule (at ρ = 0.24 in the active
+    # band of δ = 0.3, and at ρ = 0.4), and under all of G on the corner
+    # grid, whose points are the images of its 51 representatives
+    if where == "corner":
+        nodes = _corner_sample(point_group())[0]
+        group = list(point_group())
+    else:
+        nodes = s3_quadrature(6, {"band": 0.24, "outer": 0.4}[where]).nodes
+        group = _stabilizer(nodes)
+        assert len(group) == 16
+    gm = GluedMetric(GlueParams(0.1, 0.3, 8), background8)
+
+    def tensors(x):
+        return (background8.jets(x, order=0).val,
+                background8.jets(x, order=0, exclude_origin=True).val,
+                gm.values(x), gm.obstruction_jets(x, order=0).val)
+
+    here = tensors(nodes)
+    for lin in group:
+        for base, moved in zip(here, tensors(nodes @ lin.T)):
+            pulled = lin.T @ moved @ lin
+            assert np.max(np.abs(pulled - base)) <= 1e-13 * np.max(np.abs(base))
+
+
+def _unfolded(monkeypatch):
+    """Run obstruction's folded paths on the full rules: folding by the
+    identity alone returns every node with its own weight, bit for bit."""
+    monkeypatch.setattr(obstruction, "point_group", lambda: np.eye(4)[None])
+
+
+def _counting_points(monkeypatch):
+    counted = [0]
+    jets = BackgroundField.jets
+
+    def counting(self, x, order=2, exclude_origin=False):
+        counted[0] += np.asarray(x).size // 4
+        return jets(self, x, order, exclude_origin)
+
+    monkeypatch.setattr(BackgroundField, "jets", counting)
+    return counted
+
+
+def test_folded_projection_matches_unfolded_oracle(background8, monkeypatch):
+    counted = _counting_points(monkeypatch)
+
+    def run():
+        counted[0] = 0
+        res = projection_integrals([0.1], 0.3, background8, s3_order=6,
+                                   annulus_points=2, outer_points=2)[0]
+        return res, counted[0]
+
+    folded, n_folded = run()
+    with monkeypatch.context() as m:
+        _unfolded(m)
+        full, n_full = run()
+    # background points over 8 fine and 4 coarse shells and the corner grid:
+    # 432 → 27 nodes per shell and 2,784 → 51 corner points
+    assert n_full == 12 * 432 + 2784
+    assert n_folded == 12 * 27 + 51
+    for attr in ("onto_obstruction", "onto_metric", "corner_bound"):
+        want = getattr(full, attr)
+        assert abs(getattr(folded, attr) - want) <= 1e-9 * abs(want)
+    assert (abs(folded.quad_estimate - full.quad_estimate)
+            <= 1e-9 * abs(full.onto_obstruction))
+    assert folded.inner_residual == full.inner_residual
+
+
+@pytest.mark.parametrize("exact_gap", [False, True])
+def test_folded_flux_matches_unfolded_oracle(background8, monkeypatch,
+                                             exact_gap):
+    params = GlueParams(0.1, 0.3, 8)
+    folded = flux_integral(params, 16, background8, exact_gap=exact_gap)
+    with monkeypatch.context() as m:
+        _unfolded(m)
+        full = flux_integral(params, 16, background8, exact_gap=exact_gap)
+    assert abs(folded.value - full.value) <= 1e-9 * abs(full.value)
+    assert (abs(folded.quad_estimate - full.quad_estimate)
+            <= 1e-9 * abs(full.value))

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehglue.quadrature import (KahanAccumulator, kahan_sum, line_fit,
-                               radial_quadrature, s3_quadrature)
+from ehglue.fields import point_group
+from ehglue.obstruction import _corner_sample
+from ehglue.quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
+                               kahan_sum, line_fit, radial_quadrature,
+                               s3_quadrature)
+
+IDENTITY = np.eye(4)[None]
 
 
 def test_sphere_total_weight():
@@ -59,6 +64,71 @@ def test_sphere_preconditions():
         s3_quadrature(3, 1.0)
     with pytest.raises(ValueError):
         s3_quadrature(8, -1.0)
+
+
+def _invariant_polynomials(x):
+    """Point-group symmetrised polynomials of degree 4: |x|⁴, Σx_i⁴ and
+    Σ_{i<j} x_i² x_j²."""
+    sq = x * x
+    quartic = np.sum(sq * sq, axis=-1)
+    total = np.sum(sq, axis=-1)
+    return total * total, quartic, 0.5 * (total * total - quartic)
+
+
+def _check_fold(nodes, weights, folded_count, orbit_size):
+    reps, orbit_w = fold_rule(nodes, weights, point_group())
+    _, sizes = fold_rule(nodes, np.ones_like(weights), point_group())
+    assert reps.shape == (folded_count, 4)
+    assert np.sum(sizes) == nodes.shape[0]
+    assert set(sizes.tolist()) <= orbit_size
+    # every representative is a node of the full rule, bit for bit
+    full = {row.tobytes() for row in nodes}
+    assert all(row.tobytes() in full for row in reps)
+    assert kahan_sum(orbit_w, 0) == pytest.approx(kahan_sum(weights, 0),
+                                                  rel=1e-15)
+    for p_full, p_fold in zip(_invariant_polynomials(nodes),
+                              _invariant_polynomials(reps)):
+        want = chunked_kahan_dot(weights, p_full)
+        assert abs(chunked_kahan_dot(orbit_w, p_fold) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("order,rho", [(6, 1.0), (8, 0.3), (16, 0.5),
+                                       (24, 1.0)])
+def test_fold_even_s3_rule_is_sixteen_to_one(order, rho):
+    rule = s3_quadrature(order, rho)
+    _check_fold(rule.nodes, rule.weights, 2 * order ** 3 // 16, {16.0})
+    _, orbit_w = fold_rule(rule.nodes, rule.weights, point_group())
+    assert kahan_sum(orbit_w, 0) == pytest.approx(2 * np.pi ** 2 * rho ** 3,
+                                                  rel=1e-14)
+
+
+def test_fold_odd_s3_rule_has_a_smaller_stabilizer():
+    # 2·order ≡ 2 (mod 4): the azimuth grid misses φ = π/2, so the swap of
+    # x3 and x4 fixes no node set and no orbit reaches 16
+    rule = s3_quadrature(7, 1.0)
+    _, sizes = fold_rule(rule.nodes, np.ones_like(rule.weights), point_group())
+    _check_fold(rule.nodes, rule.weights, sizes.size, {2.0, 4.0, 8.0})
+
+
+def test_fold_corner_grid_under_the_whole_group():
+    pts, weights = _corner_sample(IDENTITY)
+    assert pts.shape == (2784, 4)
+    _check_fold(pts, weights, 51, {16.0, 32.0, 64.0})
+
+
+def test_fold_by_the_identity_is_the_full_rule():
+    rule = s3_quadrature(8, 0.4)
+    nodes, weights = fold_rule(rule.nodes, rule.weights, IDENTITY)
+    assert nodes.tobytes() == rule.nodes.tobytes()
+    assert weights.tobytes() == rule.weights.tobytes()
+
+
+def test_fold_leaves_out_elements_that_miss_the_node_set():
+    # a node set with no symmetry beyond the identity folds to itself
+    nodes = np.array([[0.3, 0.1, 0.2, 0.7], [0.1, 0.5, 0.2, 0.6]])
+    reps, weights = fold_rule(nodes, np.array([0.25, 0.5]), point_group())
+    assert reps.tobytes() == nodes.tobytes()
+    assert weights.tolist() == [0.25, 0.5]
 
 
 def test_radial_unit_cube_moment():
