@@ -21,8 +21,10 @@ truncation of a convergent sum of such functions keeps all three properties
 exactly (truncation commutes with the constant-coefficient operators).  The
 Taylor coefficients reduce to lattice moment sums Σ a^β |a|^{-e}, which by
 hyperoctahedral symmetry of the far site set vanish unless every entry of β
-is even and can be folded onto the nonnegative orthant.  The expansion of
-|x-a|^{-6} in ⟨x,a⟩ and |x|²|a|² comes from the Gegenbauer recurrence
+is even and can be folded onto the nonnegative orthant, where they are
+also invariant under permutations of β: each is summed once per sorted β.
+The expansion of |x-a|^{-6} in ⟨x,a⟩ and |x|²|a|² comes from the Gegenbauer
+recurrence
 
     k T_k = 2(k+2) A T_{k-1} - (k+4) B T_{k-2},   T_0 = 1, T_1 = 6A,
 
@@ -345,6 +347,9 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
 
     β must have all entries even (odd moments vanish by symmetry); the sum
     folds onto the nonnegative orthant with weight 2^(#nonzero coords).
+    That folded site set and its weights are invariant under permutations
+    of the coordinates, so M(σβ, e) = M(β, e): each moment is summed once
+    per sorted β and its value copied to every permuted request.
     """
     rng = np.arange(0, cutoff + 1)
     a = np.stack([g.ravel() for g in np.meshgrid(rng, rng, rng, rng,
@@ -364,23 +369,24 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
 
     inv_r2 = 1.0 / r2
 
-    # requests sorted by (e, β/2) share prefixes of the product
-    # weight·|a|^{-e}·a1^β1·a2^β2·a3^β3·a4^β4: level 0 holds weight·|a|^{-e},
-    # level i+1 level i times a_i^β_i (level i itself when β_i = 0), each
-    # level in its own reusable buffer and rebuilt only when its prefix
-    # changes, with the multiplications of a from-scratch product
+    # canonical keys (e, sorted β/2), summed in sorted order, share prefixes
+    # of the product weight·|a|^{-e}·a1^β1·a2^β2·a3^β3·a4^β4: level 0 holds
+    # weight·|a|^{-e}, level i+1 level i times a_i^β_i (level i itself when
+    # β_i = 0), each level in its own reusable buffer and rebuilt only when
+    # its prefix changes, with the multiplications of a from-scratch product
     out: dict[tuple[tuple, int], float] = {}
-    live = []
+    canonical = {}
     for beta, e in requests:
         if any(b & 1 for b in beta):
             out[(beta, e)] = 0.0
         else:
             assert e % 2 == 0 and e > 0
-            live.append(((e,) + tuple(b // 2 for b in beta), beta))
+            canonical[(beta, e)] = (e,) + tuple(sorted(b // 2 for b in beta))
+    moment = {}
     buffers = [np.empty(a.shape[0]) for _ in range(5)]
     levels: list = [None] * 5
     prefix = (None,) * 5
-    for key, beta in sorted(live):
+    for key in sorted(set(canonical.values())):
         first = next(i for i in range(5) if key[i] != prefix[i])
         for lvl in range(first, 5):
             if lvl == 0:
@@ -396,17 +402,19 @@ def lattice_moments(cutoff: int, n0: int, requests: set[tuple[tuple, int]],
         acc = KahanAccumulator()
         for lo in range(0, a.shape[0], KAHAN_CHUNK):
             acc.add(np.sum(levels[4][lo:lo + KAHAN_CHUNK]))
-        out[(beta, key[0])] = acc.result()
+        moment[key] = acc.result()
+    out.update((request, moment[key]) for request, key in canonical.items())
     return out
 
 
+@functools.cache
 def _taylor_plan(degree: int) -> tuple:
     """The Gegenbauer/multinomial assembly plan up to a degree, as arrays.
 
     Row r stands for one term w · A^m B^j of T_k expanded by the multinomial
     theorem, in the order (k, Gegenbauer term, β, ν); returns (k, e, β, ν, w)
     with e = 6 + 2k - 2j and w = coeff · c_β · c_ν.  The three numerator
-    parts reuse one plan.
+    parts and both parities reuse one plan, built once per degree, read-only.
     """
     ks, es, betas, nus, ws = [], [], [], [], []
     geg = gegenbauer_terms(degree)
@@ -423,7 +431,10 @@ def _taylor_plan(degree: int) -> tuple:
                       * np.tile(c_nu, len(beta)))
             ks.append(np.full(len(beta) * len(nu), k))
             es.append(np.full(len(beta) * len(nu), 6 + 2 * k - 2 * j))
-    return tuple(np.concatenate(a) for a in (ks, es, betas, nus, ws))
+    plan = tuple(np.concatenate(a) for a in (ks, es, betas, nus, ws))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def farfield_taylor(cutoff: int, n0: int, degree: int, odd: bool):
@@ -660,9 +671,15 @@ class BackgroundCache:
         return path
 
 
+# the far table's algorithm version, part of its cache key: bump it whenever
+# the bits that farfield_taylor returns change, so that no table stored by
+# an older build is loaded in place of a fresh one
+FAR_TABLE_VERSION = 2
+
+
 def far_table_header(cutoff: int, degree: int, odd: bool) -> dict:
     """The cache key of one parity's far table (files are named by it)."""
-    return {"kind": "far-table", "version": 1, "n": cutoff,
+    return {"kind": "far-table", "version": FAR_TABLE_VERSION, "n": cutoff,
             "n0": NEAR_SHELL, "degree": degree,
             "parity": "odd" if odd else "even", "grid": "taylor-origin"}
 

@@ -19,7 +19,7 @@ from ehglue.lattice import (OMEGA_REFERENCE, BackgroundCache,
                             lattice_moments, monomial_table, near_sites,
                             omega_domain, omega_partial, parity_of,
                             slab_sites)
-from ehglue.quadrature import KahanAccumulator, kahan_sum
+from ehglue.quadrature import KAHAN_CHUNK, KahanAccumulator, kahan_sum
 from ehglue.report import atomic_write
 from tests.conftest import sample_offorigin
 
@@ -289,8 +289,14 @@ def test_gegenbauer_terms_match_classical():
 
 
 def test_lattice_moments_fold_matches_direct():
-    # moment sums over the folded orthant equal brute-force enumeration
-    requests = {((2, 0, 0, 0), 6), ((2, 2, 0, 0), 8), ((0, 0, 0, 4), 10)}
+    # moment sums over the folded orthant equal brute-force enumeration, and
+    # a permuted β gets its sorted partner's moment bit for bit
+    partners = {((0, 2, 0, 4), 8): ((0, 0, 2, 4), 8),
+                ((4, 0, 2, 0), 8): ((0, 0, 2, 4), 8),
+                ((2, 0, 0, 0), 6): ((0, 0, 0, 2), 6),
+                ((2, 2, 0, 0), 8): ((0, 0, 2, 2), 8),
+                ((0, 0, 0, 4), 10): ((0, 0, 0, 4), 10)}
+    requests = set(partners) | set(partners.values())
     mom = lattice_moments(4, 1, requests, odd=True)
     rng = np.arange(-4, 5)
     grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
@@ -302,6 +308,107 @@ def test_lattice_moments_fold_matches_direct():
         direct = np.sum(np.prod(sites ** np.array(beta), axis=1)
                         * r2 ** (-e / 2.0))
         assert mom[(beta, e)] == pytest.approx(direct, rel=1e-12)
+    for request, partner in partners.items():
+        assert mom[request] == mom[partner]
+
+
+def far_orthant(cutoff, n0, odd):
+    """The far sites of one parity folded onto the nonnegative orthant."""
+    rng = np.arange(0, cutoff + 1)
+    a = np.stack([g.ravel() for g in np.meshgrid(rng, rng, rng, rng,
+                                                 indexing="ij")],
+                 axis=-1).astype(np.int64)
+    return a[(a.max(axis=-1) > n0) & (parity_of(a) == odd)]
+
+
+def per_request_moments(cutoff, n0, requests, odd):
+    """lattice_moments as it was before moments were shared across
+    permutations of β: one pass over the orthant per even request, in
+    (e, β/2) order with shared prefixes, each pass reduced pairwise per
+    chunk and Kahan-summed across chunks."""
+    a = far_orthant(cutoff, n0, odd)
+    weight = 2.0 ** (a != 0).sum(axis=-1)
+    inv_r2 = 1.0 / np.einsum("ij,ij->i", a, a).astype(float)
+    sq = a.astype(float) ** 2
+    max_half = max((sum(beta) for beta, _ in requests), default=0) // 2
+    pw = [[np.ones(a.shape[0])] for _ in range(4)]
+    for i in range(4):
+        for g in range(1, max_half + 1):
+            pw[i].append(pw[i][g - 1] * sq[:, i])
+    out, live = {}, []
+    for beta, e in requests:
+        if any(b & 1 for b in beta):
+            out[(beta, e)] = 0.0
+        else:
+            live.append(((e,) + tuple(b // 2 for b in beta), beta))
+    levels, prefix = [None] * 5, (None,) * 5
+    for key, beta in sorted(live):
+        first = next(i for i in range(5) if key[i] != prefix[i])
+        for lvl in range(first, 5):
+            if lvl == 0:
+                levels[0] = weight * inv_r2 ** (key[0] // 2)
+            elif key[lvl]:
+                levels[lvl] = levels[lvl - 1] * pw[lvl - 1][key[lvl]]
+            else:
+                levels[lvl] = levels[lvl - 1]
+        prefix = key
+        acc = KahanAccumulator()
+        for lo in range(0, a.shape[0], KAHAN_CHUNK):
+            acc.add(np.sum(levels[4][lo:lo + KAHAN_CHUNK]))
+        out[(beta, key[0])] = acc.result()
+    return out
+
+
+def long_double_moments(cutoff, n0, requests, odd):
+    """Each requested moment summed directly over the folded orthant in
+    long double, then rounded once."""
+    a = far_orthant(cutoff, n0, odd)
+    weight = np.longdouble(2) ** (a != 0).sum(axis=-1)
+    ld = a.astype(np.longdouble)
+    r2 = np.einsum("ij,ij->i", ld, ld)
+    return {(beta, e): float(np.sum(weight * np.prod(ld ** np.array(beta),
+                                                     axis=1) / r2 ** (e // 2)))
+            for beta, e in requests}
+
+
+def taylor_with_moments(monkeypatch, moments, *args):
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "lattice_moments", moments)
+        return farfield_taylor(*args)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_far_table_matches_long_double_moments(monkeypatch, odd):
+    # moments shared across permutations of β are as accurate as moments
+    # summed in long double (measured: 1.5e-15 of the largest coefficient)
+    table = farfield_taylor(8, 1, 12, odd)
+    ref = taylor_with_moments(monkeypatch, long_double_moments, 8, 1, 12, odd)
+    assert np.abs(table - ref).max() <= 2e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_far_table_matches_per_request_moments(monkeypatch, odd):
+    # the table moves at roundoff against one moment pass per request
+    # (measured: at most 5.7e-15 of the largest coefficient), and each
+    # moment of a sorted β keeps the per-request bits
+    seen = []
+
+    def recorded(*args):
+        seen.append(args)
+        return per_request_moments(*args)
+
+    table = farfield_taylor(6, 1, 12, odd)
+    ref = taylor_with_moments(monkeypatch, recorded, 6, 1, 12, odd)
+    # the oracle still gives the bits that version 1 of the table pinned
+    assert (hashlib.sha256(ref.astype("<f8").tobytes()).hexdigest()
+            == PER_REQUEST_DIGESTS[odd])
+    assert np.abs(table - ref).max() <= 2e-14 * np.abs(ref).max()
+    (args,) = seen
+    old, new = per_request_moments(*args), lattice_moments(*args)
+    assert old.keys() == new.keys() == args[2]
+    ordered = [r for r in args[2] if list(r[0]) == sorted(r[0])]
+    assert len(ordered) < len(args[2])
+    assert all(new[r] == old[r] for r in ordered)
 
 
 @pytest.mark.parametrize("which", ["even", "odd", "combined"])
@@ -502,13 +609,19 @@ def test_perfbench_micro_recording_targets_resolve():
         assert callable(getattr(obj, name))
 
 
-# sha256 of farfield_taylor(6, 1, 12, odd) as little-endian doubles, as the
-# per-coefficient Kahan loop produced them before the assembly was
-# vectorised, laid out in the degree-12 monomial table, whose little-endian
-# int64 exponents are pinned too
+# sha256 of farfield_taylor(6, 1, 12, odd) as little-endian doubles, laid
+# out in the degree-12 monomial table, whose little-endian int64 exponents
+# are pinned too.  These are the bits of FAR_TABLE_VERSION 2, with one
+# moment pass per sorted β; a change of bits bumps the version and
+# re-records both digests.
 FAR_TABLE_DIGESTS = {
     "monomials": "4b25ace5e545ec47e49771eb65476afe"
                  "f1386f1909ed135e189b0597a2ada0a5",
+    False: "e79e30fa8f251b80e4a8f64473341dcfabf86aa652ae9c8d3013023429c8cada",
+    True: "2a15c97eb274ce0b35654a38dcfa77281d9b93dfdb7b4a0a745802b790d74f9e",
+}
+# the same digests of version 1, one moment pass per requested β
+PER_REQUEST_DIGESTS = {
     False: "285b07125d77652340cbdd32bda46e4a86959ded6d9d99e5efe7ba7fc2dfde24",
     True: "882277ce4c8c95dcc18c11804710bd68c4117e7d763a8012918a8b9cfdd6e52f",
 }
@@ -516,6 +629,7 @@ FAR_TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("odd", [False, True])
 def test_far_table_bit_identical_to_recorded_digest(odd):
+    assert lattice.FAR_TABLE_VERSION == 2
     exps = monomial_table(12)[0]
     assert exps.dtype == np.int64 and exps.shape == (1820, 4)
     assert (hashlib.sha256(exps.astype("<i8").tobytes()).hexdigest()
@@ -543,7 +657,7 @@ def test_far_table_under_current_header_loads_without_rebuild(
     fresh = BackgroundField(4, degree=8)
     cache = BackgroundCache(str(tmp_path))
     for odd in (False, True):
-        header = {"kind": "far-table", "version": 1, "n": 4, "n0": 1,
+        header = {"kind": "far-table", "version": 2, "n": 4, "n0": 1,
                   "degree": 8, "parity": "odd" if odd else "even",
                   "grid": "taylor-origin"}
         assert far_table_header(4, 8, odd) == header
@@ -560,6 +674,34 @@ def test_far_table_under_current_header_loads_without_rebuild(
         a, b = fresh.jets(pts, order), loaded.jets(pts, order)
         for k in ("val", "d1", "d2")[:order + 1]:
             assert getattr(a, k).tobytes() == getattr(b, k).tobytes()
+
+
+def test_far_table_under_older_version_is_rebuilt(tmp_path, monkeypatch):
+    # a table stored under the version-1 header is a miss: the field is
+    # built afresh and stored under the current version, and the stale entry
+    # is left as it was
+    cache = BackgroundCache(str(tmp_path))
+    for odd in (False, True):
+        cache.store(dict(far_table_header(4, 8, odd), version=1),
+                    np.ones((3, 495)))
+    stale = {f: f.read_bytes() for f in tmp_path.iterdir()}
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return farfield_taylor(*args)
+
+    monkeypatch.setattr(lattice, "farfield_taylor", counted)
+    loaded = BackgroundField(4, degree=8, cache=cache)
+    assert len(builds) == 2
+    fresh = BackgroundField(4, degree=8)
+    for odd in (False, True):
+        current = cache.load(far_table_header(4, 8, odd))
+        assert current is not None
+        assert current.tobytes() == fresh._poly[odd].coeffs.tobytes()
+        assert loaded._poly[odd].coeffs.tobytes() == current.tobytes()
+    assert len(list(tmp_path.glob("far-table-*.ehbg"))) == 4
+    assert {f: f.read_bytes() for f in stale} == stale
 
 
 def test_background_field_exact_point_symmetry(background8):
