@@ -7,7 +7,9 @@ of them, and every gate (an entry of "pass", or "all_passed") whose
 pass/fail flag differs or that only one report has.  Given two
 directories, it compares the reports (``*.json``) of the same name, prefixes
 each line with the file name, and lists every report found in only one of
-them.  Exits 1 if anything was printed, 0 otherwise.  Standard library only:
+them; ``timings.json``, the wall-time sidecar of ``suite_reports.py``, is
+no report and is skipped.  Exits 1 if anything was printed, 0 otherwise.
+Standard library only:
 
     python3 scripts/report_diff.py before.json after.json --rtol 1e-12
     python3 scripts/report_diff.py before/ after/ --rtol 1e-12
@@ -18,6 +20,8 @@ import json
 import math
 import os
 import sys
+
+SIDECARS = {"timings.json"}     # directory entries that are not reports
 
 
 def _walk(obj, path=""):
@@ -82,7 +86,8 @@ def _lines(a: dict, b: dict, rtol: float, prefix: str = "") -> list:
 
 def diff_dirs(a: str, b: str, rtol: float) -> list:
     """Printable lines for the same-named reports of two directories."""
-    left, right = ({name for name in os.listdir(d) if name.endswith(".json")}
+    left, right = ({name for name in os.listdir(d)
+                    if name.endswith(".json") and name not in SIDECARS}
                    for d in (a, b))
     lines = []
     for name in sorted(left | right):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_at
-from .fields import eh_metric
+from .fields import eh_metric, point_group
 from .glue import MAX_DELTA, GlueParams, GluedMetric, sphere_sups
 from .lattice import OMEGA_REFERENCE, BackgroundField
 from .quadrature import line_fit
@@ -111,26 +111,21 @@ def ode_integrate(eps0: float, t0: float, t1: float, steps: int,
         raise ValueError("need eps0 > 0, t0 < t1, steps >= 1")
     h = (t1 - t0) / steps
     c = 8.0 * omega
-
-    def rhs(e):
-        return c * e ** 5
-
-    ts = np.empty(steps + 1)
-    es = np.empty(steps + 1)
-    ts[0], es[0] = t0, eps0
+    half, sixth = 0.5 * h, h / 6.0
+    es = [eps0]
     e = eps0
     for n in range(steps):
-        k1 = rhs(e)
-        k2 = rhs(e + 0.5 * h * k1)
-        k3 = rhs(e + 0.5 * h * k2)
-        k4 = rhs(e + h * k3)
-        de = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = c * e ** 5
+        k2 = c * (e + half * k1) ** 5
+        k3 = c * (e + half * k2) ** 5
+        k4 = c * (e + h * k3) ** 5
+        de = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if abs(de) > 0.1 * e:
             raise ValueError(f"step too large at t = {t0 + n * h:.3e}")
         e = e + de
-        ts[n + 1] = t0 + (n + 1) * h
-        es[n + 1] = e
-    return ts, es
+        es.append(e)
+    ts = np.concatenate(([t0], t0 + np.arange(1, steps + 1) * h))
+    return ts, np.asarray(es, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +211,10 @@ def ricci_decay_proxy(times, policy: ProxyPolicy,
         for frac in policy.radial_fractions:
             spheres.setdefault(frac * delta, []).append(i)
     per_time = [[] for _ in times]
+    group = point_group()
     for rho, idx in spheres.items():
         sups = sphere_sups([(metrics[i], "ricci") for i in idx], rho,
-                           policy.s3_order)
+                           policy.s3_order, group=group)
         for i, sup in zip(idx, sups):
             per_time[i].append(sup)
     sups = np.asarray([max(v) for v in per_time])

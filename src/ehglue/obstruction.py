@@ -35,7 +35,7 @@ from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
 from .quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
-                         gauss_panel, kahan_sum, s3_quadrature)
+                         gauss_panel, kahan_sum, s3_quadrature, sphere_rule)
 from .sym2 import Sym2Jet, pair
 
 _E = dict(optimize=False)
@@ -50,26 +50,14 @@ def correction_budget(eps: float, delta: float) -> float:
     return 10.0 * eps ** 12 * delta ** -10
 
 
-def _sphere_rule(order: int, radius: float, group):
-    """(nodes, weights) of s3_quadrature(order, radius), bit for bit, or,
-    given a group, the unit rule's orbit representatives and orbit weights
-    under it (:func:`fold_rule`) scaled to the radius.  Pass a group only
-    for integrands that it leaves invariant."""
-    rule = s3_quadrature(order)
-    nodes, weights = rule.nodes, rule.weights
-    if group is not None:
-        nodes, weights = fold_rule(nodes, weights, group)
-    return nodes * radius, weights * radius ** 3
-
-
 def _sphere_integral(density, delta: float, s3_order: int,
                      group) -> tuple[float, float]:
     """(∫ integrand · area dS on |x| = δ, its distance to the coarse value
     at order max(8, s3_order - 8)), with (integrand, area) = density(nodes)
     and dS the Euclidean sphere rule, folded by group (or None) as in
-    :func:`_sphere_rule`."""
+    :func:`sphere_rule`."""
     def value_on(order):
-        nodes, weights = _sphere_rule(order, delta, group)
+        nodes, weights = sphere_rule(order, delta, group)
         integrand, area = density(nodes)
         return chunked_kahan_dot(weights * area, integrand)
 
@@ -385,7 +373,7 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
         shells = _shell_radii(params0, ann_n, out_n)
         acc_o = [KahanAccumulator() for _ in eps_list]
         acc_g = [KahanAccumulator() for _ in eps_list]
-        ang_nodes, ang_weights = _sphere_rule(order, 1.0, group)
+        ang_nodes, ang_weights = sphere_rule(order, 1.0, group)
         for rho, w_r in shells:
             nodes = ang_nodes * rho
             weights = ang_weights * rho ** 3 * w_r

@@ -225,6 +225,18 @@ def fold_rule(nodes: np.ndarray, weights: np.ndarray,
     return _FOLDS[key]
 
 
+def sphere_rule(order: int, radius: float, group):
+    """(nodes, weights) of s3_quadrature(order, radius), bit for bit, or,
+    given a group, the unit rule's orbit representatives and orbit weights
+    under it (:func:`fold_rule`) scaled to the radius.  Pass a group only
+    for integrands that it leaves invariant."""
+    rule = s3_quadrature(order)
+    nodes, weights = rule.nodes, rule.weights
+    if group is not None:
+        nodes, weights = fold_rule(nodes, weights, group)
+    return nodes * radius, weights * radius ** 3
+
+
 def gauss_panel(a: float, b: float, n: int):
     """The n-point Gauss-Legendre rule on [a, b]: (nodes, weights)."""
     u, w = np.polynomial.legendre.leggauss(n)

@@ -295,13 +295,14 @@ def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
     from ehglue import suites
     from ehglue.fields import point_group
     from ehglue.glue import GlueParams
-    from ehglue.obstruction import _shell_radii, _sphere_rule
+    from ehglue.obstruction import _shell_radii
+    from ehglue.quadrature import sphere_rule
     cfg = RunConfig(task="project", cutoff=8, vol_order=6, annulus_points=2,
                     outer_points=2, cache_dir=cache_dir)
     estimate = suites.run_project(cfg).budgets["projection"]
     assert np.isfinite(estimate) and estimate > 0.0
     # the shells run on the orbit representatives of the unit sphere rule
-    ang = _sphere_rule(6, 1.0, point_group())[0]
+    ang = sphere_rule(6, 1.0, point_group())[0]
     coarse = {hashlib.sha256((ang * rho).tobytes()).hexdigest()
               for rho, _ in _shell_radii(GlueParams(cfg.eps, cfg.delta, 8),
                                          1, 1)}
@@ -397,3 +398,20 @@ def test_report_diff_flags_moved_numbers_and_flipped_gates(tmp_path):
     assert "gate demo.json:all_passed: True -> False" in lines
     assert "only in A: extra.json" in lines
     assert not any("notes.log" in line for line in lines)
+
+
+def test_report_diff_skips_the_timings_sidecar(tmp_path):
+    # two suite_reports.py directories whose reports and exit codes agree
+    # and whose wall times differ: no report moved
+    script = os.path.join(SCRIPTS, "report_diff.py")
+    rep = Report("demo", {"cutoff": 8})
+    rep.add("x", 1.0, expected=1.0, tolerance=0.1)
+    dirs = [tmp_path / "before", tmp_path / "after"]
+    for d, wall in zip(dirs, (1.25, 2.5)):
+        d.mkdir()
+        (d / "demo.json").write_text(rep.to_json())
+        (d / "exit_codes.json").write_text(json.dumps({"demo": 0}))
+        (d / "timings.json").write_text(json.dumps({"demo": wall}))
+    out = subprocess.run([sys.executable, script, *map(str, dirs)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout == ""

@@ -61,6 +61,38 @@ def test_rk4_matches_closed_form():
     assert np.max(np.abs(es[idx] / exact - 1.0)) < 1e-9
 
 
+def _rk4_reference(eps0, t0, t1, steps, omega):
+    """ode_integrate's loop with a right-hand-side closure and per-step
+    array writes."""
+    h = (t1 - t0) / steps
+
+    def rhs(e):
+        return 8.0 * omega * e ** 5
+
+    ts, es = np.empty(steps + 1), np.empty(steps + 1)
+    ts[0], es[0] = t0, eps0
+    e = eps0
+    for n in range(steps):
+        k1 = rhs(e)
+        k2 = rhs(e + 0.5 * h * k1)
+        k3 = rhs(e + 0.5 * h * k2)
+        k4 = rhs(e + h * k3)
+        e = e + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ts[n + 1] = t0 + (n + 1) * h
+        es[n + 1] = e
+    return ts, es
+
+
+def test_rk4_matches_the_reference_loop_bit_for_bit():
+    eps0 = epsilon_of_t(-1e6, omega=OMEGA)
+    for args in ((eps0, -1e6, -1e3, 100000, OMEGA),
+                 (0.01, -1e5, -1e3, 100, 0.0)):
+        ts, es = ode_integrate(*args)
+        ref_ts, ref_es = _rk4_reference(*args)
+        assert ts.tobytes() == ref_ts.tobytes()
+        assert es.tobytes() == ref_es.tobytes()
+
+
 def test_rk4_zero_rate_constant_trajectory():
     ts, es = ode_integrate(0.01, -1e5, -1e3, 100, omega=0.0)
     assert np.all(es == 0.01)

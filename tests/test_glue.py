@@ -1,14 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ehglue.curvature import curvature_at, fd_sym2jet
-from ehglue.fields import eh_metric, kernel_mode
-from ehglue.glue import (GlueParams, GluedMetric, cutoff_jet, cutoff_scalar,
-                         decay_scans, outer_metric, region_tag, remove_trace,
-                         sphere_sups)
+from ehglue.fields import eh_metric, kernel_mode, point_group
+from ehglue.flow import ProxyPolicy, epsilon_of_t
+from ehglue.glue import (MAX_DELTA, GlueParams, GluedMetric, cutoff_jet,
+                         cutoff_scalar, decay_scans, outer_metric, region_tag,
+                         remove_trace, sphere_sups)
 from ehglue.jets import DomainError
 from ehglue.obstruction import flux_integral, gauge_vector_sup, z_flux
-from ehglue.quadrature import s3_quadrature
+from ehglue.quadrature import s3_quadrature, sphere_rule
 
 
 @pytest.fixture(scope="module")
@@ -198,16 +201,53 @@ def test_lattice_point_rejected(glued8):
 
 def test_ricci_regions(background32):
     gm = GluedMetric(GlueParams(0.05, 0.25, 32), background32)
-    assert sphere_sups([(gm, "ricci")], 0.1)[0] < 1e-8
+    assert sphere_sups([(gm, "ricci")], 0.1, group=None)[0] < 1e-8
     scan, = decay_scans([(gm, "ricci")], (0.26, 0.29, 0.33, 0.37), s3_order=6)
     assert abs(scan.fitted_exponent + 10.0) < 0.5
 
 
 def test_sphere_sup_rejects_unknown_field(glued8):
     with pytest.raises(ValueError):
-        sphere_sups([(glued8, "ricc1")], 0.1)
+        sphere_sups([(glued8, "ricc1")], 0.1, group=None)
     with pytest.raises(ValueError):
         decay_scans([(glued8, "ricc1")], (0.26, 0.29))
+
+
+def _sup_roundoff(sup: float, params: GlueParams, rho: float) -> float:
+    """The roundoff of a sphere sup at |x| = rho: relative ε_mach/eps⁴
+    beyond the cutoff band, where the norm is O(eps⁸) from an O(eps⁴)
+    metric perturbation, plus absolute ε_mach·(|χ'|/δ + |χ''|/δ²) in the
+    band, where the blend's derivatives add both O(1) branches times χ'
+    and χ''."""
+    delta = params.delta
+    _, d1, d2 = cutoff_scalar(rho / delta)
+    return np.finfo(float).eps * (sup / params.eps ** 4 + 4.0 * (
+        abs(d1) / delta + abs(d2) / delta ** 2))
+
+
+def test_folded_sphere_sups_match_the_full_rule(background8,
+                                                background_calls):
+    # the flow proxy's spheres at its three times and glue-scan's decay
+    # radii with both fields: folding moves a sup by its roundoff only
+    group, policy = point_group(), ProxyPolicy(lattice_cutoff=8)
+    proxy = [(GluedMetric(GlueParams(epsilon_of_t(t), MAX_DELTA, 8),
+                          background8), "ricci") for t in (-1e4, -1e5, -1e6)]
+    scan = GluedMetric(GlueParams(0.05, 0.25, 8), background8)
+    spheres = [(proxy, frac * MAX_DELTA, policy.s3_order)
+               for frac in policy.radial_fractions]
+    spheres += [([(scan, "ricci"), (scan, "lichnerowicz")], rho, 8)
+                for rho in (0.26, 0.29, 0.33, 0.37)]
+    for pairs, rho, order in spheres:
+        background_calls.clear()
+        folded = sphere_sups(pairs, rho, order, group=group)
+        # one background evaluation, on the orbit representatives
+        reps = sphere_rule(order, rho, group)[0]
+        assert background_calls == [
+            (hashlib.sha256(reps.tobytes()).hexdigest(), 2, False)]
+        assert len(reps) == {6: 27, 8: 64}[order]     # 16 nodes per orbit
+        full = sphere_sups(pairs, rho, order, group=None)
+        for (gm, _), a, b in zip(pairs, folded, full):
+            assert abs(a - b) <= _sup_roundoff(b, gm.params, rho)
 
 
 def test_annulus_ricci_against_fd_oracle(background32):

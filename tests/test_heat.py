@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehglue.heat import (KernelQuery, decay_rate_scan, direct_cutoff,
-                         heat_kernel_minus, heat_kernel_plus, kernel_on_grid,
-                         semigroup_defect, sup_deviation, theta_1d)
+from ehglue.heat import (KernelQuery, _direct_sum, _lattice_box,
+                         decay_rate_scan, direct_cutoff, heat_kernel_minus,
+                         heat_kernel_plus, kernel_on_grid, semigroup_defect,
+                         sup_deviation, theta_1d)
 
 X = (0.1, 0.2, 0.3, 0.4)
 X0 = (0.0, 0.0, 0.0, 0.0)
@@ -120,3 +121,30 @@ def test_direct_cutoff_tail_bound():
     expo = np.exp(-(z[:, None] - a) ** 2 / (4 * t))
     a_big = expo.sum(axis=-1) / np.sqrt(4 * np.pi * t)
     assert abs(a_small[0] - a_big[0]) < 1e-15
+
+
+def _direct_sum_box(z, t, signed):
+    """The direct sum over an explicit (2n+1)⁴ × 4 box of translates."""
+    a = _lattice_box(direct_cutoff(t)).astype(float)
+    d = z[None, :] - a
+    expo = np.exp(-np.einsum("ij,ij->i", d, d) / (4.0 * t))
+    if signed:
+        expo = expo * np.where((a.sum(axis=1).astype(np.int64) & 1) == 0,
+                               1.0, -1.0)
+    return float(np.sum(expo) / (4.0 * np.pi * t) ** 2)
+
+
+def test_direct_sum_matches_the_lattice_box():
+    # the signed sum at t >~ 0.7 cancels from O(1) to ~1e-17, so the bound
+    # is against the plain kernel at the point, not relative; where numpy's
+    # einsum sums a row of four as (q0 + q2) + (q1 + q3), as numpy 2.4
+    # does, the bits agree too, and the heat report keeps its bytes
+    rng = np.random.default_rng(21)
+    for t in (0.05, 0.25, 0.6, 1.0):
+        for z in rng.uniform(-1.0, 1.0, size=(3, 4)):
+            scale = heat_kernel_plus(KernelQuery(tuple(z), X0, t))
+            for signed in (False, True):
+                new, ref = _direct_sum(z, t, signed), _direct_sum_box(z, t,
+                                                                      signed)
+                assert abs(new - ref) <= 1e-15 * scale
+                assert new == ref

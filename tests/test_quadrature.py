@@ -6,7 +6,7 @@ from ehglue.fields import point_group
 from ehglue.obstruction import _corner_sample
 from ehglue.quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
                                kahan_sum, line_fit, radial_quadrature,
-                               s3_quadrature)
+                               s3_quadrature, sphere_rule)
 
 IDENTITY = np.eye(4)[None]
 
@@ -121,6 +121,21 @@ def test_fold_by_the_identity_is_the_full_rule():
     nodes, weights = fold_rule(rule.nodes, rule.weights, IDENTITY)
     assert nodes.tobytes() == rule.nodes.tobytes()
     assert weights.tobytes() == rule.weights.tobytes()
+
+
+def test_sphere_rule_is_the_full_or_the_folded_rule():
+    # no group: the bits of s3_quadrature at the radius; a group: the unit
+    # rule's fold scaled to the radius
+    for order, rho in ((6, 0.1), (8, 0.33), (6, 0.315)):
+        rule = s3_quadrature(order, rho)
+        nodes, weights = sphere_rule(order, rho, None)
+        assert nodes.tobytes() == rule.nodes.tobytes()
+        assert weights.tobytes() == rule.weights.tobytes()
+        unit = s3_quadrature(order)
+        reps, orbit_w = fold_rule(unit.nodes, unit.weights, point_group())
+        nodes, weights = sphere_rule(order, rho, point_group())
+        assert nodes.tobytes() == (reps * rho).tobytes()
+        assert weights.tobytes() == (orbit_w * rho ** 3).tobytes()
 
 
 def test_fold_leaves_out_elements_that_miss_the_node_set():
