@@ -27,17 +27,22 @@ for every metric; the overall sign is pinned by the requirement that Δ_L
 annihilates the decaying kernel modes of the Ricci-flat instanton metric
 (property-tested, not assumed).  Every einsum has at most two operands, at
 optimize=False, laid out so that a point's result has the same bits in a
-batch of any size.
+batch of any size.  :func:`curvature_at`, :func:`lichnerowicz` and
+:func:`div_trace` run on blocks of ``sym2.POINT_BLOCK`` points
+(:func:`ehglue.sym2.point_blocks`), so a point's result does not depend on
+its batch or its block either, and ``dgam`` and ``riemann`` keep the
+layouts stated on :class:`CurvatureAt`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import DIM, Jet2
-from .sym2 import Sym2Jet, inverse_metric, raised
+from .sym2 import Sym2Jet, inverse_metric, point_blocks, raised
 
 _E = dict(optimize=False)
 
@@ -62,6 +67,13 @@ class CurvatureAt:
         up = np.einsum("...ijcd,...ck->...ijkd", up, gi, **_E)
         up = np.einsum("...ijkd,...dl->...ijkl", up, gi, **_E)
         return np.einsum("...ijkl,...ijkl->...", rm, up, **_E)
+
+    @functools.cached_property
+    def laplace_terms(self) -> tuple:
+        """The pieces of :func:`lichnerowicz` that depend on the metric
+        alone, formed on first use and kept: one CurvatureAt serves Δ_L
+        of any number of tensors."""
+        return point_blocks(_laplace_terms, self.scalar.shape, self)
 
 
 def _gamma_term(d1: np.ndarray) -> np.ndarray:
@@ -131,7 +143,12 @@ def christoffel_derivative(g: Sym2Jet, ginv: np.ndarray,
 
 
 def curvature_at(g: Sym2Jet) -> CurvatureAt:
-    """Full curvature data from an order-2 metric jet.
+    """Full curvature data from an order-2 metric jet."""
+    return point_blocks(_curvature_at, g.val.shape[:-2], g)
+
+
+def _curvature_at(g: Sym2Jet) -> CurvatureAt:
+    """:func:`curvature_at` on one block.
 
     R^r_{smn} = Y^r_{mns} - Y^r_{nms} with Y^r_{mns} = ∂_m Γ^r_{ns} +
     Γ^r_{ml} Γ^l_{ns}, laid out [..., r, m, n, s] like R_{rsmn}, which
@@ -154,18 +171,32 @@ def covariant_d1(h: Sym2Jet, gam: np.ndarray) -> np.ndarray:
     return h.d1 - (term + np.swapaxes(term, -2, -3))
 
 
-def lichnerowicz(g: Sym2Jet, h: Sym2Jet,
-                 curv: CurvatureAt | None = None) -> np.ndarray:
-    """Δ_L h at each point (pointwise components); symmetric bit for bit
-    when the jets of h are."""
-    if curv is None:
-        curv = curvature_at(g)
-    ginv, gam = curv.ginv, curv.christoffel
+def _laplace_terms(curv: CurvatureAt) -> tuple:
+    """(Q, γ, P + Ric·g⁻¹) of the rough Laplacian and the curvature action."""
+    ginv = curv.ginv
     # Q^{ml}_i laid out [i, m, l], so that Q·F sums over a contiguous (m, l)
-    q = np.einsum("...kl,...mki->...iml", ginv, gam, order="C", **_E)
+    q = np.einsum("...kl,...mki->...iml", ginv, curv.christoffel, order="C",
+                  **_E)
     gamma = np.einsum("...lml->...m", q, **_E)                     # γ^m
     p_ric = np.einsum("...lk,...mkil->...im", ginv, curv.dgam, **_E)
     p_ric += np.einsum("...ia,...am->...im", curv.ricci, ginv, **_E)
+    return q, gamma, p_ric
+
+
+def lichnerowicz(g: Sym2Jet, h: Sym2Jet,
+                 curv: CurvatureAt | None = None) -> np.ndarray:
+    """Δ_L h at each point (pointwise components); symmetric bit for bit
+    when the jets of h are.  ``curv`` is g's curvature if the caller holds
+    it, and its ``laplace_terms`` are reused."""
+    if curv is None:
+        curv = curvature_at(g)
+    return point_blocks(_lichnerowicz, g.val.shape[:-2], h, curv,
+                        curv.laplace_terms)
+
+
+def _lichnerowicz(h: Sym2Jet, curv: CurvatureAt, terms: tuple) -> np.ndarray:
+    ginv, gam = curv.ginv, curv.christoffel
+    q, gamma, p_ric = terms
     nabla1 = covariant_d1(h, gam)
     # Δ_L h = g^{kl}∂_k∂_l h - γ^m ∇_m h - E - Eᵀ with E = S + Ric·g⁻¹·h - W,
     # W_ij = R_{ikjl} h^{kl}; F = ∂h + ∇h is symmetric, so F_mjl reads as F_jml
@@ -190,6 +221,10 @@ def div_trace(g: Sym2Jet, h: Sym2Jet,
     caller's (g^{-1}, Γ) of g, as :func:`christoffel` returns them, or a
     CurvatureAt that holds them; without it they are formed here.
     """
+    return point_blocks(_div_trace, g.val.shape[:-2], g, h, held)
+
+
+def _div_trace(g: Sym2Jet, h: Sym2Jet, held):
     if held is None:
         ginv, gam = christoffel(g)
     elif isinstance(held, CurvatureAt):

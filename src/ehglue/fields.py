@@ -21,16 +21,22 @@ are the decaying solutions of the linearized Einstein operator around g.
 The metric and the modes, in both orientations, are short sums of terms
 c·W^a·r^(2b)·C:xx with constant tensors C, and one closed-form kernel gives
 their values and exact first and second derivatives.
+
+That kernel runs on blocks of ``sym2.POINT_BLOCK`` points
+(:func:`ehglue.sym2.point_blocks`).  A point's jets have the same bits in a
+batch of any size and in any block, and the arrays keep the layout of one
+whole-batch call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
-from .sym2 import Sym2Jet
+from .sym2 import Sym2Jet, point_blocks
 
 # frame matrices: A^k = J_k x
 J1 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -132,40 +138,48 @@ def _quadratic_jets(x: np.ndarray, e4: float, terms, order: int) -> Sym2Jet:
     Only the orders up to ``order`` are formed.  Every piece pairs
     symmetric factors, so ``val`` is bitwise symmetric in (i, j) and ``d2``
     in (i, j) and in (k, l); ``val`` and ``d1`` do not depend on ``order``.
+    So each index pair i ≤ j, and k ≤ l of ``d2``, is formed once, in the
+    order of :func:`hessian_pairs`, and mirrored at the end: the same bits
+    as forming all sixteen.
     """
+    pk, pl, mirror = hessian_pairs()
+    n = pk.size
     s = np.einsum("...i,...i->...", x, x)
     w2 = s * s + e4
     shape = x.shape[:-1]
-    val = np.zeros(shape + (DIM, DIM))
-    d1 = np.zeros(shape + (DIM,) * 3) if order >= 1 else None
-    d2 = np.zeros(shape + (DIM,) * 4) if order >= 2 else None
+    val = np.zeros(shape + (n,))
+    d1 = np.zeros(shape + (n, DIM)) if order >= 1 else None
+    d2 = np.zeros(shape + (n, n)) if order >= 2 else None
     if order >= 2:
-        xx = x[..., :, None] * x[..., None, :]
-        k4 = np.zeros(shape + (DIM,) * 3)    # Σ 4f' Cx
+        xx = x[..., pk] * x[..., pl]
+        k4 = np.zeros(shape + (n, DIM))    # Σ 4f' Cx
     for c, a, b, C in terms:
+        C = C[pk, pl]
         f = c * w2 ** (0.5 * a) * s ** float(b)
-        cx = np.einsum("ijab,...b->...ija", C, x, optimize=False)
-        q = np.einsum("...ija,...a->...ij", cx, x, optimize=False)
-        val += f[..., None, None] * q
+        cx = np.einsum("pab,...b->...pa", C, x, optimize=False)
+        q = np.einsum("...pa,...a->...p", cx, x, optimize=False)
+        val += f[..., None] * q
         if order == 0:
             continue
         u = a * s / w2 + b / s
         f1 = f * u
-        d1 += ((2.0 * f1)[..., None, None] * q)[..., None] * x[..., None, None, :]
-        d1 += (2.0 * f)[..., None, None, None] * cx
+        d1 += ((2.0 * f1)[..., None] * q)[..., None] * x[..., None, :]
+        d1 += (2.0 * f)[..., None, None] * cx
         if order == 1:
             continue
         f2 = f * (u * u + a * (w2 - 2.0 * s * s) / (w2 * w2) - b / (s * s))
-        p = (4.0 * f2)[..., None, None] * xx
-        p += (2.0 * f1)[..., None, None] * _EYE
-        d2 += q[..., :, :, None, None] * p[..., None, None, :, :]
-        d2 += (2.0 * f)[..., None, None, None, None] * C
-        k4 += (4.0 * f1)[..., None, None, None] * cx
+        p = (4.0 * f2)[..., None] * xx
+        p += (2.0 * f1)[..., None] * _EYE[pk, pl]
+        d2 += q[..., :, None] * p[..., None, :]
+        d2 += (2.0 * f)[..., None, None] * C[:, pk, pl]
+        k4 += (4.0 * f1)[..., None, None] * cx
     if order >= 2:
-        cross = k4[..., :, :, None, :] * x[..., None, None, :, None]
-        cross += np.swapaxes(cross, -1, -2)   # numpy buffers the overlap
-        d2 += cross
-    return Sym2Jet(val, d1, d2)
+        d2 += k4[..., pl] * x[..., None, pk] + k4[..., pk] * x[..., None, pl]
+        d2 = np.take(d2.reshape(shape + (n * n,)),
+                     (n * mirror[:, :, None, None] + mirror).ravel(), axis=-1)
+        d2 = d2.reshape(shape + (DIM,) * 4)
+    return Sym2Jet(np.take(val, mirror, axis=-1),
+                   None if d1 is None else np.take(d1, mirror, axis=-2), d2)
 
 
 def _instanton_field(field, eps: float, reflected: bool) -> TensorField:
@@ -173,7 +187,8 @@ def _instanton_field(field, eps: float, reflected: bool) -> TensorField:
     terms = _field_terms(field, e4, reflected)
 
     def fn(x, order):
-        return _quadratic_jets(x, e4, terms, order)
+        return point_blocks(lambda p: _quadratic_jets(p, e4, terms, order),
+                            x.shape[:-1], x)
 
     return TensorField(fn, r_min=1e-6 * eps)
 
@@ -239,12 +254,16 @@ def farfield_numerators(y: np.ndarray, reflected: bool = False,
     return n, dn
 
 
+@functools.cache
 def hessian_pairs() -> tuple:
     """The ten Hessian entries (k, l) with k ≤ l, in ``np.triu_indices``
-    order, and the (4, 4) map from an entry (k, l) or (l, k) to its pair."""
+    order, and the (4, 4) map from an entry (k, l) or (l, k) to its pair;
+    formed once, as read-only arrays."""
     k, l = np.triu_indices(DIM)
     mirror = np.empty((DIM, DIM), dtype=np.intp)
     mirror[k, l] = mirror[l, k] = np.arange(k.size)
+    for a in (k, l, mirror):
+        a.flags.writeable = False
     return k, l, mirror
 
 

@@ -138,13 +138,10 @@ def curvature_peak() -> float:
     |Rm|² on the axis grows monotonically toward the bolt; the three radii
     PEAK_RADII give two Richardson levels in the r^4 expansion parameter.
     """
-    metric = eh_metric(1.0)
-    vals = []
-    for r in PEAK_RADII:
-        pt = np.array([[r, 0.0, 0.0, 0.0]])
-        vals.append(float(curvature_at(metric.jets(pt)).riemann_sq()[0]))
+    pts = np.zeros((len(PEAK_RADII), 4))
+    pts[:, 0] = PEAK_RADII
+    v0, v1, v2 = curvature_at(eh_metric(1.0).jets(pts)).riemann_sq().tolist()
     # nodes in h = r^4 with ratio 16: two-level Richardson
-    v0, v1, v2 = vals
     r1 = v1 + (v1 - v0) / 15.0
     r2 = v2 + (v2 - v1) / 15.0
     ext = r2 + (r2 - r1) / 255.0

@@ -51,7 +51,7 @@ from .fields import (farfield_expand, farfield_jets, farfield_scalar_jets,
 from .jets import DIM, DomainError
 from .quadrature import KAHAN_CHUNK, KahanAccumulator, kahan_sum
 from .report import atomic_write
-from .sym2 import Sym2Jet
+from .sym2 import Sym2Jet, point_blocks
 
 # ---------------------------------------------------------------------------
 # site enumeration
@@ -607,7 +607,6 @@ class _PolyJet:
 # accelerated background field
 # ---------------------------------------------------------------------------
 
-POINT_BLOCK = 256         # points per BackgroundField.jets block
 NEAR_SHELL = 1            # sites with max|a_i| ≤ NEAR_SHELL are summed directly
 # The far Taylor series converges for |x| below the nearest far site, at
 # distance NEAR_SHELL + 1 = 2.  Its degree-k terms grow with the Gegenbauer
@@ -739,15 +738,19 @@ class BackgroundField:
             raise DomainError(
                 f"background expansion used beyond |x| = {MAX_RADIUS:.3f}")
         flat = x.reshape(-1, 4)
-        out = Sym2Jet.zeros(flat.shape[:1], order)
-        for odd in (False, True):
-            for lo in range(0, flat.shape[0], POINT_BLOCK):
-                sl = slice(lo, lo + POINT_BLOCK)
-                jets = self._eval_parity(flat[sl], odd, order, exclude_origin)
-                # in place, through views: no block-sized temporaries
-                for a, b in zip(out[sl].parts, jets.parts):
-                    a += b
+        out = point_blocks(lambda p: self._eval_block(p, order, exclude_origin),
+                           flat.shape[:1], flat)
         return Sym2Jet(*(a.reshape(shape + a.shape[1:]) for a in out.parts))
+
+    def _eval_block(self, x: np.ndarray, order: int,
+                    exclude_origin: bool) -> Sym2Jet:
+        """Both parities at points x (P, 4), added in place onto zeros."""
+        out = Sym2Jet.zeros(x.shape[:1], order)
+        for odd in (False, True):
+            for a, b in zip(out.parts,
+                            self._eval_parity(x, odd, order, exclude_origin).parts):
+                a += b
+        return out
 
     def _eval_parity(self, x: np.ndarray, odd: bool, order: int,
                      exclude_origin: bool) -> Sym2Jet:

@@ -11,15 +11,23 @@ coordinate derivatives:
 background lattice sums are much cheaper at value+gradient level).  The
 depth is this class's business: indexed reads and writes, truncation and
 the arithmetic below act on the parts present, so callers never test it.
+
+:func:`point_blocks` runs the pointwise geometry kernels (instanton jets,
+background jets, curvature, Δ_L, divergence and trace) on POINT_BLOCK
+points at a time, so that their temporaries stay in cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import DIM, Jet2
+
+POINT_BLOCK = 256         # points per block of point_blocks
 
 
 @dataclass
@@ -81,6 +89,62 @@ class Sym2Jet:
                   + cross + np.swapaxes(cross, -1, -2)
                   + s.hess[..., None, None, :, :] * self.val[..., :, :, None, None])
         return Sym2Jet(val, d1, d2)
+
+
+def _tree(fn, obj, *more):
+    """fn over the arrays of obj, an array, None, or a tuple or dataclass of
+    them, paired leaf by leaf with the like-built ``more``; the result is
+    built like obj."""
+    if obj is None:
+        return None
+    if isinstance(obj, tuple):
+        return tuple(_tree(fn, *parts) for parts in zip(obj, *more))
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(*(_tree(fn, *(getattr(o, f.name) for o in (obj, *more)))
+                           for f in dataclasses.fields(obj)))
+    return fn(obj, *more)
+
+
+def _empty_laid_out_like(block: np.ndarray, n: int) -> np.ndarray:
+    """An empty (n, ...) array with the axis order in memory of ``block``:
+    einsum sums in stride order, so a stitched result keeps the layout
+    that a single call would have returned."""
+    order = np.argsort([-s for s in block.strides], kind="stable")
+    shape = (n,) + block.shape[1:]
+    buf = np.empty([shape[k] for k in order], dtype=block.dtype)
+    return buf.transpose(np.argsort(order))
+
+
+def point_blocks(kernel, shape: tuple, *args):
+    """kernel(*args) for a batch of points of leading shape ``shape``, run
+    on POINT_BLOCK points at a time.
+
+    Every array in args (arrays, tuples and dataclasses of arrays, or None)
+    leads with ``shape``; kernel returns the same kinds, each array leading
+    with its argument's batch.  A batch of at most POINT_BLOCK points goes
+    to the kernel as it is.  A larger one is flattened and sliced, and each
+    block's results are written into arrays laid out in memory like the
+    first block's, then reshaped to ``shape``.  For a kernel whose
+    per-point bits do not depend on its batch, the result has the bits and
+    the strides of one whole-batch call.
+    """
+    n = math.prod(shape)
+    if n <= POINT_BLOCK:
+        return kernel(*args)
+    lead = len(shape)
+    flat = _tree(lambda a: a.reshape((n,) + a.shape[lead:]), args)
+    out = None
+
+    def put(dst, src):
+        dst[sl] = src
+
+    for lo in range(0, n, POINT_BLOCK):
+        sl = slice(lo, lo + POINT_BLOCK)
+        part = kernel(*_tree(lambda a: a[sl], flat))
+        if out is None:
+            out = _tree(lambda a: _empty_laid_out_like(a, n), part)
+        _tree(put, out, part)
+    return _tree(lambda a: a.reshape(shape + a.shape[1:]), out)
 
 
 def raised(ginv: np.ndarray, a: np.ndarray) -> np.ndarray:

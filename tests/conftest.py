@@ -6,6 +6,7 @@ import pytest
 from ehglue.config import RunConfig
 from ehglue.lattice import BackgroundField, omega_partial
 from ehglue.suites import shared_background
+from ehglue.sym2 import POINT_BLOCK
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,28 @@ def sample_offorigin(rng, n, r_lo, r_hi):
 @pytest.fixture
 def points(rng):
     return sample_offorigin(rng, 40, 0.3, 5.0)
+
+
+# point_blocks seams: three full blocks and a partial one, on a 2-D batch
+# (35 × 23); the flat slices straddle a block edge, span two edges with
+# blocks of their own that start mid-block, and take the partial block
+SEAM_POINTS = 3 * POINT_BLOCK + 37
+SEAM_SLICES = (slice(POINT_BLOCK - 3, POINT_BLOCK + 4),
+               slice(POINT_BLOCK // 2, POINT_BLOCK // 2 + 2 * POINT_BLOCK + 1),
+               slice(3 * POINT_BLOCK - 5, SEAM_POINTS))
+
+
+def seam_points(seed):
+    pts = sample_offorigin(np.random.default_rng(seed), SEAM_POINTS, 0.3, 5.0)
+    return pts.reshape(35, 23, 4)
+
+
+def assert_seams_keep_bits(whole, run):
+    """Each array of ``whole``, the results on the 2-D seam batch, against
+    ``run(sl)``, the same results on the flat seam slice sl, bit for bit."""
+    for sl in SEAM_SLICES:
+        got = run(sl)
+        assert len(got) == len(whole)
+        for part, want in zip(got, whole):
+            want = want.reshape(SEAM_POINTS, *want.shape[2:])
+            assert part.tobytes() == want[sl].tobytes(), sl

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ehglue import curvature
 from ehglue.curvature import (bianchi_residual, christoffel, covariant_d1,
                               curvature_at, div_trace, fd_sym2jet, inverse_d1,
                               lichnerowicz, lie_derivative_sym2, trace_jet)
@@ -318,6 +319,37 @@ def test_curvature_path_is_batch_independent():
         part = slice(start, start + n)
         for got, want in zip(evaluate(gj[part], hj[part]), full):
             assert got.tobytes() == want[part].tobytes()
+
+
+def test_curvature_path_keeps_bits_across_point_blocks():
+    # blocked curvature, Δ_L and div/trace equal one whole-batch kernel call
+    # in bits and layout (dgam and riemann are permuted views), and a
+    # point's results do not depend on the block it falls in
+    from tests.conftest import assert_seams_keep_bits, seam_points
+    x = seam_points(23)
+    flat = x.reshape(-1, 4)
+
+    def evaluate(x):
+        g, h = eh_metric(1.0).jets(x), kernel_mode(3, 1.0).jets(x)
+        curv = curvature_at(g)
+        out = [getattr(curv, f.name) for f in dataclasses.fields(curv)]
+        out += curv.laplace_terms
+        for held in (None, curv, (curv.ginv, curv.christoffel)):
+            out += div_trace(g, h, held)
+        return out + [lichnerowicz(g, h), lichnerowicz(g, h, curv)]
+
+    whole = evaluate(x)
+    assert_seams_keep_bits(whole, lambda sl: evaluate(flat[sl]))
+    g, h = eh_metric(1.0).jets(x), kernel_mode(3, 1.0).jets(x)
+    curv = curvature._curvature_at(g)
+    terms = curvature._laplace_terms(curv)
+    single = [getattr(curv, f.name) for f in dataclasses.fields(curv)]
+    single += [*terms, *curvature._div_trace(g, h, None)]
+    single += [curvature._lichnerowicz(h, curv, terms)] * 2
+    blocked = whole[:12] + whole[-2:]
+    for part, want in zip(blocked, single, strict=True):
+        assert part.strides == want.strides
+        assert part.tobytes() == want.tobytes()
 
 
 def test_lichnerowicz_annihilates_metric_on_every_draw():

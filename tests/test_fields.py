@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ehglue.fields import (alpha_forms, eh_metric, farfield_jets,
-                           farfield_numerators, farfield_scalar_jets,
-                           farfield_scalars, farfield_tensor, kernel_mode,
-                           map_collection, point_generators, symmetry_check,
-                           vector_fields, FRAME, REFLECTION)
+from ehglue.fields import (_field_terms, _quadratic_jets, alpha_forms,
+                           eh_metric, farfield_jets, farfield_numerators,
+                           farfield_scalar_jets, farfield_scalars,
+                           farfield_tensor, kernel_mode, map_collection,
+                           point_generators, symmetry_check, vector_fields,
+                           FRAME, REFLECTION)
 from ehglue.jets import DomainError, Jet2, coordinate_jets, radius2_jet
 from ehglue.sym2 import Sym2Jet, inverse_metric, pair
 
@@ -311,6 +312,84 @@ def test_instanton_fields_match_jet_composition_oracle(rng, field, reflected,
     assert np.array_equal(val, np.swapaxes(val, -1, -2))
     assert np.array_equal(d2, np.swapaxes(d2, -3, -4))
     assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
+
+
+def _quadratic_jets_all_pairs(x, e4, terms, order):
+    """Oracle: the instanton kernel as it was before it formed each
+    symmetric index pair once, every (i, j) and (k, l) formed."""
+    eye, dim = np.eye(4), 4
+    s = np.einsum("...i,...i->...", x, x)
+    w2 = s * s + e4
+    shape = x.shape[:-1]
+    val = np.zeros(shape + (dim, dim))
+    d1 = np.zeros(shape + (dim,) * 3) if order >= 1 else None
+    d2 = np.zeros(shape + (dim,) * 4) if order >= 2 else None
+    if order >= 2:
+        xx = x[..., :, None] * x[..., None, :]
+        k4 = np.zeros(shape + (dim,) * 3)
+    for c, a, b, C in terms:
+        f = c * w2 ** (0.5 * a) * s ** float(b)
+        cx = np.einsum("ijab,...b->...ija", C, x, optimize=False)
+        q = np.einsum("...ija,...a->...ij", cx, x, optimize=False)
+        val += f[..., None, None] * q
+        if order == 0:
+            continue
+        u = a * s / w2 + b / s
+        f1 = f * u
+        d1 += ((2.0 * f1)[..., None, None] * q)[..., None] * x[..., None, None, :]
+        d1 += (2.0 * f)[..., None, None, None] * cx
+        if order == 1:
+            continue
+        f2 = f * (u * u + a * (w2 - 2.0 * s * s) / (w2 * w2) - b / (s * s))
+        p = (4.0 * f2)[..., None, None] * xx
+        p += (2.0 * f1)[..., None, None] * eye
+        d2 += q[..., :, :, None, None] * p[..., None, None, :, :]
+        d2 += (2.0 * f)[..., None, None, None, None] * C
+        k4 += (4.0 * f1)[..., None, None, None] * cx
+    if order >= 2:
+        cross = k4[..., :, :, None, :] * x[..., None, None, :, None]
+        d2 += cross + np.swapaxes(cross, -1, -2)
+    return Sym2Jet(val, d1, d2)
+
+
+@pytest.mark.parametrize("field", ["eh", 1, 2, 3])
+@pytest.mark.parametrize("reflected", [False, True])
+def test_instanton_pairs_formed_once_keep_the_bits(field, reflected):
+    # forming each symmetric index pair once and mirroring gives the bits
+    # and the layout of forming all sixteen, for r/ε from 0.006 to 170
+    from tests.conftest import sample_offorigin
+    x = sample_offorigin(np.random.default_rng(24), 2000, 0.01, 50.0)
+    x = x.reshape(40, 50, 4)
+    for eps in (0.3, 1.0, 1.7):
+        terms = _field_terms(field, eps ** 4, reflected)
+        for order in (0, 1, 2):
+            got = _quadratic_jets(x, eps ** 4, terms, order)
+            want = _quadratic_jets_all_pairs(x, eps ** 4, terms, order)
+            assert got.order == want.order == order
+            for part, ref in zip(got.parts, want.parts):
+                assert part.strides == ref.strides
+                assert part.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("field", ["eh", 1, 2, 3])
+@pytest.mark.parametrize("reflected", [False, True])
+def test_instanton_jets_keep_bits_across_point_blocks(field, reflected):
+    # blocked jets equal one whole-batch kernel call in bits and layout, and
+    # a point's jets do not depend on the block it falls in
+    from tests.conftest import assert_seams_keep_bits, seam_points
+    eps = 0.7
+    x = seam_points(22)
+    flat = x.reshape(-1, 4)
+    tf = _instanton(field, eps, reflected)
+    terms = _field_terms(field, eps ** 4, reflected)
+    for order in (0, 1, 2):
+        whole = tf.jets(x, order)
+        single = _quadratic_jets(x, eps ** 4, terms, order)
+        for part, want in zip(whole.parts, single.parts, strict=True):
+            assert part.strides == want.strides
+            assert part.tobytes() == want.tobytes()
+        assert_seams_keep_bits(whole.parts,
+                               lambda sl: tf.jets(flat[sl], order).parts)
 
 
 def test_kernel_mode_closed_form_at_axis():
