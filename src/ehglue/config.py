@@ -8,6 +8,7 @@ computation starts; an invalid configuration never partially executes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, fields
 
 
@@ -59,6 +60,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive integer")
         if not (self.t_min < self.t_max < 0.0):
             raise ConfigError("need t_min < t_max < 0")
+        if self.site and not re.fullmatch(
+                r"\s*[+-]?\d+\s*(,\s*[+-]?\d+\s*){3}", self.site):
+            raise ConfigError("site must be four comma-separated integers, "
+                              f"e.g. 1,0,0,0, not {self.site}")
         return self
 
     def apply_mapping(self, mapping: dict[str, str]):

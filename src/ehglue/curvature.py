@@ -183,13 +183,10 @@ def _laplace_terms(curv: CurvatureAt) -> tuple:
     return q, gamma, p_ric
 
 
-def lichnerowicz(g: Sym2Jet, h: Sym2Jet,
-                 curv: CurvatureAt | None = None) -> np.ndarray:
+def lichnerowicz(g: Sym2Jet, h: Sym2Jet, curv: CurvatureAt) -> np.ndarray:
     """Δ_L h at each point (pointwise components); symmetric bit for bit
-    when the jets of h are.  ``curv`` is g's curvature if the caller holds
-    it, and its ``laplace_terms`` are reused."""
-    if curv is None:
-        curv = curvature_at(g)
+    when the jets of h are.  ``curv`` is g's curvature, as
+    :func:`curvature_at` returns it; its ``laplace_terms`` are reused."""
     return point_blocks(_lichnerowicz, g.val.shape[:-2], h, curv,
                         curv.laplace_terms)
 
@@ -210,8 +207,7 @@ def _lichnerowicz(h: Sym2Jet, curv: CurvatureAt, terms: tuple) -> np.ndarray:
     return out
 
 
-def div_trace(g: Sym2Jet, h: Sym2Jet,
-              held: CurvatureAt | tuple | None = None):
+def div_trace(g: Sym2Jet, h: Sym2Jet, held: CurvatureAt | tuple):
     """(divergence covector, trace scalar, gauge vector Y).
 
     (div h)_j = g^{ik} ∇_i h_{kj};  tr = g^{ij} h_{ij};
@@ -219,18 +215,14 @@ def div_trace(g: Sym2Jet, h: Sym2Jet,
 
     Only needs order-1 jets (Christoffels, not curvature).  ``held`` is the
     caller's (g^{-1}, Γ) of g, as :func:`christoffel` returns them, or a
-    CurvatureAt that holds them; without it they are formed here.
+    CurvatureAt that holds them.
     """
     return point_blocks(_div_trace, g.val.shape[:-2], g, h, held)
 
 
 def _div_trace(g: Sym2Jet, h: Sym2Jet, held):
-    if held is None:
-        ginv, gam = christoffel(g)
-    elif isinstance(held, CurvatureAt):
-        ginv, gam = held.ginv, held.christoffel
-    else:
-        ginv, gam = held
+    ginv, gam = ((held.ginv, held.christoffel)
+                 if isinstance(held, CurvatureAt) else held)
     div = np.einsum("...ki,...jki->...j", ginv, covariant_d1(h, gam), **_E)
     tr = trace_jet(g, h, ginv, 1)
     y_vec = np.einsum("...mj,...j->...m", ginv, div - 0.5 * tr.grad, **_E)

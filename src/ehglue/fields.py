@@ -435,10 +435,12 @@ def point_generators() -> list[SymmetryMap]:
     ]
 
 
+@functools.cache
 def point_group() -> np.ndarray:
     """The 64 signed-permutation matrices [64, 4, 4] generated by
     :func:`point_generators`, the identity first and the rest in the order
-    of a breadth-first closure under right multiplication by the generators."""
+    of a breadth-first closure under right multiplication by the generators;
+    built once per process, read-only."""
     gens = [m.linear() for m in point_generators()]
     group, seen = [np.eye(DIM)], {np.eye(DIM).tobytes()}
     for elem in group:     # grows while it is walked
@@ -447,7 +449,9 @@ def point_group() -> np.ndarray:
             if prod.tobytes() not in seen:
                 seen.add(prod.tobytes())
                 group.append(prod)
-    return np.stack(group)
+    out = np.stack(group)
+    out.flags.writeable = False
+    return out
 
 
 def torus_generators() -> list[SymmetryMap]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_at
-from .fields import eh_metric, point_group
+from .fields import eh_metric
 from .glue import MAX_DELTA, GlueParams, GluedMetric, sphere_sups
 from .lattice import OMEGA_REFERENCE, BackgroundField
 from .quadrature import line_fit
@@ -24,6 +24,7 @@ from .quadrature import line_fit
 LAMBDA = 1000.0             # the scale is defined for t <= -LAMBDA
 HOELDER_ALPHA = 1e-4        # time-Hölder exponent of the admissibility check
 PEAK_RADII = (0.2, 0.1, 0.05)   # axis radii extrapolated by curvature_peak
+PROXY_FRACTIONS = (0.70, 0.75, 0.78, 0.82, 0.90, 1.05)  # proxy sphere radii / δ
 
 
 def epsilon_of_t(t: float, omega: float = OMEGA_REFERENCE) -> float:
@@ -167,12 +168,12 @@ class ProxyPolicy:
     the piecewise construction (overlapping necks); the proxy therefore caps
     the neck radius there and tracks the eps(t)-driven decay, which
     dominates.  Once capped, δ is the same at every proxy time, so all times
-    sample the same spheres frac·δ and share their background evaluations.
+    sample the same spheres frac·δ, frac in PROXY_FRACTIONS, and share their
+    background evaluations.
     """
 
     lattice_cutoff: int = 16
     s3_order: int = 6
-    radial_fractions: tuple = (0.70, 0.75, 0.78, 0.82, 0.90, 1.05)
     omega: float = OMEGA_REFERENCE
 
     def delta_of_t(self, t: float) -> float:
@@ -194,26 +195,19 @@ def ricci_decay_proxy(times, policy: ProxyPolicy,
     The sample covers the cutoff transition band (where the residual peaks)
     and one outer sphere; the fitted exponent in (-t) comes out near -1,
     comfortably below the -1/2 + kappa target.  The work is grouped by
-    sphere radius frac·δ(t): times that sample one sphere share its
-    background evaluation.
+    δ(t): times with one δ sample the same spheres frac·δ and share their
+    background evaluations.
     """
     times = np.asarray(sorted(times), dtype=float)
     epss = [epsilon_of_t(t, policy.omega) for t in times]
     dels = [policy.delta_of_t(t) for t in times]
-    metrics = [GluedMetric(GlueParams(eps, delta, policy.lattice_cutoff),
-                           background) for eps, delta in zip(epss, dels)]
-    # the times that sample each sphere; one sphere's jets alive at a time
-    spheres: dict[float, list[int]] = {}
-    for i, delta in enumerate(dels):
-        for frac in policy.radial_fractions:
-            spheres.setdefault(frac * delta, []).append(i)
-    per_time = [[] for _ in times]
-    group = point_group()
-    for rho, idx in spheres.items():
-        sups = sphere_sups([(metrics[i], "ricci") for i in idx], rho,
-                           policy.s3_order, group=group)
-        for i, sup in zip(idx, sups):
-            per_time[i].append(sup)
-    sups = np.asarray([max(v) for v in per_time])
+    sups = np.empty(times.size)
+    for delta in dict.fromkeys(dels):
+        idx = [i for i, d in enumerate(dels) if d == delta]
+        pairs = [(GluedMetric(GlueParams(epss[i], delta,
+                                         policy.lattice_cutoff), background),
+                  "ricci") for i in idx]
+        sups[idx] = sphere_sups(pairs, [f * delta for f in PROXY_FRACTIONS],
+                                policy.s3_order, folded=True).max(axis=0)
     slope, _ = line_fit(np.log(-times), np.log(sups))
     return ProxyResult(times, sups, np.asarray(dels), float(slope))

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_at, lichnerowicz, trace_jet
-from .fields import eh_metric, kernel_mode, point_group
+from .fields import eh_metric, kernel_mode
 from .jets import DIM, DomainError, Jet2, jet_radius
 from .lattice import BackgroundField, parity_of
 from .quadrature import line_fit, sphere_rule
 from .sym2 import Sym2Jet, inverse_metric, pair
 
 MAX_DELTA = 0.45        # the largest neck radius inside the unit cell
+DECAY_ORDER = 8         # S³ order of the decay scans' sphere sups
 
 
 @dataclass(frozen=True)
@@ -274,21 +275,20 @@ class DecayScan:
     fitted_exponent: float
 
 
-def sphere_sups(pairs, rho: float, s3_order: int = 6, *,
-                group) -> list[float]:
-    """Sup over the sphere |x| = rho of the glued-metric norm of Ric (field
-    "ricci") or of Δ_L applied to the obstruction tensor (field
-    "lichnerowicz"), one per (glued metric, field) pair; the sphere sup
-    behind every decay scan.
+def sphere_sups(pairs, radii, s3_order: int = 6, *,
+                folded: bool) -> np.ndarray:
+    """Sups [radius, pair] over the spheres |x| = rho of the glued-metric
+    norm of Ric (field "ricci") or of Δ_L applied to the obstruction tensor
+    (field "lichnerowicz"), one column per (glued metric, field) pair: the
+    table that every decay, band and proxy scan reduces.
 
-    The nodes are those of ``sphere_rule(s3_order, rho, group)``: the full
-    S³ rule for ``group=None``, else one node per orbit of the group's
-    stabilizer of the rule.  Both norms are invariant under the point
-    group, so a folded sup is the full-rule sup up to roundoff; the flow
-    proxy, :func:`decay_scans` and glue-scan's annulus band fold.  Pass
-    None where the sup is itself roundoff, as for glue-scan's inner
-    residual: roundoff is not point-group invariant, and folded, the inner
-    Lichnerowicz residual reads 18% lower.
+    The nodes are those of ``sphere_rule(s3_order, rho, folded)``: the full
+    S³ rule, or one node per orbit of the point group's stabilizer of the
+    rule.  Both norms are invariant under the point group, so a folded sup
+    is the full-rule sup up to roundoff; the flow proxy, :func:`decay_scans`
+    and glue-scan's annulus band fold.  Do not fold where the sup is itself
+    roundoff, as for glue-scan's inner residual: roundoff is not point-group
+    invariant, and folded, the inner Lichnerowicz residual reads 18% lower.
 
     The background does not depend on eps or δ: it is evaluated once per
     sphere, where some pair's metric reaches beyond δ/2, and serves every
@@ -299,41 +299,39 @@ def sphere_sups(pairs, rho: float, s3_order: int = 6, *,
         raise ValueError("field must be 'ricci' or 'lichnerowicz'")
     if len({id(gm.background) for gm, _ in pairs}) != 1:
         raise ValueError("the pairs of one sphere sup share one background")
-    nodes = sphere_rule(s3_order, rho, group)[0]
-    bg = background_beyond(pairs[0][0].background, nodes,
-                           min(0.5 * gm.params.delta for gm, _ in pairs), 2)
-    sups, last = [], None
-    for glued, field in pairs:
-        if glued is not last:
-            g = curv = vals = None      # one metric's jets alive at a time
-            g = glued.jets(nodes, order=2, bg=bg)
-            curv, last = curvature_at(g), glued
-        if field == "ricci":
-            vals = curv.ricci
-        else:
-            vals = lichnerowicz(g, glued.obstruction_jets(nodes, order=2,
-                                                          bg=bg, g=g), curv)
-        sups.append(float(np.sqrt(np.max(pair(curv.ginv, vals, vals)))))
-    return sups
+    reach = min(0.5 * gm.params.delta for gm, _ in pairs)
+    table = np.empty((len(radii), len(pairs)))
+    for row, rho in zip(table, radii):
+        nodes = sphere_rule(s3_order, rho, folded)[0]
+        bg = background_beyond(pairs[0][0].background, nodes, reach, 2)
+        last = None
+        for col, (glued, field) in enumerate(pairs):
+            if glued is not last:
+                g = curv = vals = None      # one metric's jets alive at a time
+                g = glued.jets(nodes, order=2, bg=bg)
+                curv, last = curvature_at(g), glued
+            if field == "ricci":
+                vals = curv.ricci
+            else:
+                vals = lichnerowicz(g, glued.obstruction_jets(
+                    nodes, order=2, bg=bg, g=g), curv)
+            row[col] = np.sqrt(np.max(pair(curv.ginv, vals, vals)))
+    return table
 
 
-def decay_scans(pairs, radii, s3_order: int = 8) -> list[DecayScan]:
-    """Sups over spheres of |Ric| or |Δ_L obstruction| per (glued metric,
-    field) pair, each with a log-log fit; the background is evaluated once
-    per sphere for all pairs.  Needs at least two radii for a fit.
+def decay_scans(pairs, radii) -> list[DecayScan]:
+    """Sups over spheres of |Ric| or |Δ_L obstruction| at order DECAY_ORDER
+    per (glued metric, field) pair, each with a log-log fit; the background
+    is evaluated once per sphere for all pairs.  Needs two radii or more.
 
-    The sups run on the point-group-folded rule (:func:`sphere_sups`):
-    a decay scan fits sups far above their roundoff, and the fold moves
-    them by that roundoff only."""
+    The sups run on the folded rule (:func:`sphere_sups`): a decay scan
+    fits sups far above their roundoff, and the fold moves them by that
+    roundoff only."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2:
         raise ValueError("decay scan needs at least two radii")
-    pairs = list(pairs)
-    group = point_group()
-    sups = np.asarray([sphere_sups(pairs, rho, s3_order, group=group)
-                       for rho in radii])
     scans = []
-    for col in sups.T:
+    for col in sphere_sups(pairs, radii, DECAY_ORDER, folded=True).T:
         slope, _ = line_fit(np.log(radii), np.log(np.maximum(col, 1e-300)))
         scans.append(DecayScan(col, slope))
     return scans

@@ -13,8 +13,8 @@ Every pairing flux, cap or single-site, integrates one kernel,
 goes through one sphere-integral driver with its quadrature estimate.
 
 The cap flux and the projections integrate scalars of tensors that the
-point group fixes; their callers pass the group, and those integrals run on
-one node per orbit of their rules with the orbit's summed weight.
+point group fixes, so they run on folded rules: one node per orbit with the
+orbit's summed weight.
 
 Surface geometry is taken with respect to the cap metric as the measure
 dμ in the pairing demands: the area element against the Euclidean one is
@@ -24,18 +24,19 @@ is the normalized metric gradient of the radius.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import christoffel, covariant_d1, curvature_at, div_trace
-from .fields import eh_metric, farfield_jets, kernel_mode, point_group
+from .fields import eh_metric, farfield_jets, kernel_mode
 from .glue import GlueParams, GluedMetric, check_cutoff, gap_tensor
 from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
-from .quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
-                         gauss_panel, kahan_sum, s3_quadrature, sphere_rule)
+from .quadrature import (KahanAccumulator, chunked_kahan_dot, frozen_rule,
+                         gauss_panel, kahan_sum, sphere_rule)
 from .sym2 import Sym2Jet, pair
 
 _E = dict(optimize=False)
@@ -51,13 +52,13 @@ def correction_budget(eps: float, delta: float) -> float:
 
 
 def _sphere_integral(density, delta: float, s3_order: int,
-                     group) -> tuple[float, float]:
+                     folded: bool) -> tuple[float, float]:
     """(∫ integrand · area dS on |x| = δ, its distance to the coarse value
     at order max(8, s3_order - 8)), with (integrand, area) = density(nodes)
-    and dS the Euclidean sphere rule, folded by group (or None) as in
+    and dS the Euclidean sphere rule, full or folded as in
     :func:`sphere_rule`."""
     def value_on(order):
-        nodes, weights = sphere_rule(order, delta, group)
+        nodes, weights = sphere_rule(order, delta, folded)
         integrand, area = density(nodes)
         return chunked_kahan_dot(weights * area, integrand)
 
@@ -130,34 +131,32 @@ def distributional_check(u_jet_fn, i: int, j: int, form: str, delta: float,
     """
     if i == j:
         raise ValueError("indices must differ")
-    rule = s3_quadrature(s3_order, delta)
-    rule_c = s3_quadrature(max(8, s3_order - 6), delta)
 
-    def surface_value(rl):
-        nodes = rl.nodes
+    def surface_value(order):
+        nodes, weights = sphere_rule(order, delta, False)
         n = nodes / delta
         uj = u_jet_fn(nodes)
         vj = offdiag_kernel_jet(nodes, i, j, form)
         du = np.einsum("...k,...k->...", uj.grad, n, **_E)
         dv = np.einsum("...k,...k->...", vj.grad, n, **_E)
-        return chunked_kahan_dot(rl.weights, vj.value * du - uj.value * dv)
+        return chunked_kahan_dot(weights, vj.value * du - uj.value * dv)
 
-    surf = surface_value(rule)
-    est = abs(surf - surface_value(rule_c))
+    surf = surface_value(s3_order)
+    est = abs(surf - surface_value(max(8, s3_order - 6)))
 
     vol_acc = KahanAccumulator()
     hi = delta
-    ang = s3_quadrature(max(8, s3_order - 6), 1.0)
+    ang_nodes, ang_weights = sphere_rule(max(8, s3_order - 6), 1.0, False)
     last_panel = 0.0
     for level in range(RADIAL_LEVELS):
         lo = hi * 0.5
         panel = KahanAccumulator()
         for rr, ww in zip(*gauss_panel(lo, hi, RADIAL_POINTS)):
-            nodes = ang.nodes * rr
+            nodes = ang_nodes * rr
             uj = u_jet_fn(nodes)
             lap = np.einsum("...kk->...", uj.hess, **_E)
             vj = offdiag_kernel_jet(nodes, i, j, form)
-            shell = chunked_kahan_dot(ang.weights * rr ** 3, lap * vj.value)
+            shell = chunked_kahan_dot(ang_weights * rr ** 3, lap * vj.value)
             panel.add(ww * shell)
         vol_acc.add(panel.result())
         last_panel = abs(panel.result())
@@ -193,9 +192,13 @@ def flux_integral(params: GlueParams, s3_order: int,
     far field to the order retained); derivatives, pairing, normal and
     measure all use the cap metric.  ``exact_gap`` instead subtracts the
     full cap metric from the outer expression — at desk scale that variant
-    carries an O(eps^12 delta^-10) shift with a constant near 80, far
+    carries a shift (exact - leading) of about -79 eps^12 delta^-10, far
     beyond the nominal correction budget, which is why the leading gap is
     the default (the asymptotic limits agree; see the cross-route suite).
+    Measured at δ = 0.3 and cutoff 32, the shift over eps^12 delta^-10
+    reads -78.93, -78.84 and -78.47 at eps = 0.05, 0.07 and 0.1, the same
+    to four digits at sphere orders 16, 24 and 32; scripts/flux_scaling.py
+    prints it.
 
     Both variants integrate scalars of tensors that the point group leaves
     invariant, so they run on one node per orbit of the sphere rule (16:1
@@ -219,8 +222,7 @@ def flux_integral(params: GlueParams, s3_order: int,
         return pairing_density(ginv, nu, mode.val, covariant_d1(mode, gam),
                                hbar.val, covariant_d1(hbar, gam)), area
 
-    fine, est = _sphere_integral(density, params.delta, s3_order,
-                                 point_group())
+    fine, est = _sphere_integral(density, params.delta, s3_order, True)
     predicted = 32.0 * np.pi ** 2 * eps ** 8 * omega
     return FluxReport(fine, predicted,
                       correction_budget(eps, params.delta), est)
@@ -233,7 +235,9 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
     weight; even sites pair the plain kernel and give zero.  One site's
     field is not point-group invariant, so the full sphere rule is used.
     """
-    site = np.asarray(site, dtype=np.int64)
+    site = np.asarray(site)
+    if site.shape != (DIM,) or site.dtype.kind not in "iu":
+        raise ValueError(f"site must be {DIM} integers, got {site.tolist()}")
     if not np.any(site):
         raise DomainError("site must be nonzero")
     odd = bool(parity_of(site[None])[0])
@@ -244,7 +248,7 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
         return pairing_density(np.eye(DIM), nodes / delta, center.val,
                                center.d1, moved.val, moved.d1), 1.0
 
-    fine, est = _sphere_integral(density, delta, s3_order, None)
+    fine, est = _sphere_integral(density, delta, s3_order, False)
     return FluxReport(fine, flux_term_exact(site), 0.0, est)
 
 
@@ -274,18 +278,18 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
                                **_E), area
 
     # the value is a roundoff-level difference, which folding would move
-    return _sphere_integral(density, params.delta, s3_order, None)
+    return _sphere_integral(density, params.delta, s3_order, False)
 
 
 def gauge_vector_sup(params: GlueParams, s3_order: int,
                      background: BackgroundField) -> float:
     """sup over |x| = δ of |Z| in the cap metric."""
     check_cutoff(params, background)
-    nodes = s3_quadrature(s3_order, params.delta).nodes
+    nodes = sphere_rule(s3_order, params.delta, False)[0]
     eps = params.eps
     gj = eh_metric(eps).jets(nodes, order=1)
     _, _, z_vec = div_trace(gj, gap_tensor(background.jets(nodes, order=1),
-                                           eps, gj))
+                                           eps, gj), christoffel(gj))
     sq = np.einsum("...ij,...i,...j->...", gj.val, z_vec, z_vec, **_E)
     return float(np.sqrt(np.max(sq)))
 
@@ -321,20 +325,22 @@ def _shell_radii(params: GlueParams, annulus_points: int, outer_points: int):
     return shells
 
 
-def _corner_sample(group):
-    """Deterministic midpoint grid on the cube minus the inscribed ball,
-    folded by group: (orbit representatives, orbit weights).
+@functools.cache
+def _corner_sample(folded: bool):
+    """Deterministic midpoint grid on the cube minus the inscribed ball:
+    (points, cell weights), or folded by the point group, (orbit
+    representatives, orbit weights); built once per process, read-only.
 
     The grid's coordinates are dyadic, so a signed permutation maps it onto
-    itself exactly; under the full point group its 2,784 points form 51
-    orbits, and each orbit weight is its size times the cell volume, exactly.
+    itself exactly; under the point group its 2,784 points form 51 orbits,
+    and each orbit weight is its size times the cell volume, exactly.
     """
     c = (np.arange(CORNER_POINTS) + 0.5) / CORNER_POINTS - 0.5
     grids = np.meshgrid(c, c, c, c, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     pts = pts[np.einsum("ij,ij->i", pts, pts) > 0.25]
-    return fold_rule(pts, np.full(pts.shape[0], (1.0 / CORNER_POINTS) ** 4),
-                     group)
+    return frozen_rule(pts, np.full(pts.shape[0], (1.0 / CORNER_POINTS) ** 4),
+                       folded)
 
 
 def _projection_densities(gm: GluedMetric, nodes: np.ndarray, bgj: Sym2Jet):
@@ -349,9 +355,9 @@ def _projection_densities(gm: GluedMetric, nodes: np.ndarray, bgj: Sym2Jet):
 
 
 def projection_integrals(eps_list, delta: float, background: BackgroundField,
-                         s3_order: int = 10, annulus_points: int = 24,
-                         outer_points: int = 48,
-                         with_estimate: bool = True) -> list[ProjectionResult]:
+                         s3_order: int, annulus_points: int,
+                         outer_points: int,
+                         with_estimate: bool) -> list[ProjectionResult]:
     """-2 ∫ ⟨obstruction, Ric⟩ and -2 ∫ ⟨g, Ric⟩ over the punctured cube.
 
     One background-jet sweep is shared by all requested eps values (the
@@ -364,16 +370,14 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
     grid on one point per orbit (51 of 2,784), each with its orbit's summed
     weight; the inner residual, a sup, stays on a full sphere rule.
     """
-    group = point_group()
     metrics = [GluedMetric(GlueParams(e, delta, background.cutoff),
                            background) for e in eps_list]
 
     def sweep(order, ann_n, out_n):
-        params0 = metrics[0].params
-        shells = _shell_radii(params0, ann_n, out_n)
+        shells = _shell_radii(metrics[0].params, ann_n, out_n)
         acc_o = [KahanAccumulator() for _ in eps_list]
         acc_g = [KahanAccumulator() for _ in eps_list]
-        ang_nodes, ang_weights = sphere_rule(order, 1.0, group)
+        ang_nodes, ang_weights = sphere_rule(order, 1.0, True)
         for rho, w_r in shells:
             nodes = ang_nodes * rho
             weights = ang_weights * rho ** 3 * w_r
@@ -385,14 +389,12 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
         return [a.result() for a in acc_o], [a.result() for a in acc_g]
 
     fine_o, fine_g = sweep(s3_order, annulus_points, outer_points)
-    if with_estimate:
-        coarse_o, coarse_g = sweep(max(6, s3_order - 2),
-                                   annulus_points // 2, outer_points // 2)
-    else:
-        coarse_o, coarse_g = fine_o, fine_g
+    coarse_o, coarse_g = (sweep(max(6, s3_order - 2), annulus_points // 2,
+                                outer_points // 2)
+                          if with_estimate else (fine_o, fine_g))
 
     # corner region (|x| > 1/2 inside the cube): midpoint rule + bound
-    pts, cell_weights = _corner_sample(group)
+    pts, cell_weights = _corner_sample(True)
     bgj_corner = background.jets(pts, order=2)
     results = []
     for idx, gm in enumerate(metrics):
@@ -402,7 +404,7 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
         corner_bound = 2.0 * abs(corner_o)
 
         # inner residual: the cap is Ricci flat, sample one inner sphere
-        inner_nodes = s3_quadrature(6, 0.3 * delta).nodes
+        inner_nodes = sphere_rule(6, 0.3 * delta, False)[0]
         inner_curv = curvature_at(gm.jets(inner_nodes, order=2))
         inner_res = float(np.max(np.abs(inner_curv.ricci)))
 

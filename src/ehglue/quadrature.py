@@ -17,9 +17,12 @@ deterministic order, so results are independent of chunking and threading.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fields import point_group
 
 KAHAN_CHUNK = 1 << 18       # terms per pairwise np.sum in a chunked sum
 PANEL_POINTS = 32           # Gauss points per radial panel (coarse: half)
@@ -148,7 +151,6 @@ def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
 
 FOLD_KEY = 1e-9         # node coordinates are matched on a grid this fine
 FOLD_MATCH = 1e-12      # largest mismatch of a matched node image
-_FOLDS: dict = {}       # fold_rule results by the bytes of their arguments
 
 
 def _orbit_labels(nodes: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -204,36 +206,42 @@ def fold_rule(nodes: np.ndarray, weights: np.ndarray,
     and representatives keep the node order; an orbit's weight is the sum
     of its members' weights, added in index order.  Σ w f over the rule
     equals Σ (orbit weight)·f(representative) for every integrand f that
-    the group leaves invariant.  Folds are kept by the bytes of their
-    arguments, so each is built once per process; the arrays returned are
-    read-only.
+    the group leaves invariant.
     """
-    key = (nodes.tobytes(), weights.tobytes(), group.tobytes())
-    if key not in _FOLDS:
-        label = _orbit_labels(nodes, group)
-        reps, size = np.unique(label, return_counts=True)
-        members = np.argsort(label, kind="stable")   # by orbit, index order
-        start = np.cumsum(size) - size
-        total = weights[members[start]]
-        for k in range(1, int(np.max(size))):
-            more = size > k
-            total[more] += weights[members[start[more] + k]]
-        folded = (nodes[reps], total)
-        for arr in folded:
-            arr.flags.writeable = False
-        _FOLDS[key] = folded
-    return _FOLDS[key]
+    label = _orbit_labels(nodes, group)
+    reps, size = np.unique(label, return_counts=True)
+    members = np.argsort(label, kind="stable")   # by orbit, index order
+    start = np.cumsum(size) - size
+    total = weights[members[start]]
+    for k in range(1, int(np.max(size))):
+        more = size > k
+        total[more] += weights[members[start[more] + k]]
+    return nodes[reps], total
 
 
-def sphere_rule(order: int, radius: float, group):
-    """(nodes, weights) of s3_quadrature(order, radius), bit for bit, or,
-    given a group, the unit rule's orbit representatives and orbit weights
-    under it (:func:`fold_rule`) scaled to the radius.  Pass a group only
-    for integrands that it leaves invariant."""
+def frozen_rule(nodes: np.ndarray, weights: np.ndarray, folded: bool):
+    """(nodes, weights), or their fold by ``fields.point_group()``
+    (:func:`fold_rule`), made read-only."""
+    if folded:
+        nodes, weights = fold_rule(nodes, weights, point_group())
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
+def _unit_rule(order: int, folded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """s3_quadrature(order) on the unit sphere, full or folded as in
+    :func:`frozen_rule`; built once per process."""
     rule = s3_quadrature(order)
-    nodes, weights = rule.nodes, rule.weights
-    if group is not None:
-        nodes, weights = fold_rule(nodes, weights, group)
+    return frozen_rule(rule.nodes, rule.weights, folded)
+
+
+def sphere_rule(order: int, radius: float, folded: bool):
+    """The one source of S³ nodes: (nodes, weights) of s3_quadrature(order,
+    radius), bit for bit, or, folded, the unit rule's orbit representatives
+    and orbit weights (:func:`fold_rule`) scaled to the radius.  Fold only
+    integrands that the point group leaves invariant."""
+    nodes, weights = _unit_rule(order, folded)
     return nodes * radius, weights * radius ** 3
 
 

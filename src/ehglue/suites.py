@@ -17,9 +17,8 @@ from .config import RunConfig
 from .curvature import (bianchi_residual, curvature_at, div_trace, fd_sym2jet,
                         lichnerowicz, lie_derivative_sym2)
 from .fields import (eh_metric, farfield_tensor, kernel_mode,
-                     map_collection, point_generators, point_group,
-                     symmetry_check, vector_fields, alpha_forms,
-                     radial_vector)
+                     map_collection, point_generators, symmetry_check,
+                     vector_fields, alpha_forms, radial_vector)
 from .glue import (GlueParams, GluedMetric, decay_scans, gap_tensor,
                    outer_metric, region_tag, sphere_sups)
 from .heat import (KernelQuery, decay_rate_scan, heat_kernel_minus,
@@ -33,7 +32,7 @@ from .obstruction import (MIN_FLUX_ORDER, correction_budget,
                           distributional_check, flux_integral,
                           flux_single_site, gauge_vector_sup,
                           projection_integrals, z_flux)
-from .quadrature import line_fit, radial_quadrature, s3_quadrature
+from .quadrature import line_fit, radial_quadrature, sphere_rule
 from .report import Report, write_csv
 from .sym2 import pair
 from .flow import (ProxyPolicy, assumption_check, blowup_prediction,
@@ -302,8 +301,7 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     # every sphere below is sampled by all of its metrics and fields at
     # once, so its background is evaluated once
     radii = (0.26, 0.29, 0.33, 0.37)
-    scan, lscan = decay_scans([(gm, "ricci"), (gm, "lichnerowicz")], radii,
-                              s3_order=8)
+    scan, lscan = decay_scans([(gm, "ricci"), (gm, "lichnerowicz")], radii)
     rep.add("outer_ricci_exponent", scan.fitted_exponent, budget=0.5,
             expected=-10.0, tolerance=0.5)
     rep.results["outer_ricci_sups"] = scan.sup_values.tolist()
@@ -312,8 +310,8 @@ def run_glue_scan(cfg: RunConfig) -> Report:
 
     # the inner sups are roundoff, which the point group does not fix: they
     # run on the full rule
-    inner, inner_l = sphere_sups([(gm, "ricci"), (gm, "lichnerowicz")], 0.1,
-                                 group=None)
+    inner, inner_l = sphere_sups([(gm, "ricci"), (gm, "lichnerowicz")], [0.1],
+                                 folded=False)[0].tolist()
     rep.at_most("inner_ricci_residual", inner, 1e-8)
     rep.at_most("inner_lichnerowicz_residual", inner_l, 1e-7)
 
@@ -325,7 +323,7 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     rem_radii = np.array([10.0, 15.0, 25.0, 40.0])
     sups = []
     for r in rem_radii:
-        nodes = s3_quadrature(6, r).nodes
+        nodes = sphere_rule(6, r, False)[0]
         gap = (g1.jets(nodes, order=0).val - np.eye(4)
                - 0.5 * far.jets(nodes, order=0).val)
         sups.append(float(np.max(np.sqrt(np.einsum("pij,pij->p", gap, gap)))))
@@ -335,16 +333,14 @@ def run_glue_scan(cfg: RunConfig) -> Report:
 
     # annulus ratio bounded across the reference grid
     epss, deltas = (0.02, 0.04), (0.2, 0.3)
-    band_sups: dict[tuple, list] = {}
-    group = point_group()
+    band = {}
     for delta in deltas:
         pairs = [(GluedMetric(GlueParams(eps, delta, cfg.cutoff), bg), "ricci")
                  for eps in epss]
-        for r in np.linspace(2.0 * delta / 3.0, 5.0 * delta / 6.0, 5):
-            for eps, sup in zip(epss, sphere_sups(pairs, r, group=group)):
-                band_sups.setdefault((eps, delta), []).append(sup)
-    ratios = [max(band_sups[eps, delta]) / (eps ** 4 / delta ** 2)
-              for eps in epss for delta in deltas]
+        radii = np.linspace(2.0 * delta / 3.0, 5.0 * delta / 6.0, 5)
+        band[delta] = sphere_sups(pairs, radii, folded=True).max(axis=0)
+    ratios = [float(band[delta][i]) / (eps ** 4 / delta ** 2)
+              for i, eps in enumerate(epss) for delta in deltas]
     spread = max(ratios) / min(ratios)
     rep.at_most("annulus_ratio_spread", spread, 10.0)
     rep.results["annulus_ratios"] = ratios
@@ -352,7 +348,7 @@ def run_glue_scan(cfg: RunConfig) -> Report:
     # branch mismatch inside the transition zone: size O(eps^4) and shrinking
     # at least quartically in eps (the own-cap remainder adds an eps^8 part)
     mismatches = []
-    x = s3_quadrature(6, 0.7 * cfg.delta).nodes
+    x = sphere_rule(6, 0.7 * cfg.delta, False)[0]
     bgx = bg.jets(x, order=0)
     for eps in (0.05, cfg.eps):
         GlueParams(eps, cfg.delta, cfg.cutoff)      # raises unless they glue
@@ -589,22 +585,20 @@ def run_verify_glue(cfg: RunConfig) -> Report:
     gm = GluedMetric(params, bg)
 
     # branch saturation: the blend formula reproduces each branch exactly
-    x_low = s3_quadrature(4, 0.55 * params.delta).nodes
+    x_low = sphere_rule(4, 0.55 * params.delta, False)[0]
     dev_low = float(np.max(np.abs(gm.values(x_low)
                                   - eh_metric(params.eps).values(x_low))))
     rep.at_most("blend_saturates_inner", dev_low, 1e-15)
-    x_high = s3_quadrature(4, 0.9 * params.delta).nodes
+    x_high = sphere_rule(4, 0.9 * params.delta, False)[0]
     outer = outer_metric(bg.jets(x_high, order=0), params.eps)
     dev_high = float(np.max(np.abs(gm.values(x_high) - outer.val)))
     rep.at_most("blend_saturates_outer", dev_high, 1e-15)
 
     # positive definiteness across regions
     radii = np.array([0.3, 0.6, 0.75, 0.9, 1.0]) * params.delta
-    pd_ok = True
-    for r in radii:
-        vals = gm.values(s3_quadrature(5, r).nodes)
-        pd_ok &= bool(np.all(np.linalg.eigvalsh(vals) > 0.0))
-    rep.require("positive_definite", pd_ok)
+    rep.require("positive_definite", all(
+        np.all(np.linalg.eigvalsh(gm.values(sphere_rule(5, r, False)[0]))
+               > 0.0) for r in radii))
 
     # invariance under the point generators, within the lattice tail
     sym_pts = sample_points(25, 0.4 * params.delta, 1.2 * params.delta,
@@ -638,7 +632,7 @@ def run_verify_glue(cfg: RunConfig) -> Report:
     rep.at_most("obstruction_inner", inner_dev, 1e-12)
 
     # outer obstruction scales like eps^4 · background + O(eps^8)
-    x_out = s3_quadrature(4, 1.5 * params.delta).nodes
+    x_out = sphere_rule(4, 1.5 * params.delta, False)[0]
     bgv = bg.jets(x_out, order=0).val
     devs = []
     for eps in (0.05, 0.1):

@@ -85,6 +85,43 @@ def test_config_validation():
         RunConfig(t_min=-1.0, t_max=-2.0).validate()
 
 
+@pytest.mark.parametrize("site", ["1,0,0", "1,0,0,0,0", "1.5,0,0,0"],
+                         ids=["three", "five", "fraction"])
+def test_cli_rejects_a_malformed_site_before_computing(tmp_path, monkeypatch,
+                                                       capsys, site):
+    from ehglue import cli, suites
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+    def computed(cfg):
+        raise AssertionError("the flux suite ran")
+
+    monkeypatch.setitem(suites.SUITES, "flux", computed)
+    with pytest.raises(ConfigError, match="site"):
+        RunConfig(site=site).validate()
+    assert cli.main(["flux", "--site", site, "--out",
+                     str(tmp_path / "r.json"), "--cache-dir",
+                     str(tmp_path)]) == 2
+    assert "site must be four comma-separated integers" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_suite_reports_cover_every_suite():
+    # scripts/suite_reports.py is the byte-identity check of a refactor; its
+    # reports must reach every suite (`verify X` runs the suite verify-X)
+    import importlib.util
+
+    from ehglue.suites import SUITES
+    spec = importlib.util.spec_from_file_location(
+        "suite_reports", os.path.join(SCRIPTS, "suite_reports.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    covered = {args[0] + ("-" + args[1] if args[0] == "verify" else "")
+               for args in module.REPORTS.values()}
+    assert covered == set(SUITES)
+
+
 def test_cli_rejects_malformed_flag(tmp_path):
     res = run_cli(["omega", "--cutoff", "-3",
                    "--out", str(tmp_path / "r.json")])
@@ -293,7 +330,6 @@ def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
     import hashlib
 
     from ehglue import suites
-    from ehglue.fields import point_group
     from ehglue.glue import GlueParams
     from ehglue.obstruction import _shell_radii
     from ehglue.quadrature import sphere_rule
@@ -302,7 +338,7 @@ def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
     estimate = suites.run_project(cfg).budgets["projection"]
     assert np.isfinite(estimate) and estimate > 0.0
     # the shells run on the orbit representatives of the unit sphere rule
-    ang = sphere_rule(6, 1.0, point_group())[0]
+    ang = sphere_rule(6, 1.0, True)[0]
     coarse = {hashlib.sha256((ang * rho).tobytes()).hexdigest()
               for rho, _ in _shell_radii(GlueParams(cfg.eps, cfg.delta, 8),
                                          1, 1)}

@@ -85,7 +85,7 @@ def test_lichnerowicz_annihilates_kernel_modes(points):
 
 def test_lichnerowicz_annihilates_metric(points):
     gj = eh_metric(1.0).jets(points)
-    assert np.max(np.abs(lichnerowicz(gj, gj))) < 1e-9
+    assert np.max(np.abs(lichnerowicz(gj, gj, curvature_at(gj)))) < 1e-9
 
 
 def test_lichnerowicz_flat_coordinate_case():
@@ -95,7 +95,7 @@ def test_lichnerowicz_flat_coordinate_case():
     h.val[..., 1, 1] = x[..., 0] ** 2
     h.d1[..., 1, 1, 0] = 2.0 * x[..., 0]
     h.d2[..., 1, 1, 0, 0] = 2.0
-    out = lichnerowicz(gj, h)
+    out = lichnerowicz(gj, h, curvature_at(gj))
     expected = np.zeros((1, 4, 4))
     expected[..., 1, 1] = 2.0
     assert np.max(np.abs(out - expected)) < 1e-14
@@ -118,7 +118,7 @@ def test_farfield_divergence_free_flat(points):
     from ehglue.fields import farfield_tensor
     gj = euclidean_metric().jets(points)
     tj = farfield_tensor().jets(points)
-    div, tr, _ = div_trace(gj, tj)
+    div, tr, _ = div_trace(gj, tj, christoffel(gj))
     assert np.max(np.abs(div)) < 1e-11
     assert np.max(np.abs(tr)) < 1e-13
 
@@ -334,9 +334,9 @@ def test_curvature_path_keeps_bits_across_point_blocks():
         curv = curvature_at(g)
         out = [getattr(curv, f.name) for f in dataclasses.fields(curv)]
         out += curv.laplace_terms
-        for held in (None, curv, (curv.ginv, curv.christoffel)):
+        for held in (curv, (curv.ginv, curv.christoffel)):
             out += div_trace(g, h, held)
-        return out + [lichnerowicz(g, h), lichnerowicz(g, h, curv)]
+        return out + [lichnerowicz(g, h, curv)]
 
     whole = evaluate(x)
     assert_seams_keep_bits(whole, lambda sl: evaluate(flat[sl]))
@@ -344,9 +344,9 @@ def test_curvature_path_keeps_bits_across_point_blocks():
     curv = curvature._curvature_at(g)
     terms = curvature._laplace_terms(curv)
     single = [getattr(curv, f.name) for f in dataclasses.fields(curv)]
-    single += [*terms, *curvature._div_trace(g, h, None)]
-    single += [curvature._lichnerowicz(h, curv, terms)] * 2
-    blocked = whole[:12] + whole[-2:]
+    single += [*terms, *curvature._div_trace(g, h, curv)]
+    single += [curvature._lichnerowicz(h, curv, terms)]
+    blocked = whole[:12] + whole[-1:]
     for part, want in zip(blocked, single, strict=True):
         assert part.strides == want.strides
         assert part.tobytes() == want.tobytes()
@@ -358,16 +358,16 @@ def test_lichnerowicz_annihilates_metric_on_every_draw():
     for seed in range(50):
         pts = sample_offorigin(np.random.default_rng(seed), 40, 0.3, 5.0)
         gj = eh_metric(1.0).jets(pts)
-        assert np.max(np.abs(lichnerowicz(gj, gj))) <= 1e-9, seed
+        lich = lichnerowicz(gj, gj, curvature_at(gj))
+        assert np.max(np.abs(lich)) <= 1e-9, seed
 
 
 def test_div_trace_reads_a_held_inverse_and_christoffels():
-    # (g⁻¹, Γ) held by the caller, or in a CurvatureAt, give the bits that
-    # div_trace forms on its own
+    # (g⁻¹, Γ) held by the caller, as christoffel forms them, or in a
+    # CurvatureAt give the same bits
     x = np.array([[0.3, 0.1, -0.2, 0.25], [1.1, -0.4, 0.2, 0.7]])
     gj = eh_metric(0.5).jets(x, order=2)
     hj = kernel_mode(2, 0.5).jets(x, order=2)
-    alone = div_trace(gj, hj)
-    for held in (christoffel(gj), curvature_at(gj)):
-        for a, b in zip(alone, div_trace(gj, hj, held)):
-            assert a.tobytes() == b.tobytes()
+    for a, b in zip(div_trace(gj, hj, christoffel(gj)),
+                    div_trace(gj, hj, curvature_at(gj))):
+        assert a.tobytes() == b.tobytes()

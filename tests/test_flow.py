@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ehglue import flow
 from ehglue.flow import (ProxyPolicy, assumption_check, blowup_prediction,
                          curvature_peak, epsilon_derivative, epsilon_of_t,
                          modulation_residual, ode_integrate,
                          ricci_decay_proxy)
+from ehglue.glue import MAX_DELTA, GlueParams, GluedMetric, sphere_sups
 from ehglue.lattice import OMEGA_REFERENCE as OMEGA
 
 
@@ -135,9 +137,9 @@ def test_blowup_prediction_ratio_constant():
     assert c == pytest.approx(peak * np.sqrt(32 * OMEGA), rel=1e-14)
 
 
-def test_ricci_proxy_decay(background8):
-    policy = ProxyPolicy(lattice_cutoff=8, s3_order=4,
-                         radial_fractions=(0.75, 0.8, 1.05), omega=OMEGA)
+def test_ricci_proxy_decay(background8, monkeypatch):
+    monkeypatch.setattr(flow, "PROXY_FRACTIONS", (0.75, 0.8, 1.05))
+    policy = ProxyPolicy(lattice_cutoff=8, s3_order=4, omega=OMEGA)
     proxy = ricci_decay_proxy((-1e4, -1e5, -1e6), policy,
                               background=background8)
     assert proxy.exponent <= -0.9
@@ -145,6 +147,22 @@ def test_ricci_proxy_decay(background8):
     scaled = proxy.sup_ric * (-proxy.times) ** 0.49
     assert np.all(np.diff(scaled) > 0.0)
     assert np.all(proxy.deltas <= 0.45)
+
+
+def test_ricci_proxy_groups_its_times_by_delta(background8):
+    # past t ≈ -5e138 the schedule δ(t) drops below MAX_DELTA; each time's
+    # sup is the largest over its own spheres frac·δ(t)
+    policy = ProxyPolicy(lattice_cutoff=8, s3_order=4, omega=OMEGA)
+    proxy = ricci_decay_proxy((-1e4, -1e140, -1e5), policy, background8)
+    assert proxy.deltas[0] < MAX_DELTA
+    assert proxy.deltas[1] == proxy.deltas[2] == MAX_DELTA
+    for t, delta, sup in zip(proxy.times, proxy.deltas, proxy.sup_ric):
+        gm = GluedMetric(GlueParams(epsilon_of_t(t, OMEGA), delta, 8),
+                         background8)
+        table = sphere_sups([(gm, "ricci")],
+                            [f * delta for f in flow.PROXY_FRACTIONS], 4,
+                            folded=True)
+        assert 0.0 < sup == table.max()
 
 
 def test_flow_suite_decay_proxy_reads_the_cached_background(tmp_path,
@@ -189,4 +207,4 @@ def test_flow_suite_evaluates_each_sphere_background_once(tmp_path,
                               t_max=-1e5, ode_steps=100,
                               cache_dir=str(tmp_path)))
     assert len(background_calls) == len(set(background_calls))
-    assert len(background_calls) == len(ProxyPolicy().radial_fractions)
+    assert len(background_calls) == len(flow.PROXY_FRACTIONS)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ehglue.curvature import curvature_at, fd_sym2jet
-from ehglue.fields import eh_metric, kernel_mode, point_group
-from ehglue.flow import ProxyPolicy, epsilon_of_t
-from ehglue.glue import (MAX_DELTA, GlueParams, GluedMetric, cutoff_jet,
-                         cutoff_scalar, decay_scans, outer_metric, region_tag,
-                         remove_trace, sphere_sups)
+from ehglue.fields import eh_metric, kernel_mode
+from ehglue.flow import PROXY_FRACTIONS, ProxyPolicy, epsilon_of_t
+from ehglue.glue import (DECAY_ORDER, MAX_DELTA, GlueParams, GluedMetric,
+                         cutoff_jet, cutoff_scalar, decay_scans, outer_metric,
+                         region_tag, remove_trace, sphere_sups)
 from ehglue.jets import DomainError
 from ehglue.obstruction import flux_integral, gauge_vector_sup, z_flux
 from ehglue.quadrature import s3_quadrature, sphere_rule
@@ -201,14 +201,14 @@ def test_lattice_point_rejected(glued8):
 
 def test_ricci_regions(background32):
     gm = GluedMetric(GlueParams(0.05, 0.25, 32), background32)
-    assert sphere_sups([(gm, "ricci")], 0.1, group=None)[0] < 1e-8
-    scan, = decay_scans([(gm, "ricci")], (0.26, 0.29, 0.33, 0.37), s3_order=6)
+    assert sphere_sups([(gm, "ricci")], [0.1], folded=False)[0, 0] < 1e-8
+    scan, = decay_scans([(gm, "ricci")], (0.26, 0.29, 0.33, 0.37))
     assert abs(scan.fitted_exponent + 10.0) < 0.5
 
 
 def test_sphere_sup_rejects_unknown_field(glued8):
     with pytest.raises(ValueError):
-        sphere_sups([(glued8, "ricc1")], 0.1, group=None)
+        sphere_sups([(glued8, "ricc1")], [0.1], folded=False)
     with pytest.raises(ValueError):
         decay_scans([(glued8, "ricc1")], (0.26, 0.29))
 
@@ -229,25 +229,43 @@ def test_folded_sphere_sups_match_the_full_rule(background8,
                                                 background_calls):
     # the flow proxy's spheres at its three times and glue-scan's decay
     # radii with both fields: folding moves a sup by its roundoff only
-    group, policy = point_group(), ProxyPolicy(lattice_cutoff=8)
+    policy = ProxyPolicy(lattice_cutoff=8)
     proxy = [(GluedMetric(GlueParams(epsilon_of_t(t), MAX_DELTA, 8),
                           background8), "ricci") for t in (-1e4, -1e5, -1e6)]
     scan = GluedMetric(GlueParams(0.05, 0.25, 8), background8)
     spheres = [(proxy, frac * MAX_DELTA, policy.s3_order)
-               for frac in policy.radial_fractions]
-    spheres += [([(scan, "ricci"), (scan, "lichnerowicz")], rho, 8)
+               for frac in PROXY_FRACTIONS]
+    spheres += [([(scan, "ricci"), (scan, "lichnerowicz")], rho, DECAY_ORDER)
                 for rho in (0.26, 0.29, 0.33, 0.37)]
     for pairs, rho, order in spheres:
         background_calls.clear()
-        folded = sphere_sups(pairs, rho, order, group=group)
+        folded = sphere_sups(pairs, [rho], order, folded=True)[0]
         # one background evaluation, on the orbit representatives
-        reps = sphere_rule(order, rho, group)[0]
+        reps = sphere_rule(order, rho, True)[0]
         assert background_calls == [
             (hashlib.sha256(reps.tobytes()).hexdigest(), 2, False)]
         assert len(reps) == {6: 27, 8: 64}[order]     # 16 nodes per orbit
-        full = sphere_sups(pairs, rho, order, group=None)
+        full = sphere_sups(pairs, [rho], order, folded=False)[0]
         for (gm, _), a, b in zip(pairs, folded, full):
             assert abs(a - b) <= _sup_roundoff(b, gm.params, rho)
+
+
+@pytest.mark.parametrize("folded", [True, False])
+def test_sphere_sup_table_rows_are_single_sphere_sups(background8,
+                                                      background_calls,
+                                                      folded):
+    # each row of the table has the bits of a one-radius call, and the
+    # background is evaluated once per sphere for all pairs
+    gms = [GluedMetric(GlueParams(eps, 0.3, 8), background8)
+           for eps in (0.02, 0.04)]
+    pairs = [(gms[0], "ricci"), (gms[0], "lichnerowicz"), (gms[1], "ricci")]
+    radii = (0.1, 0.21, 0.24, 0.33)
+    table = sphere_sups(pairs, radii, folded=folded)
+    assert table.shape == (len(radii), len(pairs))
+    assert len(background_calls) == 3       # 0.1 lies inside every δ/2
+    for rho, row in zip(radii, table):
+        assert row.tobytes() == sphere_sups(pairs, [rho],
+                                            folded=folded)[0].tobytes()
 
 
 def test_annulus_ricci_against_fd_oracle(background32):

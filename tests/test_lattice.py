@@ -730,10 +730,8 @@ def test_background_accuracy_on_the_outer_shell(background8):
     # representatives of S³(10) there (the same maxima as its 2,000 nodes)
     # the far expansion measured 8.26e-9 (value), 5.00e-8 (gradient) and
     # 1.10e-7 (Hessian) against the direct sum
-    from ehglue.fields import point_group
-    from ehglue.quadrature import fold_rule, s3_quadrature
-    rule = s3_quadrature(10, 0.5)
-    x, _ = fold_rule(rule.nodes, rule.weights, point_group())
+    from ehglue.quadrature import sphere_rule
+    x, _ = sphere_rule(10, 0.5, True)
     assert x.shape == (125, 4)
     errors = _worst_relative_errors(background8, x)
     assert all(e <= b for e, b in zip(errors, (1e-8, 6e-8, 1.3e-7)))
@@ -743,9 +741,8 @@ def test_background_accuracy_on_the_corner_grid(background8):
     # the corner grid's 51 orbit representatives reach |x| = 0.875, where
     # the far expansion, whose ratio is |x|/2, measured 2.69e-4 (value),
     # 1.33e-4 (gradient) and 1.20e-4 (Hessian) against the direct sum
-    from ehglue.fields import point_group
     from ehglue.obstruction import _corner_sample
-    x, _ = _corner_sample(point_group())
+    x, _ = _corner_sample(True)
     assert x.shape == (51, 4)
     errors = _worst_relative_errors(background8, x)
     assert all(e <= b for e, b in zip(errors, (3e-4, 1.6e-4, 1.5e-4)))

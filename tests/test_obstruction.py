@@ -11,7 +11,7 @@ from ehglue.obstruction import (_corner_sample, _sphere_integral,
                                 distributional_check, flux_integral,
                                 flux_single_site, pairing_density,
                                 projection_integrals, surface_geometry, z_flux)
-from ehglue.quadrature import s3_quadrature
+from ehglue.quadrature import s3_quadrature, sphere_rule
 
 
 def u_offdiag(x):
@@ -168,7 +168,7 @@ def test_cap_single_site_pairing_matches_exact_weight():
                                    covariant_d1(mode, gam), h.val,
                                    covariant_d1(h, gam)), area
 
-        return _sphere_integral(density, delta, 16, None)[0]
+        return _sphere_integral(density, delta, 16, False)[0]
 
     odd_sites = [(1, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 0), (3, 2, 1, 1)]
     odd_values = [cap_site_flux(a) for a in odd_sites]
@@ -178,6 +178,13 @@ def test_cap_single_site_pairing_matches_exact_weight():
     assert all(abs(r - 1.0) <= 1e-5 for r in ratios)
     for a in ((1, 1, 0, 0), (2, 0, 0, 0), (2, 1, 1, 0)):
         assert abs(cap_site_flux(a)) <= 1e-12 * abs(odd_values[0])
+
+
+@pytest.mark.parametrize("site", [(1, 0, 0), (1, 0, 0, 0, 0), (1.5, 0, 0, 0),
+                                  ((1, 0), (0, 0))])
+def test_single_site_flux_rejects_anything_but_four_integers(site):
+    with pytest.raises(ValueError, match="site must be 4 integers"):
+        flux_single_site(site, 0.3, 16)
 
 
 def test_full_flux_against_lattice_constant(background32, omega32):
@@ -238,7 +245,7 @@ def test_folded_tensors_are_point_group_invariant(background8, where):
     # band of δ = 0.3, and at ρ = 0.4), and under all of G on the corner
     # grid, whose points are the images of its 51 representatives
     if where == "corner":
-        nodes = _corner_sample(point_group())[0]
+        nodes = _corner_sample(True)[0]
         group = list(point_group())
     else:
         nodes = s3_quadrature(6, {"band": 0.24, "outer": 0.4}[where]).nodes
@@ -259,9 +266,14 @@ def test_folded_tensors_are_point_group_invariant(background8, where):
 
 
 def _unfolded(monkeypatch):
-    """Run obstruction's folded paths on the full rules: folding by the
-    identity alone returns every node with its own weight, bit for bit."""
-    monkeypatch.setattr(obstruction, "point_group", lambda: np.eye(4)[None])
+    """Run obstruction's folded paths on the full rules, every node with
+    its own weight."""
+    corner = obstruction._corner_sample
+    monkeypatch.setattr(obstruction, "sphere_rule",
+                        lambda order, radius, folded:
+                        sphere_rule(order, radius, False))
+    monkeypatch.setattr(obstruction, "_corner_sample",
+                        lambda folded: corner(False))
 
 
 def _counting_points(monkeypatch):
@@ -282,7 +294,8 @@ def test_folded_projection_matches_unfolded_oracle(background8, monkeypatch):
     def run():
         counted[0] = 0
         res = projection_integrals([0.1], 0.3, background8, s3_order=6,
-                                   annulus_points=2, outer_points=2)[0]
+                                   annulus_points=2, outer_points=2,
+                                   with_estimate=True)[0]
         return res, counted[0]
 
     folded, n_folded = run()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehglue.fields import point_group
 from ehglue.obstruction import _corner_sample
+from ehglue import quadrature
 from ehglue.quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
                                kahan_sum, line_fit, radial_quadrature,
                                s3_quadrature, sphere_rule)
@@ -111,7 +112,7 @@ def test_fold_odd_s3_rule_has_a_smaller_stabilizer():
 
 
 def test_fold_corner_grid_under_the_whole_group():
-    pts, weights = _corner_sample(IDENTITY)
+    pts, weights = _corner_sample(False)
     assert pts.shape == (2784, 4)
     _check_fold(pts, weights, 51, {16.0, 32.0, 64.0})
 
@@ -124,18 +125,56 @@ def test_fold_by_the_identity_is_the_full_rule():
 
 
 def test_sphere_rule_is_the_full_or_the_folded_rule():
-    # no group: the bits of s3_quadrature at the radius; a group: the unit
+    # full: the bits of s3_quadrature at the radius; folded: the unit
     # rule's fold scaled to the radius
     for order, rho in ((6, 0.1), (8, 0.33), (6, 0.315)):
         rule = s3_quadrature(order, rho)
-        nodes, weights = sphere_rule(order, rho, None)
+        nodes, weights = sphere_rule(order, rho, False)
         assert nodes.tobytes() == rule.nodes.tobytes()
         assert weights.tobytes() == rule.weights.tobytes()
         unit = s3_quadrature(order)
         reps, orbit_w = fold_rule(unit.nodes, unit.weights, point_group())
-        nodes, weights = sphere_rule(order, rho, point_group())
+        nodes, weights = sphere_rule(order, rho, True)
         assert nodes.tobytes() == (reps * rho).tobytes()
         assert weights.tobytes() == (orbit_w * rho ** 3).tobytes()
+
+
+def _full_rule_sites():
+    """(order, radius) of every full sphere rule the suites and obstruction
+    integrals sample at their reference parameters, radii formed as there."""
+    delta = 0.3
+    sites = [(k, r) for k in (16, 10) for r in (0.5, 0.25, 1.0)]
+    sites += [(k, d) for k in (24, 16, 8) for d in (delta, 0.15)]
+    sites += [(12, d) for d in (0.25, 0.3, 0.35)]
+    sites += [(6, r) for r in (0.3 * delta, 0.1, 0.7 * delta, 10.0, 15.0,
+                               25.0, 40.0)]
+    sites += [(4, f * delta) for f in (0.55, 0.9, 1.5)]
+    sites += [(5, r) for r in np.array([0.3, 0.6, 0.75, 0.9, 1.0]) * delta]
+    return sites
+
+
+def test_full_sphere_rule_keeps_the_bits_of_s3_quadrature():
+    for order, rho in _full_rule_sites():
+        rule = s3_quadrature(order, rho)
+        nodes, weights = sphere_rule(order, rho, False)
+        assert nodes.tobytes() == rule.nodes.tobytes(), (order, rho)
+        assert weights.tobytes() == rule.weights.tobytes(), (order, rho)
+
+
+@pytest.mark.parametrize("order", [6, 7, 8])
+def test_unit_rules_are_built_once_and_read_only(order):
+    folded = quadrature._unit_rule(order, True)
+    assert quadrature._unit_rule(order, True) is folded
+    assert not any(arr.flags.writeable for arr in folded)
+    unit = s3_quadrature(order)
+    for got, want in zip(folded, fold_rule(unit.nodes, unit.weights,
+                                           point_group())):
+        assert got.tobytes() == want.tobytes()
+    full = quadrature._unit_rule(order, False)
+    assert full[0].tobytes() == unit.nodes.tobytes()
+    assert not full[0].flags.writeable
+    group = point_group()
+    assert point_group() is group and not group.flags.writeable
 
 
 def test_fold_leaves_out_elements_that_miss_the_node_set():
