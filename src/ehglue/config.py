@@ -16,6 +16,11 @@ class ConfigError(ValueError):
     pass
 
 
+# the accepted spellings of a boolean value, matched case-insensitively
+BOOLEAN_WORDS = {"1": True, "true": True, "yes": True,
+                 "0": False, "false": False, "no": False}
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -73,7 +78,12 @@ class RunConfig:
                 raise ConfigError(f"unknown configuration key: {key}")
             current = getattr(self, key)
             if isinstance(current, bool):
-                setattr(self, key, value.lower() in ("1", "true", "yes"))
+                word = value.strip().lower()
+                if word not in BOOLEAN_WORDS:
+                    raise ConfigError(f"{key}: expected a boolean "
+                                      f"(1/true/yes or 0/false/no), not "
+                                      f"{value!r}")
+                setattr(self, key, BOOLEAN_WORDS[word])
             elif isinstance(current, int):
                 try:
                     setattr(self, key, int(value))

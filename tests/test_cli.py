@@ -78,6 +78,34 @@ def test_config_file_parsing(tmp_path):
         RunConfig().apply_mapping({"cutoff": "many"})
 
 
+def test_config_booleans_accept_listed_spellings_only():
+    for word, value in [("1", True), (" TRUE ", True), ("Yes", True),
+                        ("0", False), ("false", False), (" No", False)]:
+        assert RunConfig().apply_mapping({"fast": word}).fast is value
+    for word in ("ture", "", "2", "on", "y"):
+        with pytest.raises(ConfigError, match=f"fast.*{word!r}"):
+            RunConfig().apply_mapping({"fast": word})
+
+
+def test_cli_rejects_a_misspelt_boolean_before_computing(tmp_path,
+                                                         monkeypatch, capsys):
+    from ehglue import cli, suites
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+    def computed(cfg):
+        raise AssertionError("the omega suite ran")
+
+    monkeypatch.setitem(suites.SUITES, "omega", computed)
+    path = tmp_path / "run.cfg"
+    path.write_text("fast = ture\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["omega", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "fast" in err and "'ture'" in err
+    assert not out.exists()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(eps=-1.0).validate()

@@ -389,8 +389,7 @@ def test_far_table_matches_long_double_moments(monkeypatch, odd):
 @pytest.mark.parametrize("odd", [False, True])
 def test_far_table_matches_per_request_moments(monkeypatch, odd):
     # the table moves at roundoff against one moment pass per request
-    # (measured: at most 5.7e-15 of the largest coefficient), and each
-    # moment of a sorted β keeps the per-request bits
+    # (measured: 2.3e-15 even and 3.5e-15 odd of the largest coefficient)
     seen = []
 
     def recorded(*args):
@@ -406,9 +405,60 @@ def test_far_table_matches_per_request_moments(monkeypatch, odd):
     (args,) = seen
     old, new = per_request_moments(*args), lattice_moments(*args)
     assert old.keys() == new.keys() == args[2]
-    ordered = [r for r in args[2] if list(r[0]) == sorted(r[0])]
-    assert len(ordered) < len(args[2])
-    assert all(new[r] == old[r] for r in ordered)
+
+
+def taylor_requests(monkeypatch, odd):
+    """The moment requests of one parity's degree-12 far table."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(args[2])
+        return lattice_moments(*args)
+
+    taylor_with_moments(monkeypatch, recorded, 4, 1, 12, odd)
+    return seen[0]
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("cutoff", [8, 12])
+def test_sorted_moments_match_long_double_moments(monkeypatch, cutoff, odd):
+    # every moment of a sorted β, binned by |a|² and summed over the bins,
+    # against each moment summed site by site in long double (measured: at
+    # most 6.2e-16 relative; one pass per request read 1.06e-15)
+    requests = {r for r in taylor_requests(monkeypatch, odd)
+                if list(r[0]) == sorted(r[0])}
+    assert len(requests) == 107
+    got = lattice_moments(cutoff, 1, requests, odd)
+    ref = long_double_moments(cutoff, 1, requests, odd)
+    for r in requests:
+        assert abs(got[r] - ref[r]) <= 1e-15 * abs(ref[r]), r
+
+
+def test_far_orthant_lists_the_kept_sites_in_order():
+    # the kept sites of the broadcast mask are the far sites of one parity
+    # of the full orthant, filtered, in the same lexicographic order
+    for cutoff, n0 in ((5, 1), (6, 0), (7, 2)):
+        for odd in (False, True):
+            sites = lattice.far_orthant(cutoff, n0, odd)
+            assert sites.shape[0] == 4 and sites.flags.c_contiguous
+            assert np.array_equal(sites.T, far_orthant(cutoff, n0, odd))
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_lattice_moments_peak_memory_is_a_few_site_columns(monkeypatch, odd):
+    # the moments hold the kept sites, |a|², the weight and two product
+    # buffers, never a power column per exponent: at cutoff 16 the traced
+    # peak stays within 16 doubles per site (measured: 8.7; one pass per
+    # sorted β over the full orthant took 49.4)
+    requests = taylor_requests(monkeypatch, odd)
+    sites = far_orthant(16, 1, odd).shape[0]
+    tracemalloc.start()
+    try:
+        lattice_moments(16, 1, requests, odd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * sites
 
 
 @pytest.mark.parametrize("which", ["even", "odd", "combined"])
@@ -611,14 +661,14 @@ def test_perfbench_micro_recording_targets_resolve():
 
 # sha256 of farfield_taylor(6, 1, 12, odd) as little-endian doubles, laid
 # out in the degree-12 monomial table, whose little-endian int64 exponents
-# are pinned too.  These are the bits of FAR_TABLE_VERSION 2, with one
-# moment pass per sorted β; a change of bits bumps the version and
+# are pinned too.  These are the bits of FAR_TABLE_VERSION 3, with each
+# sorted β's moments binned by |a|²; a change of bits bumps the version and
 # re-records both digests.
 FAR_TABLE_DIGESTS = {
     "monomials": "4b25ace5e545ec47e49771eb65476afe"
                  "f1386f1909ed135e189b0597a2ada0a5",
-    False: "e79e30fa8f251b80e4a8f64473341dcfabf86aa652ae9c8d3013023429c8cada",
-    True: "2a15c97eb274ce0b35654a38dcfa77281d9b93dfdb7b4a0a745802b790d74f9e",
+    False: "579429e69055914c0dbaf123422c88f61641a641b2e872701397e05e86c26d09",
+    True: "76da5bca5fcd1593179288f7cbc1961c82a1dc2596dfd311e0e9fe1e4f6dc796",
 }
 # the same digests of version 1, one moment pass per requested β
 PER_REQUEST_DIGESTS = {
@@ -629,7 +679,7 @@ PER_REQUEST_DIGESTS = {
 
 @pytest.mark.parametrize("odd", [False, True])
 def test_far_table_bit_identical_to_recorded_digest(odd):
-    assert lattice.FAR_TABLE_VERSION == 2
+    assert lattice.FAR_TABLE_VERSION == 3
     exps = monomial_table(12)[0]
     assert exps.dtype == np.int64 and exps.shape == (1820, 4)
     assert (hashlib.sha256(exps.astype("<i8").tobytes()).hexdigest()
@@ -657,7 +707,7 @@ def test_far_table_under_current_header_loads_without_rebuild(
     fresh = BackgroundField(4, degree=8)
     cache = BackgroundCache(str(tmp_path))
     for odd in (False, True):
-        header = {"kind": "far-table", "version": 2, "n": 4, "n0": 1,
+        header = {"kind": "far-table", "version": 3, "n": 4, "n0": 1,
                   "degree": 8, "parity": "odd" if odd else "even",
                   "grid": "taylor-origin"}
         assert far_table_header(4, 8, odd) == header
@@ -677,13 +727,14 @@ def test_far_table_under_current_header_loads_without_rebuild(
 
 
 def test_far_table_under_older_version_is_rebuilt(tmp_path, monkeypatch):
-    # a table stored under the version-1 header is a miss: the field is
-    # built afresh and stored under the current version, and the stale entry
-    # is left as it was
+    # tables stored under the version-1 and version-2 headers are misses:
+    # the field is built afresh and stored under the current version, and
+    # the stale entries are left as they were
     cache = BackgroundCache(str(tmp_path))
-    for odd in (False, True):
-        cache.store(dict(far_table_header(4, 8, odd), version=1),
-                    np.ones((3, 495)))
+    for version in (1, 2):
+        for odd in (False, True):
+            cache.store(dict(far_table_header(4, 8, odd), version=version),
+                        np.full((3, 495), float(version)))
     stale = {f: f.read_bytes() for f in tmp_path.iterdir()}
     builds = []
 
@@ -700,7 +751,7 @@ def test_far_table_under_older_version_is_rebuilt(tmp_path, monkeypatch):
         assert current is not None
         assert current.tobytes() == fresh._poly[odd].coeffs.tobytes()
         assert loaded._poly[odd].coeffs.tobytes() == current.tobytes()
-    assert len(list(tmp_path.glob("far-table-*.ehbg"))) == 4
+    assert len(list(tmp_path.glob("far-table-*.ehbg"))) == 6
     assert {f: f.read_bytes() for f in stale} == stale
 
 
