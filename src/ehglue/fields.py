@@ -228,30 +228,49 @@ def farfield_scalars(reflected: bool) -> np.ndarray:
     return m
 
 
-def farfield_numerators(y: np.ndarray, reflected: bool = False,
-                        order: int = 1) -> tuple:
+def farfield_numerators(y, reflected: bool = False, order: int = 1) -> tuple:
     """The numerators n_c(y) = yᵀM[c]y of :func:`farfield_scalars` in closed
     form, and above order 0 their gradients 2M[c]y, component axes first.
 
     Each row of M[c] has one nonzero entry ±1, so every gradient is a signed
-    permutation of 2y.  Takes y component-first, (4, ...), and returns
-    (values (3, ...), gradients (3, 4, ...) or ``None``).
+    permutation of 2y.  Takes the four coordinates y component-first, as
+    arrays that broadcast together (a (4, ...) array is four of them), and
+    returns on their common shape (values (3, ...), gradients (3, 4, ...) or
+    ``None``).
     """
     sgn = -1.0 if reflected else 1.0
     y1, y2, y3, y4 = y
-    n = np.empty((3,) + y.shape[1:])
-    n[0] = y1 * y1 + y2 * y2 - y3 * y3 - y4 * y4
-    n[1] = 2.0 * (y1 * y3 + sgn * (y2 * y4))
-    n[2] = 2.0 * (y1 * y4 - sgn * (y2 * y3))
+    shape = np.broadcast(*y).shape
+    n = np.empty((3,) + shape)
+    # each last operation writes into n; scaling by 2 is exact, so
+    # (2y1)y3 + (2 sgn y2)y4 has the bits of 2(y1 y3 + sgn(y2 y4))
+    np.subtract(y1 * y1 + y2 * y2 - y3 * y3, y4 * y4, out=n[0])
+    y1, y2 = 2.0 * y1, (2.0 * sgn) * y2
+    np.add(y1 * y3, y2 * y4, out=n[1])
+    np.subtract(y1 * y4, y2 * y3, out=n[2])
     if order == 0:
         return n, None
-    scal = farfield_scalars(reflected)
-    perm = np.abs(scal).argmax(axis=-1)                   # (3, 4)
-    sign = np.take_along_axis(scal, perm[..., None], axis=-1)[..., 0]
-    dn = np.empty((3,) + y.shape)       # filled row by row: no temporaries
-    for c, k in np.ndindex(perm.shape):
-        np.multiply(y[perm[c, k]], 2.0 * sign[c, k], out=dn[c, k])
+    dn = np.empty((3, DIM) + shape)     # filled row by row: no temporaries
+    for c, k, p, factor in _form_plan(reflected)[0]:
+        np.multiply(y[p], factor, out=dn[c, k])
     return n, dn
+
+
+@functools.cache
+def _form_plan(reflected: bool) -> tuple:
+    """The form table of :func:`farfield_scalars` as the kernels use it:
+    per gradient row (c, k) the one p and factor of ∂_k n_c = 2M[c]_kp y_p,
+    and per Hessian pair of :func:`hessian_pairs` its nonzero constants
+    (c, 2M[c]_ij) of ∂²n; formed once, as plain numbers."""
+    scal = farfield_scalars(reflected)
+    perm = np.abs(scal).argmax(axis=-1)
+    rows = tuple((c, k, int(perm[c, k]), 2.0 * float(scal[c, k, perm[c, k]]))
+                 for c, k in np.ndindex(perm.shape))
+    k, l, _ = hessian_pairs()
+    consts = tuple(tuple((int(c), 2.0 * float(scal[c, i, j]))
+                         for c in np.flatnonzero(scal[:, i, j]))
+                   for i, j in zip(k, l))
+    return rows, consts
 
 
 @functools.cache
@@ -269,23 +288,45 @@ def hessian_pairs() -> tuple:
 
 def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
                          order: int = 2) -> tuple:
-    """The three far-field scalars n_c(y)/ρ^6 at points y (..., 4) with
-    exact jets.
+    """The three far-field scalars of :func:`farfield_coordinate_jets` at
+    points y (..., 4), the jets component-first, (3, ...) and so on.
 
-    Returns component-first arrays: values (3, ...), gradients (3, 4, ...)
-    and the ten Hessian pairs (3, 10, ...) of :func:`hessian_pairs`, the
-    derivatives ``None`` above ``order``; :func:`farfield_expand` mirrors
-    the pairs.  The numerators come in closed form from
-    :func:`farfield_numerators`, the derivatives from the explicit product
-    rule, and every array operation spans the whole batch.  This is cheap
-    enough for (lattice sites × points) batches: laid out that way, each
-    site's jets are contiguous rows.
-    """
+    ρ² stays ``einsum``'s ⟨y, y⟩: on a contiguous last axis it rounds as
+    the coordinate form's (y1² + y3²) + (y2² + y4²) (numpy 2.4, x86-64),
+    but on a strided one in index order, and every caller of this form
+    keeps its bits."""
     y = np.asarray(y, dtype=float)
-    yt = np.ascontiguousarray(np.moveaxis(y, -1, 0))
-    inv2 = 1.0 / np.einsum("...i,...i->...", y, y)
+    return _scalar_jets(np.ascontiguousarray(np.moveaxis(y, -1, 0)),
+                        np.einsum("...i,...i->...", y, y), reflected, order)
+
+
+def farfield_coordinate_jets(y, reflected: bool = False,
+                             order: int = 2) -> tuple:
+    """The three far-field scalars n_c(y)/ρ^6 with exact jets, at points
+    given by their four coordinates y = (y1, y2, y3, y4), arrays that
+    broadcast together.
+
+    Returns component-first arrays on the common shape: values (3, ...),
+    gradients (3, 4, ...) and the ten Hessian pairs (3, 10, ...) of
+    :func:`hessian_pairs`, the derivatives ``None`` above ``order``;
+    :func:`farfield_expand` mirrors the pairs.  The numerators come in
+    closed form from :func:`farfield_numerators`, ρ² as
+    (y1² + y3²) + (y2² + y4²), the derivatives from the explicit product
+    rule, and every array operation spans the whole batch.  Coordinates
+    broadcast from 1-D tables, y_i = x_i − a_i over a box of sites, form
+    only the products that need the full box; laid out (point, site), each
+    point's jets are contiguous rows.
+    """
+    y1, y2, y3, y4 = y
+    return _scalar_jets(y, (y1 * y1 + y3 * y3) + (y2 * y2 + y4 * y4),
+                        reflected, order)
+
+
+def _scalar_jets(y, rho2, reflected: bool, order: int) -> tuple:
+    """:func:`farfield_coordinate_jets` with ρ² given."""
+    inv2 = 1.0 / rho2
     inv6 = inv2 * inv2 * inv2
-    n, dn = farfield_numerators(yt, reflected, min(order, 1))
+    n, dn = farfield_numerators(y, reflected, min(order, 1))
     vals = n * inv6
     if order == 0:
         return vals, None, None
@@ -294,7 +335,8 @@ def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
     w8 = -6.0 * inv6 * inv2
     nw8 = n * w8
     grads = dn * inv6
-    grads += nw8[:, None] * yt
+    for k in range(DIM):
+        grads[:, k] += nw8 * y[k]
     if order == 1:
         return vals, grads, None
 
@@ -302,16 +344,17 @@ def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
     #                   + 48 n y_k y_l / ρ^10,   with the constant ∂²n = 2M[c];
     # the y-dependent terms are u_k y_l + u_l y_k, u = -6 ∂n/ρ^8 + 24 n y/ρ^10
     u = dn * w8
-    u += (n * (24.0 * inv6 * inv2 * inv2))[:, None] * yt
-    scal = farfield_scalars(reflected)
+    n24 = n * (24.0 * inv6 * inv2 * inv2)
+    for k in range(DIM):
+        u[:, k] += n24 * y[k]
     k, l, _ = hessian_pairs()
-    hess = np.empty((3, k.size) + yt.shape[1:])
+    hess = np.empty((3, k.size) + n.shape[1:])
     for pair, (i, j) in enumerate(zip(k, l)):
         h = hess[:, pair]
-        np.multiply(u[:, i], yt[j], out=h)
-        h += u[:, j] * yt[i]
-        for c in np.flatnonzero(scal[:, i, j]):
-            h[c] += (2.0 * scal[c, i, j]) * inv6
+        np.multiply(u[:, i], y[j], out=h)
+        h += u[:, j] * y[i]
+        for c, const in _form_plan(reflected)[1][pair]:
+            h[c] += const * inv6
         if i == j:
             h += nw8
     return vals, grads, hess

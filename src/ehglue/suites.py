@@ -137,7 +137,7 @@ def run_background(cfg: RunConfig) -> Report:
     rep.results["invariance_defects"] = [defects[8], defects[16]]
 
     # paired grouping reproduces the plain cube value
-    plain = background_values(x, 8)
+    plain = vals[cutoffs.index(8)]
     paired = background_values(x, 8, paired=True)
     rep.add("paired_vs_plain", float(np.max(np.abs(plain - paired))),
             budget=1e-10, passed=float(np.max(np.abs(plain - paired))) < 1e-10)
