@@ -30,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--csv", default=S,
                         help="path for CSV time series (flow)")
     shared.add_argument("--cache-dir", dest="cache_dir", default=S,
-                        help="lattice cache directory "
-                             "(default $EH_GLUE_CACHE_DIR)")
+                        help="lattice cache directory (default "
+                             "$EH_GLUE_CACHE_DIR, else ~/.cache/eh-glue)")
     shared.add_argument("--threads", type=int, default=1,
                         help="backend thread budget (reports are "
                              "byte-identical for any value)")

@@ -289,15 +289,10 @@ def hessian_pairs() -> tuple:
 def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
                          order: int = 2) -> tuple:
     """The three far-field scalars of :func:`farfield_coordinate_jets` at
-    points y (..., 4), the jets component-first, (3, ...) and so on.
-
-    ρ² stays ``einsum``'s ⟨y, y⟩: on a contiguous last axis it rounds as
-    the coordinate form's (y1² + y3²) + (y2² + y4²) (numpy 2.4, x86-64),
-    but on a strided one in index order, and every caller of this form
-    keeps its bits."""
-    y = np.asarray(y, dtype=float)
-    return _scalar_jets(np.ascontiguousarray(np.moveaxis(y, -1, 0)),
-                        np.einsum("...i,...i->...", y, y), reflected, order)
+    points y (..., 4), the jets component-first, (3, ...) and so on."""
+    return farfield_coordinate_jets(
+        np.ascontiguousarray(np.moveaxis(y, -1, 0), dtype=float),
+        reflected, order)
 
 
 def farfield_coordinate_jets(y, reflected: bool = False,
@@ -315,15 +310,12 @@ def farfield_coordinate_jets(y, reflected: bool = False,
     rule, and every array operation spans the whole batch.  Coordinates
     broadcast from 1-D tables, y_i = x_i − a_i over a box of sites, form
     only the products that need the full box; laid out (point, site), each
-    point's jets are contiguous rows.
+    point's jets are contiguous rows.  Every operation is elementwise, so a
+    point's jets have the same bits in any layout, and its values the same
+    bits at every order.
     """
     y1, y2, y3, y4 = y
-    return _scalar_jets(y, (y1 * y1 + y3 * y3) + (y2 * y2 + y4 * y4),
-                        reflected, order)
-
-
-def _scalar_jets(y, rho2, reflected: bool, order: int) -> tuple:
-    """:func:`farfield_coordinate_jets` with ρ² given."""
+    rho2 = (y1 * y1 + y3 * y3) + (y2 * y2 + y4 * y4)
     inv2 = 1.0 / rho2
     inv6 = inv2 * inv2 * inv2
     n, dn = farfield_numerators(y, reflected, min(order, 1))

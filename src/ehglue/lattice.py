@@ -9,9 +9,10 @@ symmetric cube partial sums max|a_i| ≤ N; this module provides
   fundamental domain of the weight's symmetry group, with Richardson
   extrapolation at the measured convergence order,
 * the exact closed-form single-site flux weights,
-* direct background partial sums, each parity class of the cube summed as
-  eight dense sub-boxes broadcast from 1-D coordinate tables, or grouped
-  into four-element orbits whose leading terms cancel, and
+* direct background partial sums with jets to order 2, each parity class
+  of the cube summed as eight dense sub-boxes broadcast from 1-D
+  coordinate tables, plain or with each site's term added to those of the
+  other members of its four-element orbit, whose leading terms cancel, and
 * an accelerated background field splitting the sum into an exact near part
   and a far part represented by its exact Taylor polynomial about the
   origin.
@@ -62,25 +63,6 @@ from .sym2 import Sym2Jet, point_blocks
 # site enumeration
 # ---------------------------------------------------------------------------
 
-def parity_slabs(cutoff: int, odd: bool):
-    """Yield the sites of one parity class of the cube max|a_i| ≤ cutoff as
-    (m, 4) int arrays, one slab a1 = const at a time in increasing a1, each
-    slab's sites in lexicographic order of (a2, a3, a4).  The last three
-    coordinates are split by parity once, and the parity of a site is that
-    of a1 plus theirs."""
-    rng = np.arange(-cutoff, cutoff + 1)
-    rest = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"),
-                    axis=-1).reshape(-1, 3)
-    rest_odd = parity_of(rest)
-    split = {p: rest[rest_odd == p] for p in (False, True)}
-    for a1 in rng:
-        tail = split[bool(a1 & 1) != odd]
-        out = np.empty((tail.shape[0], 4), dtype=np.int64)
-        out[:, 0] = a1
-        out[:, 1:] = tail
-        yield out
-
-
 def parity_of(sites: np.ndarray) -> np.ndarray:
     return (sites.sum(axis=-1) & 1).astype(bool)   # True = odd
 
@@ -88,7 +70,10 @@ def parity_of(sites: np.ndarray) -> np.ndarray:
 def near_sites(n0: int, odd: bool) -> np.ndarray:
     """One parity class of the cube max|a_i| ≤ n0 as an (m, 4) int array,
     in lexicographic order."""
-    return np.concatenate(list(parity_slabs(n0, odd)))
+    rng = np.arange(-n0, n0 + 1)
+    cube = np.stack(np.meshgrid(*(rng,) * DIM, indexing="ij"),
+                    axis=-1).reshape(-1, DIM)
+    return cube[parity_of(cube) == odd]
 
 
 def parity_boxes(cutoff: int, odd: bool):
@@ -243,13 +228,18 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
     """Direct symmetric-cube partial sum of the translated far-field tensors:
     the plain kernel on even sites plus the reflected one on odd sites.
 
-    ``paired`` groups each site with its orbit under the cancellation map
-    before accumulating, which makes the shell contributions absolutely
-    summable; the value differs only by rounding.
+    ``paired`` adds, site by site, the terms of the four members a, ma, −a,
+    −ma of its orbit under the cancellation map m, so that the leading
+    terms cancel before any sum over sites, which makes the shell
+    contributions absolutely summable.  Every orbit is then visited once
+    from each of its members, so the total is scaled by ¼ (exact); the
+    value differs from the plain one only by rounding.
     The three far-field scalar jets are summed over the sites and expanded
     through the form table once per parity at the end.  Deterministic: the
     blocks of :func:`_site_blocks` in a fixed order, a pairwise sum over
-    each block's sites and compensated accumulation across blocks.
+    each block's sites and compensated accumulation across blocks.  The
+    blocks do not depend on ``order``, and the kernel forms the values
+    alike at every order, so the values have the same bits at every order.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -259,12 +249,19 @@ def background_partial(x: np.ndarray, cutoff: int, order: int = 0,
     for is_odd in (False, True):
         acc = [KahanAccumulator(lead + flat.shape[:1]) for lead in
                ((3,), (3, DIM), (3, hessian_pairs()[0].size))[:order + 1]]
-        for y in _site_blocks(flat, cutoff, is_odd, order, paired):
-            for a, jet in zip(acc, farfield_coordinate_jets(y, is_odd, order)):
+        for block in _site_blocks(flat, cutoff, is_odd, paired):
+            jets = [farfield_coordinate_jets(y, is_odd, order) for y in block]
+            for k, a in enumerate(acc):
+                terms = [j[k] for j in jets]
+                if paired:        # the pairs (a, ma) and (−a, −ma) first
+                    terms[0] += terms[1]
+                    terms[2] += terms[3]
+                    terms[0] += terms[2]
                 # each block's sites are the trailing axes of a fresh array:
                 # np.sum reduces them pairwise
-                a.add(jet.reshape(a.total.shape + (-1,)).sum(axis=-1))
-        totals = (a.total.reshape(a.total.shape[:-1] + x.shape[:-1])
+                a.add(terms[0].reshape(a.total.shape + (-1,)).sum(axis=-1))
+        scale = 0.25 if paired else 1.0
+        totals = (scale * a.total.reshape(a.total.shape[:-1] + x.shape[:-1])
                   for a in acc)
         parts.append(farfield_expand(tuple(totals), is_odd))
     return parts[0] + parts[1]
@@ -275,35 +272,33 @@ def background_values(x, cutoff: int, paired: bool = False) -> np.ndarray:
     return background_partial(x, cutoff, 0, paired).val
 
 
-def _site_blocks(x: np.ndarray, cutoff: int, odd: bool, order: int,
-                 paired: bool):
-    """Yield the coordinates y_i = x_i − a_i at points x (P, 4) over one
-    parity class of the cube, component-first, in blocks of at most
-    ``DIRECT_BLOCK`` point-site pairs (one site at least).
+def _site_blocks(x: np.ndarray, cutoff: int, odd: bool, paired: bool):
+    """Yield, block by block, the coordinates y_i = x_i − b_i at points
+    x (P, 4) over one parity class of the cube, component-first: a list of
+    one 4-tuple, the block's sites b = a, or when ``paired`` of four, the
+    images b = a, ma, −a, −ma under the map m of ``PAIR_MAPS``.
 
-    Unpaired values take each sub-box of :func:`parity_boxes`, sliced by
-    :func:`_box_slices`, with coordinates broadcast from the 1-D tables as
-    (P, n1, 1, 1, 1) … (P, 1, 1, 1, n4): no site is listed.  Derivatives
-    and paired sums take the slabs of :func:`parity_slabs`, as orbit lists
-    of :func:`_orbit_fold` when paired, as one (4, P, sites) array.  Boxes
-    measured slower there (up to 1.3 times at cutoff 3, 1.14 times at
-    cutoff 4 with three points): the derivative kernel's many full-size
-    products run on short broadcast rows, and eight boxes per parity take
-    more calls than seven slabs.
+    Each sub-box of :func:`parity_boxes` is sliced by :func:`_box_slices`
+    into blocks of at most ``DIRECT_BLOCK`` point-site pairs over all
+    images (one site at least), with coordinates broadcast from the 1-D
+    tables as (P, n1, 1, 1, 1) … (P, 1, 1, 1, n4): no site is listed.  The
+    images are signed permutations, (g a)_i = ±a_p for one axis p per i,
+    so each image's y_i broadcasts from the table of axis p with its sign,
+    and every image lays its sites out by a.
     """
-    budget = max(1, DIRECT_BLOCK // x.shape[0])
-    if order == 0 and not paired:
-        xs = x.T.reshape((DIM, -1) + (1,) * DIM)
-        for box in parity_boxes(cutoff, odd):
-            for tables in _box_slices(box, budget):
-                yield tuple(
-                    xs[i] - t.reshape((-1,) + (1,) * (DIM - 1 - i))
-                    for i, t in enumerate(tables))
-        return
-    for slab in parity_slabs(cutoff, odd):
-        part = (_orbit_fold(slab, odd) if paired else slab).T.astype(float)
-        for lo in range(0, part.shape[1], budget):
-            yield x.T[:, :, None] - part[:, None, lo:lo + budget]
+    maps = [np.eye(DIM, dtype=np.int64)]
+    if paired:
+        maps += [PAIR_MAPS[odd], -maps[0], -PAIR_MAPS[odd]]
+    rows = [[(p, g[i, p]) for i, p in enumerate(np.abs(g).argmax(axis=1))]
+            for g in maps]
+    budget = max(1, DIRECT_BLOCK // (x.shape[0] * len(maps)))
+    xs = x.T.reshape((DIM, -1) + (1,) * DIM)
+    for box in parity_boxes(cutoff, odd):
+        for tables in _box_slices(box, budget):
+            cols = [t.reshape((-1,) + (1,) * (DIM - 1 - i))
+                    for i, t in enumerate(tables)]
+            yield [tuple(xs[i] - sign * cols[p] for i, (p, sign) in
+                         enumerate(row)) for row in rows]
 
 
 def _box_slices(tables: tuple, budget: int):
@@ -328,30 +323,6 @@ def _box_slices(tables: tuple, budget: int):
     chunks = -(-n // max(1, budget // inner))
     for c in range(chunks):
         yield (tables[0][c * n // chunks:(c + 1) * n // chunks],) + tables[1:]
-
-
-def _orbit_fold(sites: np.ndarray, odd: bool) -> np.ndarray:
-    """Replace sites by full orbits listed representative-first, so that the
-    four members of an orbit are adjacent and their leading terms cancel
-    inside one accumulation group.  Keeps each orbit exactly once (the
-    lexicographic minimum is the representative)."""
-    if sites.size == 0:
-        return sites
-    nonzero = np.any(sites != 0, axis=-1)
-    origin = sites[~nonzero]        # fixed point of the orbit map: emit once
-    sites = sites[nonzero]
-    m = PAIR_MAPS[odd]
-    if sites.size == 0:
-        return origin
-    imgs = np.stack([sites, sites @ m.T, -sites, -(sites @ m.T)], axis=1)
-    span = int(np.abs(sites).max())
-    base = 2 * span + 1
-    enc = ((imgs[..., 0] * base + imgs[..., 1]) * base
-           + imgs[..., 2]) * base + imgs[..., 3]
-    keep = enc[:, 0] == enc.min(axis=1)
-    reps = sites[keep]
-    orbit = np.stack([reps, reps @ m.T, -reps, -(reps @ m.T)], axis=1)
-    return np.concatenate([origin, orbit.reshape(-1, 4)])
 
 
 # ---------------------------------------------------------------------------

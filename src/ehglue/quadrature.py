@@ -76,14 +76,14 @@ def chunked_kahan_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class QuadratureRule:
-    """Nodes and positive weights for one of the integral kinds used here.
-
-    kind "surface": nodes are points on a sphere |x| = ρ in R^4 and
-    weights approximate the Euclidean surface measure.  kind "radial": nodes
-    are radii with panel-Gauss weights, plus an optional analytic tail.
+    """Nodes and positive weights: points on a sphere |x| = ρ in R^4 whose
+    weights approximate the Euclidean surface measure
+    (:func:`s3_quadrature`), or radii with panel-Gauss weights
+    (:func:`radial_quadrature`).  Only a radial rule to infinity has a
+    ``tail_power`` above 4, and then :meth:`integrate` adds the analytic
+    tail beyond ``tail_node``.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
     tail_node: float = 0.0
@@ -98,7 +98,7 @@ class QuadratureRule:
         if self.coarse_weights is not None:
             coarse = chunked_kahan_dot(self.coarse_weights, fx)
             est = abs(val - coarse)
-        if self.kind == "radial" and self.tail_power > 4.0:
+        if self.tail_power > 4.0:
             # f ≈ C r^(3-p) beyond the last node: ∫_R^∞ f = f(R) R / (p-4).
             r0 = self.tail_node
             tail = float(f(np.array([r0]))[0]) * r0 / (self.tail_power - 4.0)
@@ -146,7 +146,7 @@ def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
     ], axis=-1).reshape(-1, 4) * radius
     W = (w1[:, None, None] * w2[None, :, None]
          * np.full((1, 1, nphi), wphi)) * radius ** 3
-    return QuadratureRule("surface", nodes, W.reshape(-1))
+    return QuadratureRule(nodes, W.reshape(-1))
 
 
 FOLD_KEY = 1e-9         # node coordinates are matched on a grid this fine
@@ -287,7 +287,7 @@ def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
         nodes.extend([xs, xc])
         weights.extend([ws, np.zeros_like(wc)])
         coarse.extend([np.zeros_like(ws), wc])
-    return QuadratureRule("radial", np.concatenate(nodes),
+    return QuadratureRule(np.concatenate(nodes),
                           np.concatenate(weights),
                           tail_node=edges[-1] if infinite else 0.0,
                           tail_power=decay_power if infinite else 0.0,

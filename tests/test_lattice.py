@@ -286,8 +286,8 @@ def test_parity_boxes_tile_each_parity_class(monkeypatch):
             for budget in (1, 7, 40, 10 ** 6):
                 monkeypatch.setattr(lattice, "DIRECT_BLOCK", 2 * budget)
                 zero = np.zeros((2, 4))
-                blocks = list(lattice._site_blocks(zero, cutoff, odd, 0,
-                                                   False))
+                blocks = [y for [y] in lattice._site_blocks(zero, cutoff,
+                                                            odd, False)]
                 sizes = [np.broadcast(*y).size for y in blocks]
                 assert max(sizes) <= 2 * budget
                 got = np.concatenate([
@@ -296,15 +296,45 @@ def test_parity_boxes_tile_each_parity_class(monkeypatch):
                 assert np.array_equal(got, sites)
 
 
+def test_paired_blocks_hold_the_orbit_images(monkeypatch):
+    # paired, each block holds its sites a (the unpaired blocks' sites) and
+    # their images ma, -a, -ma, site by site, within the pair budget over
+    # all four images (one site at least)
+    zero = np.zeros((2, 4))
+    for cutoff, odd in product(range(1, 4), (False, True)):
+        m = lattice.PAIR_MAPS[odd]
+        for budget in (1, 7, 40, 10 ** 6):
+            monkeypatch.setattr(lattice, "DIRECT_BLOCK", 8 * budget)
+            plain = [y for [y] in lattice._site_blocks(zero, cutoff, odd,
+                                                       False)]
+            plain = np.concatenate([
+                -np.stack(np.broadcast_arrays(*y), axis=-1)[0]
+                .reshape(-1, 4) for y in plain])
+            got = []
+            for block in lattice._site_blocks(zero, cutoff, odd, True):
+                a, ma, neg, neg_ma = (
+                    -np.stack(np.broadcast_arrays(*y), axis=-1)[0]
+                    .reshape(-1, 4) for y in block)
+                assert a.shape[0] <= budget
+                assert np.array_equal(ma, a @ m.T)
+                assert np.array_equal(neg, -a)
+                assert np.array_equal(neg_ma, -(a @ m.T))
+                got.append(a)
+            assert np.array_equal(np.concatenate(got), plain)
+
+
 @pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_box_kernel_matches_point_kernel_bit_for_bit(rng, order, odd):
     # the coordinates broadcast from a box's 1-D tables give each site the
-    # bits of the (..., 4) kernel on the explicit site list
+    # bits of the (..., 4) kernel on the explicit site list, in either
+    # memory order of that list
     x = rng.uniform(-0.6, 0.6, size=(3, 4))
     for tables in parity_boxes(3, odd):
         sites = _box_sites(tables)
         want = farfield_scalar_jets(x[:, None, :] - sites, odd, order)
+        fortran = farfield_scalar_jets(
+            np.asfortranarray(x[:, None, :] - sites), odd, order)
         y = tuple(x[:, i].reshape(-1, 1, 1, 1, 1)
                   - t.reshape((1,) * i + (-1,) + (1,) * (3 - i))
                   for i, t in enumerate(tables))
@@ -318,6 +348,18 @@ def test_box_kernel_matches_point_kernel_bit_for_bit(rng, order, odd):
             flat = got[k].reshape(want[k].shape)
             assert flat.tobytes() == want[k].tobytes()
             assert listed[k].tobytes() == want[k].tobytes()
+            assert fortran[k].tobytes() == want[k].tobytes()
+
+
+def test_direct_sum_values_do_not_depend_on_the_order():
+    # the blocks do not depend on the jet order and the kernel forms the
+    # values alike at every order, so the sums keep their bytes
+    x = np.array([[0.25, 0.0, 0.0, 0.0], [0.1, 0.15, -0.05, 0.1]])
+    for cutoff, paired in product((3, 8), (False, True)):
+        want = background_partial(x, cutoff, 0, paired).val.tobytes()
+        for order in (1, 2):
+            got = background_partial(x, cutoff, order, paired)
+            assert got.val.tobytes() == want
 
 
 def _slab_route_values(x, cutoff):
