@@ -6,9 +6,11 @@ field whose relative change exceeds --rtol, every field present in only one
 of them, and every gate (an entry of "pass", or "all_passed") whose
 pass/fail flag differs or that only one report has.  Given two
 directories, it compares the reports (``*.json``) of the same name, prefixes
-each line with the file name, and lists every report found in only one of
-them; ``timings.json``, the wall-time sidecar of ``suite_reports.py``, is
-no report and is skipped.  Exits 1 if anything was printed, 0 otherwise.
+each line with the file name, lists every report found in only one of
+them, and compares every other file that both hold (``flow.csv``) byte for
+byte; ``timings.json``, the wall-time sidecar of ``suite_reports.py``, is
+no report and is skipped.  So one command shows whether a refactor kept
+every output.  Exits 1 if anything was printed, 0 otherwise.
 Standard library only:
 
     python3 scripts/report_diff.py before.json after.json --rtol 1e-12
@@ -16,6 +18,7 @@ Standard library only:
 """
 
 import argparse
+import filecmp
 import json
 import math
 import os
@@ -85,17 +88,21 @@ def _lines(a: dict, b: dict, rtol: float, prefix: str = "") -> list:
 
 
 def diff_dirs(a: str, b: str, rtol: float) -> list:
-    """Printable lines for the same-named reports of two directories."""
-    left, right = ({name for name in os.listdir(d)
-                    if name.endswith(".json") and name not in SIDECARS}
+    """Printable lines for the same-named reports of two directories, and
+    for the other files both hold whose bytes differ."""
+    left, right = ({name for name in os.listdir(d) if name not in SIDECARS
+                    and os.path.isfile(os.path.join(d, name))}
                    for d in (a, b))
     lines = []
     for name in sorted(left | right):
-        if name not in left or name not in right:
+        pa, pb = os.path.join(a, name), os.path.join(b, name)
+        if not name.endswith(".json"):
+            if name in left & right and not filecmp.cmp(pa, pb, False):
+                lines.append(f"changed {name}: bytes differ")
+        elif name not in left or name not in right:
             lines.append(f"only in {'B' if name in right else 'A'}: {name}")
         else:
-            lines += _lines(_load(os.path.join(a, name)),
-                            _load(os.path.join(b, name)), rtol, f"{name}:")
+            lines += _lines(_load(pa), _load(pb), rtol, f"{name}:")
     return lines
 
 

@@ -5,15 +5,14 @@ Runs each CLI suite of the reference set, one after another, with OUTDIR as
 the working directory and relative --out names, and records every exit code
 in OUTDIR/exit_codes.json and the wall seconds of each run, measured around
 the subprocess, in OUTDIR/timings.json (so no timing enters a canonical
-report).  The reports echo `out`, `csv` and `cache_dir`, so two checkouts
-give comparable reports only with the same names and the same cache
-directory; the cache directory is made absolute here.  Compare
-two such directories with report_diff.py, and the flow CSVs with cmp:
+report).  No report echoes a path, so the reports of two checkouts compare
+whatever their directories; sharing one cache directory spares the second
+run the far-table builds.  report_diff.py compares two such directories,
+the reports field by field and the flow CSV byte for byte:
 
     python3 scripts/suite_reports.py /tmp/before --cache-dir /tmp/cache
     python3 scripts/suite_reports.py /tmp/after --cache-dir /tmp/cache
     python3 scripts/report_diff.py /tmp/before /tmp/after
-    cmp /tmp/before/flow.csv /tmp/after/flow.csv
 """
 
 import argparse

@@ -99,4 +99,9 @@ class RunConfig:
         return self
 
     def echo(self) -> dict:
-        return asdict(self)
+        """The parameters: every field but the paths a run reads and
+        writes, so a report does not depend on where it was written."""
+        echo = asdict(self)
+        for path in ("cache_dir", "out", "csv"):
+            del echo[path]
+        return echo

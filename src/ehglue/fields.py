@@ -228,15 +228,13 @@ def farfield_scalars(reflected: bool) -> np.ndarray:
     return m
 
 
-def farfield_numerators(y, reflected: bool = False, order: int = 1) -> tuple:
+def farfield_numerators(y, reflected: bool = False) -> np.ndarray:
     """The numerators n_c(y) = yᵀM[c]y of :func:`farfield_scalars` in closed
-    form, and above order 0 their gradients 2M[c]y, component axes first.
+    form, component axis first.
 
-    Each row of M[c] has one nonzero entry ±1, so every gradient is a signed
-    permutation of 2y.  Takes the four coordinates y component-first, as
-    arrays that broadcast together (a (4, ...) array is four of them), and
-    returns on their common shape (values (3, ...), gradients (3, 4, ...) or
-    ``None``).
+    Takes the four coordinates y component-first, as arrays that broadcast
+    together (a (4, ...) array is four of them), and returns the values
+    (3, ...) on their common shape.
     """
     sgn = -1.0 if reflected else 1.0
     y1, y2, y3, y4 = y
@@ -248,18 +246,15 @@ def farfield_numerators(y, reflected: bool = False, order: int = 1) -> tuple:
     y1, y2 = 2.0 * y1, (2.0 * sgn) * y2
     np.add(y1 * y3, y2 * y4, out=n[1])
     np.subtract(y1 * y4, y2 * y3, out=n[2])
-    if order == 0:
-        return n, None
-    dn = np.empty((3, DIM) + shape)     # filled row by row: no temporaries
-    for c, k, p, factor in _form_plan(reflected)[0]:
-        np.multiply(y[p], factor, out=dn[c, k])
-    return n, dn
+    return n
 
 
 @functools.cache
 def _form_plan(reflected: bool) -> tuple:
     """The form table of :func:`farfield_scalars` as the kernels use it:
-    per gradient row (c, k) the one p and factor of ∂_k n_c = 2M[c]_kp y_p,
+    per gradient row (c, k) the one p and factor of ∂_k n_c = 2M[c]_kp y_p
+    (each row of M[c] has one nonzero entry ±1, so every gradient is a
+    signed permutation of 2y),
     and per Hessian pair of :func:`hessian_pairs` its nonzero constants
     (c, 2M[c]_ij) of ∂²n; formed once, as plain numbers."""
     scal = farfield_scalars(reflected)
@@ -318,15 +313,19 @@ def farfield_coordinate_jets(y, reflected: bool = False,
     rho2 = (y1 * y1 + y3 * y3) + (y2 * y2 + y4 * y4)
     inv2 = 1.0 / rho2
     inv6 = inv2 * inv2 * inv2
-    n, dn = farfield_numerators(y, reflected, min(order, 1))
+    n = farfield_numerators(y, reflected)
     vals = n * inv6
     if order == 0:
         return vals, None, None
 
-    # ∂_k (n/ρ^6) = (∂_k n)/ρ^6 - 6 n y_k / ρ^8
+    # ∂_k (n/ρ^6) = (∂_k n)/ρ^6 - 6 n y_k / ρ^8, each row ∂_k n_c = ±2y_p
+    # of the form plan written straight into place (±2 scales exactly)
+    rows = _form_plan(reflected)[0]
     w8 = -6.0 * inv6 * inv2
     nw8 = n * w8
-    grads = dn * inv6
+    grads = np.empty((3, DIM) + n.shape[1:])
+    for c, k, p, factor in rows:
+        np.multiply(y[p] * factor, inv6, out=grads[c, k])
     for k in range(DIM):
         grads[:, k] += nw8 * y[k]
     if order == 1:
@@ -335,7 +334,9 @@ def farfield_coordinate_jets(y, reflected: bool = False,
     # ∂_l ∂_k (n/ρ^6) = (∂²n)_{kl}/ρ^6 - 6[(∂_k n) y_l + (∂_l n) y_k + n δ_{kl}]/ρ^8
     #                   + 48 n y_k y_l / ρ^10,   with the constant ∂²n = 2M[c];
     # the y-dependent terms are u_k y_l + u_l y_k, u = -6 ∂n/ρ^8 + 24 n y/ρ^10
-    u = dn * w8
+    u = np.empty_like(grads)
+    for c, k, p, factor in rows:
+        np.multiply(y[p] * factor, w8, out=u[c, k])
     n24 = n * (24.0 * inv6 * inv2 * inv2)
     for k in range(DIM):
         u[:, k] += n24 * y[k]

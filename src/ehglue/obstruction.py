@@ -9,8 +9,10 @@ tensor, giving an independent cross-route check, and the projection onto the
 metric itself stays at order eps^8 δ^-6.
 
 Every pairing flux, cap or single-site, integrates one kernel,
-:func:`pairing_density` ⟨m, ∇_ν h⟩ - ⟨h, ∇_ν m⟩, and every flux on |x| = δ
-goes through one sphere-integral driver with its quadrature estimate.
+:func:`pairing_density` ⟨m, ∇_ν h⟩ - ⟨h, ∇_ν m⟩, and every surface integral
+on |x| = δ, each flux and the distributional check's boundary term, goes
+through one sphere-integral driver, whose quadrature estimate is the
+distance to the value at a coarser order the caller picks.
 
 The cap flux and the projections integrate scalars of tensors that the
 point group fixes, so they run on folded rules: one node per orbit with the
@@ -51,19 +53,18 @@ def correction_budget(eps: float, delta: float) -> float:
     return 10.0 * eps ** 12 * delta ** -10
 
 
-def _sphere_integral(density, delta: float, s3_order: int,
+def _sphere_integral(density, delta: float, s3_order: int, coarse_order: int,
                      folded: bool) -> tuple[float, float]:
-    """(∫ integrand · area dS on |x| = δ, its distance to the coarse value
-    at order max(8, s3_order - 8)), with (integrand, area) = density(nodes)
-    and dS the Euclidean sphere rule, full or folded as in
-    :func:`sphere_rule`."""
+    """(∫ integrand · area dS on |x| = δ, its distance to the value at
+    coarse_order), with (integrand, area) = density(nodes) and dS the
+    Euclidean sphere rule, full or folded as in :func:`sphere_rule`."""
     def value_on(order):
         nodes, weights = sphere_rule(order, delta, folded)
         integrand, area = density(nodes)
         return chunked_kahan_dot(weights * area, integrand)
 
     fine = value_on(s3_order)
-    return fine, abs(fine - value_on(max(8, s3_order - 8)))
+    return fine, abs(fine - value_on(coarse_order))
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +132,21 @@ def distributional_check(u_jet_fn, i: int, j: int, form: str, delta: float,
     """
     if i == j:
         raise ValueError("indices must differ")
+    coarse_order = max(8, s3_order - 6)
 
-    def surface_value(order):
-        nodes, weights = sphere_rule(order, delta, False)
+    def density(nodes):
         n = nodes / delta
         uj = u_jet_fn(nodes)
         vj = offdiag_kernel_jet(nodes, i, j, form)
         du = np.einsum("...k,...k->...", uj.grad, n, **_E)
         dv = np.einsum("...k,...k->...", vj.grad, n, **_E)
-        return chunked_kahan_dot(weights, vj.value * du - uj.value * dv)
+        return vj.value * du - uj.value * dv, 1.0
 
-    surf = surface_value(s3_order)
-    est = abs(surf - surface_value(max(8, s3_order - 6)))
+    surf, est = _sphere_integral(density, delta, s3_order, coarse_order, False)
 
     vol_acc = KahanAccumulator()
     hi = delta
-    ang_nodes, ang_weights = sphere_rule(max(8, s3_order - 6), 1.0, False)
+    ang_nodes, ang_weights = sphere_rule(coarse_order, 1.0, False)
     last_panel = 0.0
     for level in range(RADIAL_LEVELS):
         lo = hi * 0.5
@@ -222,7 +222,8 @@ def flux_integral(params: GlueParams, s3_order: int,
         return pairing_density(ginv, nu, mode.val, covariant_d1(mode, gam),
                                hbar.val, covariant_d1(hbar, gam)), area
 
-    fine, est = _sphere_integral(density, params.delta, s3_order, True)
+    fine, est = _sphere_integral(density, params.delta, s3_order,
+                                 max(8, s3_order - 8), True)
     predicted = 32.0 * np.pi ** 2 * eps ** 8 * omega
     return FluxReport(fine, predicted,
                       correction_budget(eps, params.delta), est)
@@ -248,7 +249,8 @@ def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
         return pairing_density(np.eye(DIM), nodes / delta, center.val,
                                center.d1, moved.val, moved.d1), 1.0
 
-    fine, est = _sphere_integral(density, delta, s3_order, False)
+    fine, est = _sphere_integral(density, delta, s3_order,
+                                 max(8, s3_order - 8), False)
     return FluxReport(fine, flux_term_exact(site), 0.0, est)
 
 
@@ -278,7 +280,8 @@ def z_flux(params: GlueParams, s3_order: int, background: BackgroundField,
                                **_E), area
 
     # the value is a roundoff-level difference, which folding would move
-    return _sphere_integral(density, params.delta, s3_order, False)
+    return _sphere_integral(density, params.delta, s3_order,
+                            max(8, s3_order - 8), False)
 
 
 def gauge_vector_sup(params: GlueParams, s3_order: int,

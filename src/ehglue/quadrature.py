@@ -1,15 +1,19 @@
-"""Quadrature rules for S^3 surface integrals and radial integrals.
+"""Quadrature for S^3 surface integrals and radial integrals: rules are
+plain (nodes, weights) arrays, integrals are functions.
 
-The S^3 rule is a hyperspherical product rule: Gauss rules in the cosines of
-the two polar angles (with the sin^2 ψ and sin θ measure factors folded into
-the weights, i.e. Gauss-Gegenbauer and Gauss-Legendre) and a uniform periodic
-rule in the azimuth.  This integrates every polynomial of degree ≤ order
-exactly up to roundoff, and the total weight is the exact surface measure
-2π²ρ³.
+The S^3 rule (:func:`s3_quadrature`) is a hyperspherical product rule on the
+unit sphere: Gauss rules in the cosines of the two polar angles (with the
+sin^2 ψ and sin θ measure factors folded into the weights, i.e.
+Gauss-Gegenbauer and Gauss-Legendre) and a uniform periodic rule in the
+azimuth.  This integrates every polynomial of degree ≤ order exactly up to
+roundoff, and the total weight is the exact surface measure 2π².  Every
+caller takes its nodes from :func:`sphere_rule`, which caches the unit rule,
+full or folded by the point group, and scales it to the radius ρ (total
+weight 2π²ρ³).
 
-Radial rules are composite Gauss panels plus an analytic power-law tail
-estimate, for integrands that decay like r^(3-p) (a field decaying like
-r^(-p) against the r^3 volume factor).
+:func:`radial_integral` integrates over composite Gauss panels plus an
+analytic power-law tail, for integrands that decay like r^(3-p) (a field
+decaying like r^(-p) against the r^3 volume factor).
 
 All reductions go through compensated (Kahan) accumulation in a fixed
 deterministic order, so results are independent of chunking and threading.
@@ -18,7 +22,6 @@ deterministic order, so results are independent of chunking and threading.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,43 +77,6 @@ def chunked_kahan_dot(a: np.ndarray, b: np.ndarray) -> float:
 # rules
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuadratureRule:
-    """Nodes and positive weights: points on a sphere |x| = ρ in R^4 whose
-    weights approximate the Euclidean surface measure
-    (:func:`s3_quadrature`), or radii with panel-Gauss weights
-    (:func:`radial_quadrature`).  Only a radial rule to infinity has a
-    ``tail_power`` above 4, and then :meth:`integrate` adds the analytic
-    tail beyond ``tail_node``.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    tail_node: float = 0.0
-    tail_power: float = 0.0
-    coarse_weights: np.ndarray | None = field(default=None, repr=False)
-
-    def integrate(self, f) -> tuple[float, float]:
-        """Apply the rule to a callable; returns (value, error estimate)."""
-        fx = np.asarray(f(self.nodes), dtype=float)
-        val = chunked_kahan_dot(self.weights, fx)
-        est = 0.0
-        if self.coarse_weights is not None:
-            coarse = chunked_kahan_dot(self.coarse_weights, fx)
-            est = abs(val - coarse)
-        if self.tail_power > 4.0:
-            # f ≈ C r^(3-p) beyond the last node: ∫_R^∞ f = f(R) R / (p-4).
-            r0 = self.tail_node
-            tail = float(f(np.array([r0]))[0]) * r0 / (self.tail_power - 4.0)
-            # empirical tail error: re-estimate from one doubling further out
-            mid_nodes, mid_w = gauss_panel(r0, 2.0 * r0, PANEL_POINTS)
-            mid = chunked_kahan_dot(mid_w, np.asarray(f(mid_nodes), dtype=float))
-            tail2 = float(f(np.array([2.0 * r0]))[0]) * 2.0 * r0 / (self.tail_power - 4.0)
-            val += tail
-            est += abs(tail - (mid + tail2))
-        return val, est
-
-
 def _chebyshev2(n: int):
     """Gauss rule for weight sqrt(1-u^2) on [-1, 1]."""
     k = np.arange(1, n + 1, dtype=float)
@@ -118,17 +84,15 @@ def _chebyshev2(n: int):
     return np.cos(theta), (np.pi / (n + 1)) * np.sin(theta) ** 2
 
 
-def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
-    """Product rule on the 3-sphere of the given radius.
+def s3_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the product rule on the unit 3-sphere.
 
     order columns of Gauss nodes in each polar cosine and 2*order uniform
     azimuth points; node count 2*order^3.  Exact (to roundoff) for
-    polynomials of degree ≤ order; total weight 2π²·radius³.
+    polynomials of degree ≤ order; total weight 2π².
     """
     if order < 4:
         raise ValueError("s3_quadrature needs order >= 4")
-    if radius <= 0.0:
-        raise ValueError("s3_quadrature needs radius > 0")
     u1, w1 = _chebyshev2(order)           # u1 = cos ψ, weight carries sin²ψ
     u2, w2 = np.polynomial.legendre.leggauss(order)   # u2 = cos θ
     nphi = 2 * order
@@ -143,10 +107,10 @@ def s3_quadrature(order: int, radius: float = 1.0) -> QuadratureRule:
         S1 * U2,
         S1 * S2 * np.cos(PHI),
         S1 * S2 * np.sin(PHI),
-    ], axis=-1).reshape(-1, 4) * radius
+    ], axis=-1).reshape(-1, 4)
     W = (w1[:, None, None] * w2[None, :, None]
-         * np.full((1, 1, nphi), wphi)) * radius ** 3
-    return QuadratureRule(nodes, W.reshape(-1))
+         * np.full((1, 1, nphi), wphi))
+    return nodes, W.reshape(-1)
 
 
 FOLD_KEY = 1e-9         # node coordinates are matched on a grid this fine
@@ -230,17 +194,19 @@ def frozen_rule(nodes: np.ndarray, weights: np.ndarray, folded: bool):
 
 @functools.cache
 def _unit_rule(order: int, folded: bool) -> tuple[np.ndarray, np.ndarray]:
-    """s3_quadrature(order) on the unit sphere, full or folded as in
-    :func:`frozen_rule`; built once per process."""
-    rule = s3_quadrature(order)
-    return frozen_rule(rule.nodes, rule.weights, folded)
+    """s3_quadrature(order), full or folded as in :func:`frozen_rule`;
+    built once per process."""
+    return frozen_rule(*s3_quadrature(order), folded)
 
 
 def sphere_rule(order: int, radius: float, folded: bool):
-    """The one source of S³ nodes: (nodes, weights) of s3_quadrature(order,
-    radius), bit for bit, or, folded, the unit rule's orbit representatives
-    and orbit weights (:func:`fold_rule`) scaled to the radius.  Fold only
+    """The one source of S³ nodes: (nodes, weights) of the unit rule
+    s3_quadrature(order), or, folded, its orbit representatives and orbit
+    weights (:func:`fold_rule`), scaled to the radius; the weights then
+    approximate the Euclidean surface measure of |x| = radius.  Fold only
     integrands that the point group leaves invariant."""
+    if radius <= 0.0:
+        raise ValueError("sphere_rule needs radius > 0")
     nodes, weights = _unit_rule(order, folded)
     return nodes * radius, weights * radius ** 3
 
@@ -252,17 +218,19 @@ def gauss_panel(a: float, b: float, n: int):
     return mid + half * u, half * w
 
 
-def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
-                      scale: float = 1.0) -> QuadratureRule:
-    """Composite Gauss rule on [a, b] (b may be np.inf).
+def radial_integral(f, a: float, b: float, decay_power: float,
+                    scale: float) -> tuple[float, float]:
+    """(∫_a^b f(r) dr, error estimate) by composite Gauss panels: eight
+    equal panels of [a, b], or for b = np.inf a first panel of length
+    max(scale, a + scale) - a and TAIL_DOUBLINGS geometric ones.
 
     For infinite b the integrand must behave like C r^(3-p) with
     p = decay_power > 4 (a field of decay r^(-p) times the r^3 measure);
-    beyond the last panel the tail is estimated analytically and its own
-    error is bounded empirically in :meth:`QuadratureRule.integrate`.
+    beyond the last panel the tail is added analytically and its own error
+    is estimated from one doubling further out.
     """
     if a < 0.0:
-        raise ValueError("radial_quadrature needs a >= 0")
+        raise ValueError("radial_integral needs a >= 0")
     infinite = np.isinf(b)
     if infinite and decay_power <= 4.0:
         raise ValueError("non-integrable tail: decay power must exceed 4 "
@@ -287,11 +255,21 @@ def radial_quadrature(a: float, b: float, decay_power: float = 0.0,
         nodes.extend([xs, xc])
         weights.extend([ws, np.zeros_like(wc)])
         coarse.extend([np.zeros_like(ws), wc])
-    return QuadratureRule(np.concatenate(nodes),
-                          np.concatenate(weights),
-                          tail_node=edges[-1] if infinite else 0.0,
-                          tail_power=decay_power if infinite else 0.0,
-                          coarse_weights=np.concatenate(coarse))
+    fx = np.asarray(f(np.concatenate(nodes)), dtype=float)
+    val = chunked_kahan_dot(np.concatenate(weights), fx)
+    est = abs(val - chunked_kahan_dot(np.concatenate(coarse), fx))
+    if infinite:
+        # f ≈ C r^(3-p) beyond the last node: ∫_R^∞ f = f(R) R / (p-4).
+        r0 = edges[-1]
+        tail = float(f(np.array([r0]))[0]) * r0 / (decay_power - 4.0)
+        # empirical tail error: re-estimate from one doubling further out
+        mid_nodes, mid_w = gauss_panel(r0, 2.0 * r0, PANEL_POINTS)
+        mid = chunked_kahan_dot(mid_w, np.asarray(f(mid_nodes), dtype=float))
+        tail2 = (float(f(np.array([2.0 * r0]))[0]) * 2.0 * r0
+                 / (decay_power - 4.0))
+        val += tail
+        est += abs(tail - (mid + tail2))
+    return val, est
 
 
 def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

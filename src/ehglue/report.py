@@ -10,6 +10,7 @@ header and the same float formatting.  All writes are atomic
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -32,7 +33,8 @@ def canonical_json(obj, indent: int = 0) -> str:
             return "{}"
         items = []
         for key in sorted(obj):
-            items.append(f'{pad_in}"{key}": {canonical_json(obj[key], indent + 1)}')
+            items.append(f"{pad_in}{_string(key)}: "
+                         f"{canonical_json(obj[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -48,13 +50,16 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _string(obj)
     try:
         return format_float(float(obj))
     except (TypeError, ValueError):
-        escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _string(str(obj))
+
+
+def _string(text: str) -> str:
+    """A JSON string literal; only what JSON demands is escaped."""
+    return json.dumps(text, ensure_ascii=False)
 
 
 @dataclass

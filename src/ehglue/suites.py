@@ -32,7 +32,7 @@ from .obstruction import (MIN_FLUX_ORDER, correction_budget,
                           distributional_check, flux_integral,
                           flux_single_site, gauge_vector_sup,
                           projection_integrals, z_flux)
-from .quadrature import line_fit, radial_quadrature, sphere_rule
+from .quadrature import line_fit, radial_integral, sphere_rule
 from .report import Report, write_csv
 from .sym2 import pair
 from .flow import (ProxyPolicy, assumption_check, blowup_prediction,
@@ -499,13 +499,11 @@ def run_verify_eh(cfg: RunConfig) -> Report:
 
     # kernel-norm radial integral: ∫ |mode|² dvol = 2π² eps⁴
     for eps in (0.5, 1.0, 2.0):
-        rule = radial_quadrature(0.0, np.inf, decay_power=16.0, scale=eps)
-
         def integrand(r, eps=eps):
             return (4.0 * (eps ** 4 / (eps ** 4 + r ** 4)) ** 2
                     * 2.0 * np.pi ** 2 * r ** 3)
 
-        val, est = rule.integrate(integrand)
+        val, est = radial_integral(integrand, 0.0, np.inf, 16.0, eps)
         expect = 2.0 * np.pi ** 2 * eps ** 4
         rel = abs(val / expect - 1.0)
         rep.add(f"mode_norm_eps_{eps}", val, budget=est,

@@ -332,23 +332,42 @@ def test_cli_checks_the_suite_budget_of_the_report_task(tmp_path,
 def test_flux_site_builds_no_background(tmp_path, monkeypatch,
                                         background32, cache_dir):
     # the single-site flux reads no lattice: on an empty cache directory it
-    # writes nothing there and reports what it reports with a warm one
+    # writes nothing there and reports, byte for byte, what it reports with
+    # a warm one; the report echoes neither its cache directory nor its path
     from ehglue import cli
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     empty = tmp_path / "empty"
     empty.mkdir()
-    payloads = []
+    texts = []
     for name, cache in (("warm", cache_dir), ("empty", str(empty))):
         out = tmp_path / f"{name}.json"
         assert cli.main(["flux", "--site", "1,0,0,0", "--out", str(out),
                          "--cache-dir", cache]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"].pop("cache_dir") == cache
-        assert payload["config"].pop("out") == str(out)
-        payloads.append(payload)
+        config = json.loads(out.read_text())["config"]
+        assert not {"cache_dir", "out", "csv"} & config.keys()
+        assert config["site"] == "1,0,0,0"
+        texts.append(out.read_text())
     assert not list(empty.iterdir())
-    assert payloads[0] == payloads[1]
+    assert texts[0] == texts[1]
+
+
+def test_reports_with_control_characters_are_valid_json(tmp_path,
+                                                        monkeypatch):
+    # validation accepts a trailing newline in --site; the report still
+    # parses and echoes the site as given
+    from ehglue import cli
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    site = "1,0,0,0\n"
+    RunConfig(site=site).validate()
+    out = tmp_path / "r.json"
+    assert cli.main(["flux", "--site", site, "--out", str(out),
+                     "--cache-dir", str(tmp_path)]) == 0
+    assert json.loads(out.read_text())["config"]["site"] == site
+    text = canonical_json({"tab\tkey": 'quote " and \\, bell \a, π'})
+    assert json.loads(text) == {"tab\tkey": 'quote " and \\, bell \a, π'}
+    assert "π" in text
 
 
 def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
@@ -476,6 +495,13 @@ def test_report_diff_skips_the_timings_sidecar(tmp_path):
         (d / "demo.json").write_text(rep.to_json())
         (d / "exit_codes.json").write_text(json.dumps({"demo": 0}))
         (d / "timings.json").write_text(json.dumps({"demo": wall}))
+        (d / "flow.csv").write_text("t,x\n-1e3,0.5\n")
     out = subprocess.run([sys.executable, script, *map(str, dirs)],
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout == ""
+    # every other file both directories hold is compared byte for byte
+    (dirs[1] / "flow.csv").write_text("t,x\n-1e3,0.50000000000000011\n")
+    out = subprocess.run([sys.executable, script, *map(str, dirs)],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == ["changed flow.csv: bytes differ"]

@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from ehglue.fields import (_field_terms, _quadratic_jets, alpha_forms,
-                           eh_metric, farfield_jets, farfield_numerators,
-                           farfield_scalar_jets, farfield_scalars,
+from ehglue.fields import (_field_terms, _form_plan, _quadratic_jets,
+                           alpha_forms, eh_metric, farfield_coordinate_jets,
+                           farfield_jets, farfield_scalar_jets,
+                           farfield_scalars,
                            farfield_tensor, kernel_mode, map_collection,
                            point_generators, symmetry_check, vector_fields,
                            FRAME, REFLECTION)
 from ehglue.jets import DomainError, Jet2, coordinate_jets, radius2_jet
+from ehglue.lattice import PAIR_MAPS
 from ehglue.sym2 import Sym2Jet, inverse_metric, pair
 
 
@@ -189,14 +193,14 @@ def _quadratic_form_scalar_jets(y, reflected):
             * inv8[..., None, None]
             + 48.0 * n[..., c, None, None] * y[..., :, None] * y[..., None, :]
             * inv10[..., None, None])
-    return (n * inv6[..., None], grads, hess), dn
+    return n * inv6[..., None], grads, hess
 
 
 @pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_closed_form_scalars_match_quadratic_form_oracle(rng, order, reflected):
     y = rng.normal(size=(6, 9, 4)) * rng.uniform(0.3, 3.0, size=(6, 9, 1))
-    oracle, oracle_dn = _quadratic_form_scalar_jets(y, reflected)
+    oracle = _quadratic_form_scalar_jets(y, reflected)
     got = _point_first(farfield_scalar_jets(y, reflected, order))
     # the Hessian's term 48 n y y/ρ^10 exceeds its largest entry, so a few
     # ulp of that term reach 1.3e-15 of the entry (600 random draws)
@@ -207,12 +211,56 @@ def test_closed_form_scalars_match_quadratic_form_oracle(rng, order, reflected):
         assert got[k].shape == oracle[k].shape
         scale = np.max(np.abs(oracle[k]))
         assert np.max(np.abs(got[k] - oracle[k])) <= tol * scale
-    # the numerator gradients are signed permutations of 2y: exact
-    _, dn = farfield_numerators(np.moveaxis(y, -1, 0), reflected, order)
-    if order == 0:
-        assert dn is None
-    else:
-        assert np.moveaxis(dn, (0, 1), (-2, -1)).tobytes() == oracle_dn.tobytes()
+    # the numerator gradients 2M[c]y are signed permutations of 2y: the
+    # plan's rows (c, k, p, factor) are the nonzero entries of 2M, in order
+    twice = 2.0 * farfield_scalars(reflected)
+    support = np.nonzero(twice)
+    rows = _form_plan(reflected)[0]
+    assert [row[:3] for row in rows] == list(zip(*(a.tolist()
+                                                   for a in support)))
+    assert [row[3] for row in rows] == twice[support].tolist()
+
+
+# sha256 of farfield_coordinate_jets at orders 0, 1 and 2 in both
+# orientations, as little-endian doubles, on seeded (4, 41, 256) points and
+# on box blocks broadcast from 1-D site tables, plain and with the four
+# signed-permutation images of a paired block; recorded when the numerator
+# gradients were still formed as a separate (3, 4, ...) array
+KERNEL_DIGESTS = {
+    "near": "0affb85db8b7bee9baf5af2b7fce51402b05b9742e416d5e6601825120f5901c",
+    "plain": "f198942e3cef08d9d3a1cfb1362d80e9f33cd0dad1c52e17b50cdfde492d2b8d",
+    "paired": "5f97d5b89ecc7894b463e66216d2ed9dc1d7b5aed954a9c00f0c5f57ac8cd90d",
+}
+
+
+def test_far_field_kernel_bits_match_recorded_digests():
+    rng = np.random.default_rng(2929)
+    near = (rng.normal(size=(4, 41, 256))
+            * rng.uniform(0.3, 3.0, size=(1, 41, 256)))
+    xs = rng.uniform(-0.5, 0.5, size=(3, 4)).T.reshape((4, -1, 1, 1, 1, 1))
+    tables = [np.arange(lo, hi, dtype=float).reshape((-1,) + (1,) * (3 - i))
+              for i, (lo, hi) in enumerate(((-3, 4), (-2, 3), (-3, 3),
+                                            (-1, 4)))]
+
+    def box(g):
+        # y_i = x_i - (g a)_i with (g a)_i = ±a_p, broadcast from the tables
+        return tuple(xs[i] - g[i, p] * tables[p]
+                     for i, p in enumerate(np.abs(g).argmax(axis=1)))
+
+    one = np.eye(4, dtype=np.int64)
+    blocks = {"near": lambda odd: [near],
+              "plain": lambda odd: [box(one)],
+              "paired": lambda odd: [box(g) for g in (one, PAIR_MAPS[odd],
+                                                      -one, -PAIR_MAPS[odd])]}
+    for name, block in blocks.items():
+        digest = hashlib.sha256()
+        for odd in (False, True):
+            for order in (0, 1, 2):
+                for y in block(odd):
+                    for a in farfield_coordinate_jets(y, odd, order):
+                        if a is not None:
+                            digest.update(a.astype("<f8").tobytes())
+        assert digest.hexdigest() == KERNEL_DIGESTS[name], name
 
 
 def _oracle_components(field, e4, x):

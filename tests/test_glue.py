@@ -11,7 +11,7 @@ from ehglue.glue import (DECAY_ORDER, MAX_DELTA, GlueParams, GluedMetric,
                          region_tag, remove_trace, sphere_sups)
 from ehglue.jets import DomainError
 from ehglue.obstruction import flux_integral, gauge_vector_sup, z_flux
-from ehglue.quadrature import s3_quadrature, sphere_rule
+from ehglue.quadrature import sphere_rule
 
 
 @pytest.fixture(scope="module")
@@ -108,24 +108,24 @@ def test_dispatch_boundaries_are_bitwise_branches(glued8, background8, site):
 
 
 def test_inner_branch_matches_cap(glued8):
-    x = s3_quadrature(4, 0.1).nodes
+    x = sphere_rule(4, 0.1, False)[0]
     cap = eh_metric(glued8.params.eps).values(x)
     assert np.array_equal(glued8.values(x), cap)
 
 
 def test_blend_saturates_on_both_sides(glued8, background8):
     delta = glued8.params.delta
-    x_low = s3_quadrature(4, 0.55 * delta).nodes     # below 2δ/3
+    x_low = sphere_rule(4, 0.55 * delta, False)[0]     # below 2δ/3
     cap = eh_metric(glued8.params.eps).values(x_low)
     assert np.max(np.abs(glued8.values(x_low) - cap)) == 0.0
-    x_high = s3_quadrature(4, 0.9 * delta).nodes     # above 5δ/6
+    x_high = sphere_rule(4, 0.9 * delta, False)[0]     # above 5δ/6
     outer = outer_metric(background8.jets(x_high, order=0),
                          glued8.params.eps).val
     assert np.max(np.abs(glued8.values(x_high) - outer)) == 0.0
 
 
 def test_outer_branch_formula(glued8, background8):
-    x = s3_quadrature(4, 2.0 * glued8.params.delta).nodes
+    x = sphere_rule(4, 2.0 * glued8.params.delta, False)[0]
     bgv = background8.jets(x, order=0).val
     expected = np.eye(4) + 0.5 * glued8.params.eps ** 4 * bgv
     assert np.max(np.abs(glued8.values(x) - expected)) < 1e-15
@@ -133,7 +133,7 @@ def test_outer_branch_formula(glued8, background8):
 
 def test_glued_jets_match_finite_differences(glued8):
     # transition band, where every term (cutoff included) is active
-    x = s3_quadrature(4, 0.75 * glued8.params.delta).nodes[:8]
+    x = sphere_rule(4, 0.75 * glued8.params.delta, False)[0][:8]
     fd = fd_sym2jet(lambda p: glued8.values(p), x, scale=0.05)
     exact = glued8.jets(x, order=2)
     assert np.max(np.abs(fd.d1 - exact.d1)) < 1e-7
@@ -143,7 +143,7 @@ def test_glued_jets_match_finite_differences(glued8):
 def test_neighbor_caps_are_reflected(glued8):
     # near an odd site the inner branch is the reflected cap
     site = np.array([1.0, 0.0, 0.0, 0.0])
-    y = s3_quadrature(4, 0.08).nodes
+    y = sphere_rule(4, 0.08, False)[0]
     vals = glued8.values(site + y)
     cap = eh_metric(glued8.params.eps, reflected=True).values(y)
     assert np.max(np.abs(vals - cap)) < 1e-15
@@ -151,19 +151,19 @@ def test_neighbor_caps_are_reflected(glued8):
 
 def test_positive_definite_everywhere(glued8):
     for rho in (0.1, 0.2, 0.25, 0.29, 0.4, 0.9):
-        vals = glued8.values(s3_quadrature(5, rho).nodes)
+        vals = glued8.values(sphere_rule(5, rho, False)[0])
         assert np.all(np.linalg.eigvalsh(vals) > 0.0)
 
 
 def test_obstruction_inner_is_mode1(glued8):
-    x = s3_quadrature(4, 0.4 * glued8.params.delta).nodes
+    x = sphere_rule(4, 0.4 * glued8.params.delta, False)[0]
     ob = glued8.obstruction_jets(x, order=0).val
     mode = kernel_mode(1, glued8.params.eps).values(x)
     assert np.max(np.abs(ob - mode)) < 1e-14
 
 
 def test_obstruction_tracefree(glued8):
-    x = np.concatenate([s3_quadrature(4, r * glued8.params.delta).nodes
+    x = np.concatenate([sphere_rule(4, r * glued8.params.delta, False)[0]
                         for r in (0.4, 0.75, 1.5)])
     ob = glued8.obstruction_jets(x, order=0).val
     g = glued8.values(x)
@@ -172,7 +172,7 @@ def test_obstruction_tracefree(glued8):
 
 
 def test_obstruction_outer_eps_scaling(background8):
-    x = s3_quadrature(4, 0.45).nodes
+    x = sphere_rule(4, 0.45, False)[0]
     bgv = background8.jets(x, order=0).val
     devs = []
     for eps in (0.05, 0.1):
@@ -185,7 +185,7 @@ def test_obstruction_outer_eps_scaling(background8):
 
 def test_remove_trace_is_projection(background8, rng):
     gm = GluedMetric(GlueParams(0.05, 0.3, 8), background8)
-    x = s3_quadrature(4, 0.25).nodes[:6]
+    x = sphere_rule(4, 0.25, False)[0][:6]
     g = gm.jets(x, order=2)
     u = gm.jets(x, order=2)          # any symmetric jet works
     u.val = u.val + rng.normal(size=u.val.shape) * 0.01
@@ -293,7 +293,7 @@ def test_glue_scan_evaluates_each_sphere_background_once(tmp_path,
 def test_obstruction_jets_evaluates_the_background_once(background8,
                                                         background_calls):
     gm = GluedMetric(GlueParams(0.02, 0.3, 8), background8)
-    x = s3_quadrature(4, 0.22).nodes
+    x = sphere_rule(4, 0.22, False)[0]
     assert np.all(region_tag(x, gm.params) == 1)
     ob = gm.obstruction_jets(x, 2)
     assert len(background_calls) == 1

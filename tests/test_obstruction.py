@@ -11,7 +11,7 @@ from ehglue.obstruction import (_corner_sample, _sphere_integral,
                                 distributional_check, flux_integral,
                                 flux_single_site, pairing_density,
                                 projection_integrals, surface_geometry, z_flux)
-from ehglue.quadrature import s3_quadrature, sphere_rule
+from ehglue.quadrature import sphere_rule
 
 
 def u_offdiag(x):
@@ -82,9 +82,9 @@ def test_dist_laplace_suite_computes_at_its_s3_order():
 def test_surface_geometry_matches_closed_form():
     # cap-metric area factor on |x| = δ is (eps^4 + δ^4)^(1/4)/δ... squared
     eps, delta = 0.1, 0.3
-    rule = s3_quadrature(8, delta)
-    gj = eh_metric(eps).jets(rule.nodes, order=1)
-    nu, area = surface_geometry(gj, np.linalg.inv(gj.val), rule.nodes)
+    nodes = sphere_rule(8, delta, False)[0]
+    gj = eh_metric(eps).jets(nodes, order=1)
+    nu, area = surface_geometry(gj, np.linalg.inv(gj.val), nodes)
     w = np.sqrt(eps ** 4 + delta ** 4)
     assert np.max(np.abs(area - np.sqrt(w) / delta)) < 1e-13
     # unit normal: |nu|_g = 1
@@ -118,8 +118,7 @@ def test_flux_linearity(background8):
     from ehglue.sym2 import Sym2Jet
 
     eps, delta = 0.1, 0.3
-    rule = s3_quadrature(12, delta)
-    nodes = rule.nodes
+    nodes, weights = sphere_rule(12, delta, False)
     gj = eh_metric(eps).jets(nodes, order=1)
     ginv, gam = christoffel(gj)
     nu, area = surface_geometry(gj, ginv, nodes)
@@ -129,7 +128,7 @@ def test_flux_linearity(background8):
     def flux_against(h):
         integrand = pairing_density(ginv, nu, mode.val, dmode, h.val,
                                     covariant_d1(h, gam))
-        return chunked_kahan_dot(rule.weights * area, integrand)
+        return chunked_kahan_dot(weights * area, integrand)
 
     def site_jets(a):
         return farfield_jets(nodes - a.astype(float),
@@ -168,7 +167,7 @@ def test_cap_single_site_pairing_matches_exact_weight():
                                    covariant_d1(mode, gam), h.val,
                                    covariant_d1(h, gam)), area
 
-        return _sphere_integral(density, delta, 16, False)[0]
+        return _sphere_integral(density, delta, 16, 8, False)[0]
 
     odd_sites = [(1, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 0), (3, 2, 1, 1)]
     odd_values = [cap_site_flux(a) for a in odd_sites]
@@ -248,7 +247,7 @@ def test_folded_tensors_are_point_group_invariant(background8, where):
         nodes = _corner_sample(True)[0]
         group = list(point_group())
     else:
-        nodes = s3_quadrature(6, {"band": 0.24, "outer": 0.4}[where]).nodes
+        nodes = sphere_rule(6, {"band": 0.24, "outer": 0.4}[where], False)[0]
         group = _stabilizer(nodes)
         assert len(group) == 16
     gm = GluedMetric(GlueParams(0.1, 0.3, 8), background8)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from ehglue.fields import point_group
 from ehglue.obstruction import _corner_sample
 from ehglue import quadrature
 from ehglue.quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
-                               kahan_sum, line_fit, radial_quadrature,
+                               kahan_sum, line_fit, radial_integral,
                                s3_quadrature, sphere_rule)
 
 IDENTITY = np.eye(4)[None]
@@ -14,16 +16,16 @@ IDENTITY = np.eye(4)[None]
 
 def test_sphere_total_weight():
     for order, rho in ((4, 1.0), (8, 0.5), (16, 2.0)):
-        rule = s3_quadrature(order, rho)
-        assert kahan_sum(rule.weights, 0) == pytest.approx(
+        weights = sphere_rule(order, rho, False)[1]
+        assert kahan_sum(weights, 0) == pytest.approx(
             2 * np.pi ** 2 * rho ** 3, rel=1e-13)
 
 
 def test_sphere_coordinate_square():
-    rule = s3_quadrature(8, 1.0)
+    nodes, weights = s3_quadrature(8)
     # symmetry oracle: the four coordinate squares sum to the full measure,
     # so each one integrates to 2π²/4
-    vals = [float(np.sum(rule.weights * rule.nodes[:, i] ** 2))
+    vals = [float(np.sum(weights * nodes[:, i] ** 2))
             for i in range(4)]
     assert sum(vals) == pytest.approx(2 * np.pi ** 2, rel=1e-13)
     for v in vals:
@@ -31,18 +33,17 @@ def test_sphere_coordinate_square():
 
 
 def test_sphere_odd_moment_vanishes():
-    rule = s3_quadrature(8, 1.0)
-    val = float(np.sum(rule.weights * rule.nodes[:, 0] * rule.nodes[:, 1]))
+    nodes, weights = s3_quadrature(8)
+    val = float(np.sum(weights * nodes[:, 0] * nodes[:, 1]))
     assert abs(val) < 1e-14
 
 
 def test_sphere_polynomial_exactness_matches_halton_free_oracle():
     # quartic moment on the unit 3-sphere: E[x1^4] = 3/(4·6) · 2π²
-    rule = s3_quadrature(8, 1.0)
-    val = float(np.sum(rule.weights * rule.nodes[:, 0] ** 4))
+    nodes, weights = s3_quadrature(8)
+    val = float(np.sum(weights * nodes[:, 0] ** 4))
     assert val == pytest.approx(2 * np.pi ** 2 * (1.0 / 8.0), rel=1e-12)
-    mixed = float(np.sum(rule.weights * rule.nodes[:, 0] ** 2
-                         * rule.nodes[:, 1] ** 2))
+    mixed = float(np.sum(weights * nodes[:, 0] ** 2 * nodes[:, 1] ** 2))
     assert mixed == pytest.approx(2 * np.pi ** 2 / 24.0, rel=1e-12)
 
 
@@ -53,18 +54,18 @@ def test_sphere_order_doubling_within_estimate():
     def f(nodes):
         return np.exp(nodes @ a * 0.3)
 
-    lo = s3_quadrature(12, 1.0)
-    hi = s3_quadrature(24, 1.0)
-    v_lo = float(np.sum(lo.weights * f(lo.nodes)))
-    v_hi = float(np.sum(hi.weights * f(hi.nodes)))
+    lo_nodes, lo_weights = s3_quadrature(12)
+    hi_nodes, hi_weights = s3_quadrature(24)
+    v_lo = float(np.sum(lo_weights * f(lo_nodes)))
+    v_hi = float(np.sum(hi_weights * f(hi_nodes)))
     assert abs(v_lo - v_hi) < 1e-10
 
 
 def test_sphere_preconditions():
     with pytest.raises(ValueError):
-        s3_quadrature(3, 1.0)
+        s3_quadrature(3)
     with pytest.raises(ValueError):
-        s3_quadrature(8, -1.0)
+        sphere_rule(8, -1.0, False)
 
 
 def _invariant_polynomials(x):
@@ -96,9 +97,9 @@ def _check_fold(nodes, weights, folded_count, orbit_size):
 @pytest.mark.parametrize("order,rho", [(6, 1.0), (8, 0.3), (16, 0.5),
                                        (24, 1.0)])
 def test_fold_even_s3_rule_is_sixteen_to_one(order, rho):
-    rule = s3_quadrature(order, rho)
-    _check_fold(rule.nodes, rule.weights, 2 * order ** 3 // 16, {16.0})
-    _, orbit_w = fold_rule(rule.nodes, rule.weights, point_group())
+    nodes, weights = sphere_rule(order, rho, False)
+    _check_fold(nodes, weights, 2 * order ** 3 // 16, {16.0})
+    _, orbit_w = fold_rule(nodes, weights, point_group())
     assert kahan_sum(orbit_w, 0) == pytest.approx(2 * np.pi ** 2 * rho ** 3,
                                                   rel=1e-14)
 
@@ -106,9 +107,9 @@ def test_fold_even_s3_rule_is_sixteen_to_one(order, rho):
 def test_fold_odd_s3_rule_has_a_smaller_stabilizer():
     # 2·order ≡ 2 (mod 4): the azimuth grid misses φ = π/2, so the swap of
     # x3 and x4 fixes no node set and no orbit reaches 16
-    rule = s3_quadrature(7, 1.0)
-    _, sizes = fold_rule(rule.nodes, np.ones_like(rule.weights), point_group())
-    _check_fold(rule.nodes, rule.weights, sizes.size, {2.0, 4.0, 8.0})
+    nodes, weights = s3_quadrature(7)
+    _, sizes = fold_rule(nodes, np.ones_like(weights), point_group())
+    _check_fold(nodes, weights, sizes.size, {2.0, 4.0, 8.0})
 
 
 def test_fold_corner_grid_under_the_whole_group():
@@ -118,22 +119,21 @@ def test_fold_corner_grid_under_the_whole_group():
 
 
 def test_fold_by_the_identity_is_the_full_rule():
-    rule = s3_quadrature(8, 0.4)
-    nodes, weights = fold_rule(rule.nodes, rule.weights, IDENTITY)
-    assert nodes.tobytes() == rule.nodes.tobytes()
-    assert weights.tobytes() == rule.weights.tobytes()
+    full = sphere_rule(8, 0.4, False)
+    nodes, weights = fold_rule(*full, IDENTITY)
+    assert nodes.tobytes() == full[0].tobytes()
+    assert weights.tobytes() == full[1].tobytes()
 
 
 def test_sphere_rule_is_the_full_or_the_folded_rule():
-    # full: the bits of s3_quadrature at the radius; folded: the unit
-    # rule's fold scaled to the radius
+    # full: the unit rule scaled to the radius; folded: the unit rule's
+    # fold scaled to the radius
     for order, rho in ((6, 0.1), (8, 0.33), (6, 0.315)):
-        rule = s3_quadrature(order, rho)
+        unit_nodes, unit_weights = s3_quadrature(order)
         nodes, weights = sphere_rule(order, rho, False)
-        assert nodes.tobytes() == rule.nodes.tobytes()
-        assert weights.tobytes() == rule.weights.tobytes()
-        unit = s3_quadrature(order)
-        reps, orbit_w = fold_rule(unit.nodes, unit.weights, point_group())
+        assert nodes.tobytes() == (unit_nodes * rho).tobytes()
+        assert weights.tobytes() == (unit_weights * rho ** 3).tobytes()
+        reps, orbit_w = fold_rule(unit_nodes, unit_weights, point_group())
         nodes, weights = sphere_rule(order, rho, True)
         assert nodes.tobytes() == (reps * rho).tobytes()
         assert weights.tobytes() == (orbit_w * rho ** 3).tobytes()
@@ -153,12 +153,19 @@ def _full_rule_sites():
     return sites
 
 
+# sha256 of the full rules at _full_rule_sites(), nodes then weights per
+# site as little-endian doubles, recorded from s3_quadrature(order, radius)
+# when that function still scaled its own rule to the radius
+FULL_RULES_DIGEST = ("bce312fffd8edd1391bc80000527f8b7"
+                     "44784e4c5478177d3ca92da27c7f9da1")
+
+
 def test_full_sphere_rule_keeps_the_bits_of_s3_quadrature():
+    digest = hashlib.sha256()
     for order, rho in _full_rule_sites():
-        rule = s3_quadrature(order, rho)
-        nodes, weights = sphere_rule(order, rho, False)
-        assert nodes.tobytes() == rule.nodes.tobytes(), (order, rho)
-        assert weights.tobytes() == rule.weights.tobytes(), (order, rho)
+        for arr in sphere_rule(order, rho, False):
+            digest.update(arr.astype("<f8").tobytes())
+    assert digest.hexdigest() == FULL_RULES_DIGEST
 
 
 @pytest.mark.parametrize("order", [6, 7, 8])
@@ -167,11 +174,10 @@ def test_unit_rules_are_built_once_and_read_only(order):
     assert quadrature._unit_rule(order, True) is folded
     assert not any(arr.flags.writeable for arr in folded)
     unit = s3_quadrature(order)
-    for got, want in zip(folded, fold_rule(unit.nodes, unit.weights,
-                                           point_group())):
+    for got, want in zip(folded, fold_rule(*unit, point_group())):
         assert got.tobytes() == want.tobytes()
     full = quadrature._unit_rule(order, False)
-    assert full[0].tobytes() == unit.nodes.tobytes()
+    assert full[0].tobytes() == unit[0].tobytes()
     assert not full[0].flags.writeable
     group = point_group()
     assert point_group() is group and not group.flags.writeable
@@ -186,29 +192,27 @@ def test_fold_leaves_out_elements_that_miss_the_node_set():
 
 
 def test_radial_unit_cube_moment():
-    rule = radial_quadrature(0.0, 1.0)
-    val, est = rule.integrate(lambda r: r ** 3)
+    val, est = radial_integral(lambda r: r ** 3, 0.0, 1.0, 0.0, 1.0)
     assert val == pytest.approx(0.25, abs=1e-14)
 
 
 def test_radial_power_tail():
-    rule = radial_quadrature(1.0, np.inf, decay_power=5.0)
-    val, est = rule.integrate(lambda r: r ** -2.0)
+    val, est = radial_integral(lambda r: r ** -2.0, 1.0, np.inf, 5.0, 1.0)
     assert val == pytest.approx(1.0, rel=1e-12)
     assert est < 1e-10
 
 
 def test_radial_kernel_norm_case():
-    rule = radial_quadrature(0.0, np.inf, decay_power=16.0)
-    val, est = rule.integrate(
-        lambda r: 4.0 * (1.0 / (1.0 + r ** 4)) ** 2 * 2 * np.pi ** 2 * r ** 3)
+    val, est = radial_integral(
+        lambda r: 4.0 * (1.0 / (1.0 + r ** 4)) ** 2 * 2 * np.pi ** 2 * r ** 3,
+        0.0, np.inf, 16.0, 1.0)
     assert val == pytest.approx(2 * np.pi ** 2, rel=1e-9)
     assert abs(val - 2 * np.pi ** 2) <= max(est, 1e-9)
 
 
 def test_radial_rejects_nonintegrable_tail():
     with pytest.raises(ValueError):
-        radial_quadrature(1.0, np.inf, decay_power=4.0)
+        radial_integral(lambda r: r ** -1.0, 1.0, np.inf, 4.0, 1.0)
 
 
 def test_kahan_recovers_lost_bits():
