@@ -6,11 +6,12 @@ field whose relative change exceeds --rtol, every field present in only one
 of them, and every gate (an entry of "pass", or "all_passed") whose
 pass/fail flag differs or that only one report has.  Given two
 directories, it compares the reports (``*.json``) of the same name, prefixes
-each line with the file name, lists every report found in only one of
-them, and compares every other file that both hold (``flow.csv``) byte for
-byte; ``timings.json``, the wall-time sidecar of ``suite_reports.py``, is
-no report and is skipped.  So one command shows whether a refactor kept
-every output.  Exits 1 if anything was printed, 0 otherwise.
+each line with the file name, compares every other file that both hold
+(``flow.csv``) byte for byte, and lists every file found in only one of
+them, report or not; ``timings.json``, the wall-time sidecar of
+``suite_reports.py``, is no report and is skipped.  So one command shows
+whether a refactor kept every output.  Exits 1 if anything was printed, 0
+otherwise.
 Standard library only:
 
     python3 scripts/report_diff.py before.json after.json --rtol 1e-12
@@ -88,19 +89,20 @@ def _lines(a: dict, b: dict, rtol: float, prefix: str = "") -> list:
 
 
 def diff_dirs(a: str, b: str, rtol: float) -> list:
-    """Printable lines for the same-named reports of two directories, and
-    for the other files both hold whose bytes differ."""
+    """Printable lines for the same-named reports of two directories, for
+    the other files both hold whose bytes differ, and for every file that
+    only one of them holds."""
     left, right = ({name for name in os.listdir(d) if name not in SIDECARS
                     and os.path.isfile(os.path.join(d, name))}
                    for d in (a, b))
     lines = []
     for name in sorted(left | right):
         pa, pb = os.path.join(a, name), os.path.join(b, name)
-        if not name.endswith(".json"):
-            if name in left & right and not filecmp.cmp(pa, pb, False):
-                lines.append(f"changed {name}: bytes differ")
-        elif name not in left or name not in right:
+        if name not in left or name not in right:
             lines.append(f"only in {'B' if name in right else 'A'}: {name}")
+        elif not name.endswith(".json"):
+            if not filecmp.cmp(pa, pb, False):
+                lines.append(f"changed {name}: bytes differ")
         else:
             lines += _lines(_load(pa), _load(pb), rtol, f"{name}:")
     return lines

@@ -22,7 +22,7 @@ from .curvature import curvature_at, lichnerowicz, trace_jet
 from .fields import eh_metric, kernel_mode
 from .jets import DIM, DomainError, Jet2, jet_radius
 from .lattice import BackgroundField, parity_of
-from .quadrature import line_fit, sphere_rule
+from .quadrature import line_fit, node_batches, sphere_rule
 from .sym2 import Sym2Jet, inverse_metric, pair
 
 MAX_DELTA = 0.45        # the largest neck radius inside the unit cell
@@ -290,9 +290,15 @@ def sphere_sups(pairs, radii, s3_order: int = 6, *,
     roundoff, as for glue-scan's inner residual: roundoff is not point-group
     invariant, and folded, the inner Lichnerowicz residual reads 18% lower.
 
-    The background does not depend on eps or δ: it is evaluated once per
-    sphere, where some pair's metric reaches beyond δ/2, and serves every
-    pair; consecutive pairs of one metric share its jets and curvature.
+    The spheres run in batches of consecutive spheres of at most
+    ``sym2.POINT_BLOCK`` nodes (:func:`node_batches`).  The background does
+    not depend on eps or δ: it is evaluated once per batch, at the nodes
+    where some pair's metric reaches beyond δ/2, and serves every pair;
+    consecutive pairs of one metric share its jets and curvature, one
+    evaluation per batch, so at most one metric's jets over one batch are
+    alive at a time.  Each row's sup is taken over its sphere's slice, and
+    the point kernels give a node the same bits in any batch, so a row
+    equals a one-radius call.
     """
     pairs = list(pairs)
     if any(f not in ("ricci", "lichnerowicz") for _, f in pairs):
@@ -301,9 +307,11 @@ def sphere_sups(pairs, radii, s3_order: int = 6, *,
         raise ValueError("the pairs of one sphere sup share one background")
     reach = min(0.5 * gm.params.delta for gm, _ in pairs)
     table = np.empty((len(radii), len(pairs)))
-    for row, rho in zip(table, radii):
-        nodes = sphere_rule(s3_order, rho, folded)[0]
+    rows = iter(table)
+    for nodes, slices in node_batches([sphere_rule(s3_order, rho, folded)[0]
+                                       for rho in radii]):
         bg = background_beyond(pairs[0][0].background, nodes, reach, 2)
+        batch_rows = [next(rows) for _ in slices]
         last = None
         for col, (glued, field) in enumerate(pairs):
             if glued is not last:
@@ -315,14 +323,17 @@ def sphere_sups(pairs, radii, s3_order: int = 6, *,
             else:
                 vals = lichnerowicz(g, glued.obstruction_jets(
                     nodes, order=2, bg=bg, g=g), curv)
-            row[col] = np.sqrt(np.max(pair(curv.ginv, vals, vals)))
+            norms = pair(curv.ginv, vals, vals)
+            for row, sl in zip(batch_rows, slices):
+                row[col] = np.sqrt(np.max(norms[sl]))
     return table
 
 
 def decay_scans(pairs, radii) -> list[DecayScan]:
     """Sups over spheres of |Ric| or |Δ_L obstruction| at order DECAY_ORDER
     per (glued metric, field) pair, each with a log-log fit; the background
-    is evaluated once per sphere for all pairs.  Needs two radii or more.
+    is evaluated once per batch of spheres for all pairs.  Needs two radii
+    or more.
 
     The sups run on the folded rule (:func:`sphere_sups`): a decay scan
     fits sups far above their roundoff, and the fold moves them by that

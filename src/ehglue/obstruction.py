@@ -38,7 +38,7 @@ from .jets import DIM, DomainError, Jet2, coordinate_jets, radius2_jet
 from .lattice import (OMEGA_REFERENCE, BackgroundField, flux_term_exact,
                       parity_of)
 from .quadrature import (KahanAccumulator, chunked_kahan_dot, frozen_rule,
-                         gauss_panel, kahan_sum, sphere_rule)
+                         gauss_panel, kahan_sum, node_batches, sphere_rule)
 from .sym2 import Sym2Jet, pair
 
 _E = dict(optimize=False)
@@ -363,8 +363,13 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
                          with_estimate: bool) -> list[ProjectionResult]:
     """-2 ∫ ⟨obstruction, Ric⟩ and -2 ∫ ⟨g, Ric⟩ over the punctured cube.
 
-    One background-jet sweep is shared by all requested eps values (the
-    background does not depend on eps).  The integrand vanishes inside
+    The shells run in batches of consecutive shells of at most
+    ``sym2.POINT_BLOCK`` nodes (:func:`node_batches`), so at most one
+    batch's jets are alive at a time.  Each batch takes one background-jet
+    evaluation, shared by all requested eps values (the background does not
+    depend on eps), and one density evaluation per eps; each shell's dot
+    product runs over its slice and adds into the accumulators in radial
+    order, as a per-shell sweep would.  The integrand vanishes inside
     radius δ/2 where the metric is the exact Ricci-flat cap; the region
     outside the inscribed ball is covered by a deterministic midpoint grid
     and its analytic bound is reported separately.  Both densities are
@@ -381,14 +386,17 @@ def projection_integrals(eps_list, delta: float, background: BackgroundField,
         acc_o = [KahanAccumulator() for _ in eps_list]
         acc_g = [KahanAccumulator() for _ in eps_list]
         ang_nodes, ang_weights = sphere_rule(order, 1.0, True)
-        for rho, w_r in shells:
-            nodes = ang_nodes * rho
-            weights = ang_weights * rho ** 3 * w_r
+        shell_weights = iter([ang_weights * rho ** 3 * w_r
+                              for rho, w_r in shells])
+        for nodes, slices in node_batches([ang_nodes * rho
+                                           for rho, _ in shells]):
             bgj = background.jets(nodes, order=2)
-            for idx, gm in enumerate(metrics):
-                dens_o, dens_g = _projection_densities(gm, nodes, bgj)
-                acc_o[idx].add(chunked_kahan_dot(weights, dens_o))
-                acc_g[idx].add(chunked_kahan_dot(weights, dens_g))
+            dens = [_projection_densities(gm, nodes, bgj) for gm in metrics]
+            for sl in slices:
+                weights = next(shell_weights)
+                for idx, (dens_o, dens_g) in enumerate(dens):
+                    acc_o[idx].add(chunked_kahan_dot(weights, dens_o[sl]))
+                    acc_g[idx].add(chunked_kahan_dot(weights, dens_g[sl]))
         return [a.result() for a in acc_o], [a.result() for a in acc_g]
 
     fine_o, fine_g = sweep(s3_order, annulus_points, outer_points)

@@ -9,7 +9,9 @@ azimuth.  This integrates every polynomial of degree ≤ order exactly up to
 roundoff, and the total weight is the exact surface measure 2π².  Every
 caller takes its nodes from :func:`sphere_rule`, which caches the unit rule,
 full or folded by the point group, and scales it to the radius ρ (total
-weight 2π²ρ³).
+weight 2π²ρ³).  Sweeps over many spheres stack consecutive node sets into
+batches of at most ``sym2.POINT_BLOCK`` points (:func:`node_batches`), so
+each batch costs one evaluation of the fields.
 
 :func:`radial_integral` integrates over composite Gauss panels plus an
 analytic power-law tail, for integrands that decay like r^(3-p) (a field
@@ -26,6 +28,7 @@ import functools
 import numpy as np
 
 from .fields import point_group
+from .sym2 import POINT_BLOCK
 
 KAHAN_CHUNK = 1 << 18       # terms per pairwise np.sum in a chunked sum
 PANEL_POINTS = 32           # Gauss points per radial panel (coarse: half)
@@ -209,6 +212,33 @@ def sphere_rule(order: int, radius: float, folded: bool):
         raise ValueError("sphere_rule needs radius > 0")
     nodes, weights = _unit_rule(order, folded)
     return nodes * radius, weights * radius ** 3
+
+
+def node_batches(node_sets):
+    """Consecutive node sets [n_i, 4] stacked into batches of at most
+    ``POINT_BLOCK`` points, a larger set forming a batch of its own: yields
+    (stacked nodes, one slice into them per set of the batch), the sets in
+    order.  A batch fits one block of ``sym2.point_blocks``, so a sweep
+    evaluates each batch in one call per field without holding more than a
+    block's (or one set's) temporaries; a pointwise kernel gives every node
+    the bits of a per-set call.
+    """
+    batch, size = [], 0
+    for nodes in node_sets:
+        if batch and size + nodes.shape[0] > POINT_BLOCK:
+            yield _stacked(batch)
+            batch, size = [], 0
+        batch.append(nodes)
+        size += nodes.shape[0]
+    if batch:
+        yield _stacked(batch)
+
+
+def _stacked(batch: list):
+    """(the node sets of batch concatenated, each set's slice)."""
+    ends = np.cumsum([nodes.shape[0] for nodes in batch]).tolist()
+    slices = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+    return (batch[0] if len(batch) == 1 else np.concatenate(batch)), slices
 
 
 def gauss_panel(a: float, b: float, n: int):

@@ -379,16 +379,17 @@ def test_project_reports_the_coarse_sweep_estimate(cache_dir, background8,
     from ehglue import suites
     from ehglue.glue import GlueParams
     from ehglue.obstruction import _shell_radii
-    from ehglue.quadrature import sphere_rule
+    from ehglue.quadrature import node_batches, sphere_rule
     cfg = RunConfig(task="project", cutoff=8, vol_order=6, annulus_points=2,
                     outer_points=2, cache_dir=cache_dir)
     estimate = suites.run_project(cfg).budgets["projection"]
     assert np.isfinite(estimate) and estimate > 0.0
-    # the shells run on the orbit representatives of the unit sphere rule
+    # the shells run on the orbit representatives of the unit sphere rule,
+    # stacked into batches of consecutive shells
     ang = sphere_rule(6, 1.0, True)[0]
-    coarse = {hashlib.sha256((ang * rho).tobytes()).hexdigest()
-              for rho, _ in _shell_radii(GlueParams(cfg.eps, cfg.delta, 8),
-                                         1, 1)}
+    shells = _shell_radii(GlueParams(cfg.eps, cfg.delta, 8), 1, 1)
+    coarse = {hashlib.sha256(nodes.tobytes()).hexdigest()
+              for nodes, _ in node_batches([ang * rho for rho, _ in shells])}
     assert coarse <= {digest for digest, _, _ in background_calls}
 
 
@@ -480,7 +481,7 @@ def test_report_diff_flags_moved_numbers_and_flipped_gates(tmp_path):
                for line in lines)
     assert "gate demo.json:all_passed: True -> False" in lines
     assert "only in A: extra.json" in lines
-    assert not any("notes.log" in line for line in lines)
+    assert "only in B: notes.log" in lines
 
 
 def test_report_diff_skips_the_timings_sidecar(tmp_path):
@@ -505,3 +506,10 @@ def test_report_diff_skips_the_timings_sidecar(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stdout.splitlines() == ["changed flow.csv: bytes differ"]
+    # an output on one side only is listed, the sidecar still skipped
+    (dirs[1] / "flow.csv").unlink()
+    (dirs[0] / "timings.json").unlink()
+    out = subprocess.run([sys.executable, script, *map(str, dirs)],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == ["only in A: flow.csv"]

@@ -8,6 +8,7 @@ from ehglue.flow import (ProxyPolicy, assumption_check, blowup_prediction,
                          ricci_decay_proxy)
 from ehglue.glue import MAX_DELTA, GlueParams, GluedMetric, sphere_sups
 from ehglue.lattice import OMEGA_REFERENCE as OMEGA
+from ehglue.sym2 import POINT_BLOCK
 
 
 def test_closed_form_value():
@@ -199,12 +200,13 @@ def test_shared_background_uses_each_cache_directory(tmp_path, monkeypatch):
 def test_flow_suite_evaluates_each_sphere_background_once(tmp_path,
                                                           monkeypatch,
                                                           background_calls):
-    # the capped δ makes every proxy time sample the same spheres
+    # the capped δ makes every proxy time sample the same spheres, and
+    # their 6 × 27 nodes form one batch
     from ehglue import suites
     from ehglue.config import RunConfig
     monkeypatch.setattr(suites, "_backgrounds", {})
     suites.run_flow(RunConfig(task="flow", cutoff=4, taylor_degree=8,
                               t_max=-1e5, ode_steps=100,
                               cache_dir=str(tmp_path)))
-    assert len(background_calls) == len(set(background_calls))
-    assert len(background_calls) == len(flow.PROXY_FRACTIONS)
+    assert len(flow.PROXY_FRACTIONS) * 27 <= POINT_BLOCK
+    assert len(background_calls) == 1

@@ -255,14 +255,16 @@ def test_sphere_sup_table_rows_are_single_sphere_sups(background8,
                                                       background_calls,
                                                       folded):
     # each row of the table has the bits of a one-radius call, and the
-    # background is evaluated once per sphere for all pairs
+    # background is evaluated once per batch of spheres for all pairs
     gms = [GluedMetric(GlueParams(eps, 0.3, 8), background8)
            for eps in (0.02, 0.04)]
     pairs = [(gms[0], "ricci"), (gms[0], "lichnerowicz"), (gms[1], "ricci")]
     radii = (0.1, 0.21, 0.24, 0.33)
     table = sphere_sups(pairs, radii, folded=folded)
     assert table.shape == (len(radii), len(pairs))
-    assert len(background_calls) == 3       # 0.1 lies inside every δ/2
+    # folded, the four spheres of 27 nodes form one batch; full, each
+    # sphere of 432 nodes is a batch of its own and 0.1 lies inside every δ/2
+    assert len(background_calls) == (1 if folded else 3)
     for rho, row in zip(radii, table):
         assert row.tobytes() == sphere_sups(pairs, [rho],
                                             folded=folded)[0].tobytes()
@@ -281,13 +283,14 @@ def test_annulus_ricci_against_fd_oracle(background32):
 def test_glue_scan_evaluates_each_sphere_background_once(tmp_path,
                                                          monkeypatch,
                                                          background_calls):
-    # 4 decay radii, 2 × 5 annulus band radii and the mismatch sphere
+    # one batch for the 4 decay spheres of 64 nodes, one per δ for the
+    # 5 annulus band spheres of 27 nodes, and the mismatch sphere
     from ehglue import suites
     from ehglue.config import RunConfig
     monkeypatch.setattr(suites, "_backgrounds", {})
     suites.run_glue_scan(RunConfig(task="glue-scan", cutoff=4,
                                    taylor_degree=8, cache_dir=str(tmp_path)))
-    assert len(background_calls) == len(set(background_calls)) == 15
+    assert len(background_calls) == len(set(background_calls)) == 4
 
 
 def test_obstruction_jets_evaluates_the_background_once(background8,

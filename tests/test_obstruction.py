@@ -7,11 +7,12 @@ from ehglue.fields import eh_metric, farfield_jets, kernel_mode, point_group
 from ehglue.glue import GlueParams, GluedMetric
 from ehglue.jets import DomainError, coordinate_jets
 from ehglue.lattice import BackgroundField, flux_term_exact, parity_of
-from ehglue.obstruction import (_corner_sample, _sphere_integral,
+from ehglue.obstruction import (_corner_sample, _projection_densities,
+                                _sphere_integral,
                                 distributional_check, flux_integral,
                                 flux_single_site, pairing_density,
                                 projection_integrals, surface_geometry, z_flux)
-from ehglue.quadrature import sphere_rule
+from ehglue.quadrature import node_batches, sphere_rule
 
 
 def u_offdiag(x):
@@ -324,3 +325,22 @@ def test_folded_flux_matches_unfolded_oracle(background8, monkeypatch,
     assert abs(folded.value - full.value) <= 1e-9 * abs(full.value)
     assert (abs(folded.quad_estimate - full.quad_estimate)
             <= 1e-9 * abs(full.value))
+
+
+def test_projection_densities_keep_their_bits_in_a_batch(background8):
+    # shells in the inner, annulus (active band and collar) and outer
+    # regions of δ = 0.3, stacked into one batch as projection_integrals
+    # stacks them: every node's background jets and densities have the
+    # bits of a per-shell evaluation
+    shells = [sphere_rule(6, rho, True)[0] for rho in (0.12, 0.22, 0.27, 0.4)]
+    (nodes, slices), = node_batches(shells)
+    assert len(slices) == len(shells)
+    bgj = background8.jets(nodes, order=2)
+    for eps in (0.05, 0.07, 0.1):
+        gm = GluedMetric(GlueParams(eps, 0.3, 8), background8)
+        batch = _projection_densities(gm, nodes, bgj)
+        for shell, sl in zip(shells, slices):
+            own = _projection_densities(gm, shell,
+                                        background8.jets(shell, order=2))
+            for a, b in zip(batch, own):
+                assert a[sl].tobytes() == b.tobytes()

@@ -8,8 +8,9 @@ from ehglue.fields import point_group
 from ehglue.obstruction import _corner_sample
 from ehglue import quadrature
 from ehglue.quadrature import (KahanAccumulator, chunked_kahan_dot, fold_rule,
-                               kahan_sum, line_fit, radial_integral,
-                               s3_quadrature, sphere_rule)
+                               kahan_sum, line_fit, node_batches,
+                               radial_integral, s3_quadrature, sphere_rule)
+from ehglue.sym2 import POINT_BLOCK
 
 IDENTITY = np.eye(4)[None]
 
@@ -189,6 +190,35 @@ def test_fold_leaves_out_elements_that_miss_the_node_set():
     reps, weights = fold_rule(nodes, np.array([0.25, 0.5]), point_group())
     assert reps.tobytes() == nodes.tobytes()
     assert weights.tolist() == [0.25, 0.5]
+
+
+@given(st.lists(st.integers(1, 2 * POINT_BLOCK + 3), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_node_batches_stack_consecutive_sets_up_to_a_block(sizes):
+    sets = [np.arange(4.0 * n).reshape(n, 4) + 1000.0 * k
+            for k, n in enumerate(sizes)]
+    batches = list(node_batches(sets))
+    taken = []
+    for nodes, slices in batches:
+        assert slices and slices[0].start == 0
+        assert slices[-1].stop == nodes.shape[0]
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        # a batch overfills a block only as one set of its own
+        assert nodes.shape[0] <= POINT_BLOCK or len(slices) == 1
+        taken += [nodes[sl] for sl in slices]
+    # every set exactly once, in order, with its bits
+    assert len(taken) == len(sets)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(taken, sets))
+    # batches are greedy: the set after a batch would overfill it
+    after = np.cumsum([len(slices) for _, slices in batches])[:-1]
+    for (nodes, _), k in zip(batches, after):
+        assert nodes.shape[0] + sizes[k] > POINT_BLOCK
+
+
+def test_node_batches_of_no_sets_yield_nothing():
+    assert list(node_batches([])) == []
+    one = sphere_rule(6, 0.5, True)[0]
+    assert [n is one for n, _ in node_batches([one])] == [True]
 
 
 def test_radial_unit_cube_moment():
