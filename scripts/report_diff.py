@@ -11,7 +11,8 @@ each line with the file name, compares every other file that both hold
 them, report or not; ``timings.json``, the wall-time sidecar of
 ``suite_reports.py``, is no report and is skipped.  So one command shows
 whether a refactor kept every output.  Exits 1 if anything was printed, 0
-otherwise.
+otherwise, and 2 on a usage error, such as a path that is neither a file
+nor a directory.
 Standard library only:
 
     python3 scripts/report_diff.py before.json after.json --rtol 1e-12
@@ -115,6 +116,9 @@ def main(argv=None) -> int:
     ap.add_argument("--rtol", type=float, default=0.0,
                     help="largest relative change not reported")
     args = ap.parse_args(argv)
+    for path in (args.a, args.b):
+        if not (os.path.isfile(path) or os.path.isdir(path)):
+            ap.error(f"{path}: no such file or directory")
     dirs = os.path.isdir(args.a), os.path.isdir(args.b)
     if dirs[0] != dirs[1]:
         ap.error("give two report files or two directories")

@@ -18,6 +18,9 @@ import os
 import sys
 import time
 
+# config imports no numpy, so the thread variables are still set in time
+from .config import FIELD_TYPES, ConfigError, RunConfig, parse_config_file
+
 S = argparse.SUPPRESS
 
 
@@ -46,21 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                     parents=[shared], **kw))
 
     def numeric(p, *names):
-        specs = {
-            "eps": float, "delta": float, "cutoff": int, "s3_order": int,
-            "vol_order": int, "annulus_points": int, "outer_points": int,
-            "taylor_degree": int, "t_min": float, "t_max": float,
-            "ode_steps": int,
-        }
         for name in names:
             p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           type=specs[name], default=S)
+                           type=FIELD_TYPES[name], default=S)
 
     p = sub.add_parser("omega", help="obstruction-constant partial sums")
     numeric(p, "cutoff")
 
-    p = sub.add_parser("background", help="lattice background convergence")
-    numeric(p, "taylor_degree")
+    sub.add_parser("background", help="lattice background convergence")
 
     for name in ("flux", "zterm", "project"):
         p = sub.add_parser(name)
@@ -108,7 +104,6 @@ def main(argv=None) -> int:
                 "MKL_NUM_THREADS"):
         os.environ[var] = str(args.threads)
 
-    from .config import ConfigError, RunConfig, parse_config_file
     from .suites import BUDGET_SECONDS, SUITES, TASK_DEFAULTS
 
     cfg = RunConfig(task=args.task, **TASK_DEFAULTS.get(args.task, {}))

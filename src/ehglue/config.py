@@ -6,8 +6,6 @@ parameters are validated against the module preconditions before any
 computation starts; an invalid configuration never partially executes.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import asdict, dataclass, fields
 
@@ -45,7 +43,6 @@ class RunConfig:
     vol_order: int = 10
     annulus_points: int = 20
     outer_points: int = 24
-    taylor_degree: int = 12
     t_min: float = -1e6
     t_max: float = -1e3
     ode_steps: int = 100000
@@ -59,9 +56,10 @@ class RunConfig:
         for name in ("eps", "delta"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("cutoff", "s3_order", "vol_order", "annulus_points",
-                     "outer_points", "taylor_degree", "ode_steps"):
-            if getattr(self, name) < 1:
+        # every int field is a count or an order; `is` keeps the bool `fast`
+        # out, which Python counts as an int
+        for name, kind in FIELD_TYPES.items():
+            if kind is int and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         if not (self.t_min < self.t_max < 0.0):
             raise ConfigError("need t_min < t_max < 0")
@@ -72,30 +70,23 @@ class RunConfig:
         return self
 
     def apply_mapping(self, mapping: dict[str, str]):
-        known = {f.name: f.type for f in fields(self)}
         for key, value in mapping.items():
-            if key not in known:
+            if key not in FIELD_TYPES:
                 raise ConfigError(f"unknown configuration key: {key}")
-            current = getattr(self, key)
-            if isinstance(current, bool):
+            kind = FIELD_TYPES[key]
+            if kind is bool:
                 word = value.strip().lower()
                 if word not in BOOLEAN_WORDS:
                     raise ConfigError(f"{key}: expected a boolean "
                                       f"(1/true/yes or 0/false/no), not "
                                       f"{value!r}")
                 setattr(self, key, BOOLEAN_WORDS[word])
-            elif isinstance(current, int):
-                try:
-                    setattr(self, key, int(value))
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: expected integer") from exc
-            elif isinstance(current, float):
-                try:
-                    setattr(self, key, float(value))
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: expected number") from exc
             else:
-                setattr(self, key, value)
+                try:
+                    setattr(self, key, kind(value))
+                except ValueError as exc:
+                    word = "integer" if kind is int else "number"
+                    raise ConfigError(f"{key}: expected {word}") from exc
         return self
 
     def echo(self) -> dict:
@@ -105,3 +96,8 @@ class RunConfig:
         for path in ("cache_dir", "out", "csv"):
             del echo[path]
         return echo
+
+
+# each parameter's type, stated once by RunConfig's fields: the configuration
+# file and the CLI's flags parse their values with it
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

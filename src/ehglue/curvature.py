@@ -243,7 +243,7 @@ def lie_derivative_sym2(u: Sym2Jet, v: np.ndarray, dv: np.ndarray) -> np.ndarray
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def fd_sym2jet(values_fn, x: np.ndarray, scale: float = 1.0) -> Sym2Jet:
+def fd_sym2jet(values_fn, x: np.ndarray, scale: float) -> Sym2Jet:
     """Order-2 jet of a tensor field from central differences of values only.
 
     Step sizes follow the usual optima: eps^(1/3)·scale for first
@@ -275,7 +275,7 @@ def fd_sym2jet(values_fn, x: np.ndarray, scale: float = 1.0) -> Sym2Jet:
     return out
 
 
-def bianchi_residual(jets_fn, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def bianchi_residual(jets_fn, x: np.ndarray, scale: float) -> np.ndarray:
     """|div Ric - ½ ∇R| via five-point differences of pointwise curvature.
 
     ∂ Ric needs third metric derivatives, beyond the jet order, so the

@@ -228,7 +228,7 @@ def farfield_scalars(reflected: bool) -> np.ndarray:
     return m
 
 
-def farfield_numerators(y, reflected: bool = False) -> np.ndarray:
+def farfield_numerators(y, reflected: bool) -> np.ndarray:
     """The numerators n_c(y) = yᵀM[c]y of :func:`farfield_scalars` in closed
     form, component axis first.
 
@@ -281,8 +281,7 @@ def hessian_pairs() -> tuple:
     return k, l, mirror
 
 
-def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
-                         order: int = 2) -> tuple:
+def farfield_scalar_jets(y: np.ndarray, reflected: bool, order: int) -> tuple:
     """The three far-field scalars of :func:`farfield_coordinate_jets` at
     points y (..., 4), the jets component-first, (3, ...) and so on."""
     return farfield_coordinate_jets(
@@ -290,8 +289,7 @@ def farfield_scalar_jets(y: np.ndarray, reflected: bool = False,
         reflected, order)
 
 
-def farfield_coordinate_jets(y, reflected: bool = False,
-                             order: int = 2) -> tuple:
+def farfield_coordinate_jets(y, reflected: bool, order: int) -> tuple:
     """The three far-field scalars n_c(y)/ρ^6 with exact jets, at points
     given by their four coordinates y = (y1, y2, y3, y4), arrays that
     broadcast together.

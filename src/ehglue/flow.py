@@ -37,12 +37,12 @@ def epsilon_of_t(t: float, omega: float = OMEGA_REFERENCE) -> float:
     return radicand ** -0.25
 
 
-def epsilon_derivative(t: float, omega: float = OMEGA_REFERENCE) -> float:
+def epsilon_derivative(t: float, omega: float) -> float:
     return 0.25 * epsilon_of_t(t, omega) ** 5 * (32.0 * omega)
 
 
 def modulation_residual(t: float, eps: float, deps: float,
-                        omega: float = OMEGA_REFERENCE) -> float:
+                        omega: float) -> float:
     """4π² eps³ eps' - 32π² omega eps⁸ (the computable leading part)."""
     return 4.0 * np.pi ** 2 * eps ** 3 * deps \
         - 32.0 * np.pi ** 2 * omega * eps ** 8
@@ -62,8 +62,7 @@ class AssumptionReport:
                 and self.hoelder_ok)
 
 
-def assumption_check(t_grid,
-                     omega: float = OMEGA_REFERENCE) -> AssumptionReport:
+def assumption_check(t_grid, omega: float) -> AssumptionReport:
     """Scale-function admissibility on a grid of times.
 
     Clauses: (-1000 t)^{-1/4} ≤ eps(t) ≤ (-t)^{-1/4}; |eps'| ≤ (-t)^{-5/4};
@@ -149,7 +148,7 @@ def curvature_peak() -> float:
     return float(np.sqrt(ext))
 
 
-def blowup_prediction(t: float, peak: float, omega: float = OMEGA_REFERENCE):
+def blowup_prediction(t: float, peak: float, omega: float):
     """(sup|Rm| prediction, rate constant c = peak · sqrt(32 omega))."""
     eps = epsilon_of_t(t, omega)
     return peak * eps ** -2, peak * np.sqrt(32.0 * omega)
@@ -172,7 +171,7 @@ class ProxyPolicy:
     background evaluations.
     """
 
-    lattice_cutoff: int = 16
+    lattice_cutoff: int
     s3_order: int = 6
     omega: float = OMEGA_REFERENCE
 

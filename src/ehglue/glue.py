@@ -40,7 +40,7 @@ class GlueParams:
 
     eps: float
     delta: float
-    lattice_cutoff: int = 32
+    lattice_cutoff: int
 
     def __post_init__(self):
         if self.eps <= 0.0 or self.delta <= 0.0:

@@ -45,7 +45,7 @@ class Jet2:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(c, shape=()) -> "Jet2":
+    def constant(c, shape) -> "Jet2":
         v = np.broadcast_to(np.asarray(c, dtype=float), shape).copy()
         return Jet2(v, np.zeros(shape + (DIM,)), np.zeros(shape + (DIM, DIM)))
 

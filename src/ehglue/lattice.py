@@ -647,6 +647,7 @@ class _PolyJet:
 # ---------------------------------------------------------------------------
 
 NEAR_SHELL = 1            # sites with max|a_i| ≤ NEAR_SHELL are summed directly
+TAYLOR_DEGREE = 12        # the far table's degree K (see the bound below)
 # The far Taylor series converges for |x| below the nearest far site, at
 # distance NEAR_SHELL + 1 = 2.  Its degree-k terms grow with the Gegenbauer
 # factor C_k^(3)(1) = binom(k + 5, 5) of the |x - a|^-6 expansion, so the
@@ -715,10 +716,10 @@ class BackgroundCache:
 FAR_TABLE_VERSION = 3
 
 
-def far_table_header(cutoff: int, degree: int, odd: bool) -> dict:
+def far_table_header(cutoff: int, odd: bool) -> dict:
     """The cache key of one parity's far table (files are named by it)."""
     return {"kind": "far-table", "version": FAR_TABLE_VERSION, "n": cutoff,
-            "n0": NEAR_SHELL, "degree": degree,
+            "n0": NEAR_SHELL, "degree": TAYLOR_DEGREE,
             "parity": "odd" if odd else "even", "grid": "taylor-origin"}
 
 
@@ -732,35 +733,35 @@ class BackgroundField:
     """Combined checkerboard background with exact jets.
 
     Near sites (max|a_i| ≤ NEAR_SHELL) are summed directly; the remaining
-    cube max|a_i| ≤ cutoff enters through its exact degree-``degree`` Taylor
-    polynomial about the origin, which converges for |x| below the nearest
-    far site, at NEAR_SHELL + 1.  The truncation error is
-    ≲ binom(degree + 6, 5)·(|x|/(NEAR_SHELL + 1))^(degree + 1) of the far
-    sum (the Gegenbauer growth of the expansion; see MAX_RADIUS), and
-    structurally harmless: the truncated tail stays harmonic, trace-free and
+    cube max|a_i| ≤ cutoff enters through its exact degree-K Taylor
+    polynomial about the origin (K = TAYLOR_DEGREE), which converges for
+    |x| below the nearest far site, at NEAR_SHELL + 1.  The truncation error
+    is ≲ binom(K + 6, 5)·(|x|/(NEAR_SHELL + 1))^(K + 1) of the far sum (the
+    Gegenbauer growth of the expansion; see MAX_RADIUS), and structurally
+    harmless: the truncated tail stays harmonic, trace-free and
     divergence-free.  Jets are available for |x| ≤ MAX_RADIUS.
     """
 
-    def __init__(self, cutoff: int = 32, degree: int = 12,
-                 cache: BackgroundCache | None = None):
+    def __init__(self, cutoff: int, cache: BackgroundCache | None = None):
         if cutoff <= NEAR_SHELL:
             raise ValueError(f"need cutoff > {NEAR_SHELL}")
         self.cutoff = cutoff
-        self.degree = degree
         self.cache = cache
         self._near = {odd: near_sites(NEAR_SHELL, odd)
                       for odd in (False, True)}
-        self._poly = {odd: _PolyJet(degree, self._load_or_build_far(odd))
+        self._poly = {odd: _PolyJet(TAYLOR_DEGREE,
+                                    self._load_or_build_far(odd))
                       for odd in (False, True)}
 
     # -- far table ---------------------------------------------------------
 
     def _load_or_build_far(self, odd: bool) -> np.ndarray:
         """One parity's far table: the stored one, else built and stored."""
-        header = far_table_header(self.cutoff, self.degree, odd)
+        header = far_table_header(self.cutoff, odd)
         table = None if self.cache is None else self.cache.load(header)
         if table is None:
-            table = farfield_taylor(self.cutoff, NEAR_SHELL, self.degree, odd)
+            table = farfield_taylor(self.cutoff, NEAR_SHELL, TAYLOR_DEGREE,
+                                    odd)
             if self.cache is not None:
                 self.cache.store(header, table)
         return table

@@ -120,7 +120,7 @@ class DistributionalResult:
 
 
 def distributional_check(u_jet_fn, i: int, j: int, form: str, delta: float,
-                         s3_order: int = 16) -> DistributionalResult:
+                         s3_order: int) -> DistributionalResult:
     """Quadrature check of the half-π² second-derivative reconstruction.
 
     Evaluates the boundary integral ∫ [v ∂_ν u - u ∂_ν v] dμ on |x| = δ and
@@ -229,7 +229,7 @@ def flux_integral(params: GlueParams, s3_order: int,
                       correction_budget(eps, params.delta), est)
 
 
-def flux_single_site(site, delta: float, s3_order: int = 24) -> FluxReport:
+def flux_single_site(site, delta: float, s3_order: int) -> FluxReport:
     """Euclidean pairing flux of the plain kernel against one translate.
 
     Odd sites pair the reflected kernel and give 64π² times the interaction

@@ -58,7 +58,7 @@ class KahanAccumulator:
         return self.total if self.total.ndim else float(self.total)
 
 
-def kahan_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
+def kahan_sum(values: np.ndarray, axis: int) -> np.ndarray:
     """Compensated sum along one axis, iterating in index order."""
     values = np.asarray(values, dtype=float)
     values = np.moveaxis(values, axis, 0)

@@ -61,12 +61,12 @@ TASK_DEFAULTS = {
 
 
 def shared_background(cfg: RunConfig) -> BackgroundField:
-    """One cache-backed field per (cutoff, degree, cache directory): the
-    background of every suite and script."""
+    """One cache-backed field per (cutoff, cache directory): the background
+    of every suite and script."""
     directory = os.path.realpath(cfg.cache_dir or default_cache_dir())
-    key = (cfg.cutoff, cfg.taylor_degree, directory)
+    key = (cfg.cutoff, directory)
     if key not in _backgrounds:
-        _backgrounds[key] = BackgroundField(cfg.cutoff, cfg.taylor_degree,
+        _backgrounds[key] = BackgroundField(cfg.cutoff,
                                             BackgroundCache(directory))
     return _backgrounds[key]
 
@@ -227,6 +227,11 @@ def run_project(cfg: RunConfig) -> Report:
     # the flux route runs 8 orders below the suite's sphere order
     if cfg.s3_order - 8 < MIN_FLUX_ORDER:
         raise ValueError(f"project needs --s3-order >= {MIN_FLUX_ORDER + 8}")
+    # the estimate's coarse sweep halves both point counts
+    for name in ("annulus_points", "outer_points"):
+        if not cfg.fast and getattr(cfg, name) < 2:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"project needs {flag} >= 2 without --fast")
     bg = shared_background(cfg)
     omega = reference_omega(cfg)
     eps_list = [0.05, 0.07, cfg.eps]
@@ -426,9 +431,7 @@ def run_flow(cfg: RunConfig) -> Report:
             passed=abs(c_val - peak * np.sqrt(32.0 * omega)) < 1e-12)
 
     policy = ProxyPolicy(lattice_cutoff=min(cfg.cutoff, 16), omega=omega)
-    # the proxy's background keeps its own cutoff and the default degree 12
-    bg = shared_background(replace(cfg, cutoff=policy.lattice_cutoff,
-                                   taylor_degree=12))
+    bg = shared_background(replace(cfg, cutoff=policy.lattice_cutoff))
     proxy = ricci_decay_proxy((-1e4, -1e5, -1e6), policy, bg)
     rep.add("proxy_exponent", proxy.exponent, budget=0.1,
             passed=proxy.exponent <= -0.9)

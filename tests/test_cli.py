@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -150,18 +151,53 @@ def test_suite_reports_cover_every_suite():
     assert covered == set(SUITES)
 
 
-def test_cli_rejects_malformed_flag(tmp_path):
-    res = run_cli(["omega", "--cutoff", "-3",
-                   "--out", str(tmp_path / "r.json")])
-    assert res.returncode == 2
+# every numeric flag of every subcommand; their types come from RunConfig
+NUMERIC_FLAGS = {
+    ("omega",): ("cutoff",),
+    ("flux",): ("eps", "delta", "cutoff", "s3-order"),
+    ("zterm",): ("eps", "delta", "cutoff", "s3-order"),
+    ("project",): ("eps", "delta", "cutoff", "s3-order", "vol-order",
+                   "annulus-points", "outer-points"),
+    ("glue-scan",): ("eps", "delta", "cutoff"),
+    ("dist-laplace",): ("s3-order",),
+    ("flow",): ("t-min", "t-max", "ode-steps", "cutoff"),
+    ("verify", "eh"): ("eps", "delta", "cutoff"),
+}
+MALFORMED = [(["omega", "--cutoff", "-3"], "omega-cutoff-negative")] + [
+    ([*task, "--" + flag, "one"], "-".join((*task, flag)))
+    for task, flags in NUMERIC_FLAGS.items() for flag in flags]
+
+
+def test_malformed_flag_cases_cover_every_numeric_flag():
+    from ehglue import cli
+    numeric = set()
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for task, parser in sub.choices.items():
+        numeric |= {(task, a.option_strings[0][2:]) for a in parser._actions
+                    if a.type in (int, float) and a.dest != "threads"}
+    assert numeric == {(task[0], flag) for task, flags
+                       in NUMERIC_FLAGS.items() for flag in flags}
+
+
+@pytest.mark.parametrize("args", [a for a, _ in MALFORMED],
+                         ids=[i for _, i in MALFORMED])
+def test_cli_rejects_malformed_flag(tmp_path, monkeypatch, args):
+    from ehglue import cli
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert cli.main([*args, "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
 
 
-def test_cli_rejects_unknown_config_key(tmp_path):
+@pytest.mark.parametrize("line", ["volume = 11", "taylor_degree = 8"],
+                         ids=["volume", "taylor_degree"])
+def test_cli_rejects_unknown_config_key(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("volume = 11\n")
+    cfg.write_text(line + "\n")
     res = run_cli(["omega", "--config", str(cfg)])
     assert res.returncode == 2
+    assert "unknown configuration key" in res.stderr
 
 
 def test_cli_omega_runs_and_passes(tmp_path):
@@ -232,12 +268,42 @@ def test_cli_rejects_a_flux_order_below_16(tmp_path, monkeypatch, args):
     assert not list((tmp_path / "cache").iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--annulus-points", "--outer-points"])
+def test_cli_rejects_project_sizes_the_coarse_sweep_cannot_halve(
+        tmp_path, monkeypatch, capsys, flag):
+    # without --fast the error estimate reruns the sweep at half the points,
+    # so a size of 1 is refused before any background is built
+    from ehglue import cli
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cache").mkdir()
+    assert cli.main(["project", flag, "1", "--out", "report.json",
+                     "--cache-dir", "cache"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "--fast" in err
+    assert not (tmp_path / "report.json").exists()
+    assert not list((tmp_path / "cache").iterdir())
+    # --fast runs no coarse sweep, so the size is no configuration error
+    assert cli.main(["project", flag, "1", "--fast", "--cutoff", "4",
+                     "--vol-order", "6", "--out", "report.json",
+                     "--cache-dir", "cache"]) != 2
+    assert (tmp_path / "report.json").exists()
+
+
 def test_cli_and_suites_import_no_scipy():
     res = run_python(["-c", "import sys, ehglue.cli, ehglue.suites; "
                             "print(sorted(m for m in sys.modules "
                             "if m.split('.')[0] == 'scipy'))"])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_sets_the_thread_variables_before_numpy_loads():
+    res = run_python(["-c", "import sys, ehglue.cli; "
+                            "print('numpy' in sys.modules)"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_third_party_imports_are_the_declared_dependencies():
@@ -276,8 +342,10 @@ def test_cli_config_file_respected(tmp_path):
     ["flux", "--fast"], ["zterm", "--fast"], ["glue-scan", "--fast"],
     ["glue-scan", "--s3-order", "5"], ["verify", "eh", "--s3-order", "5"],
     ["omega", "--config", "threads.cfg"], ["background", "--cutoff", "4"],
+    ["background", "--taylor-degree", "8"],
 ], ids=["flux-fast", "zterm-fast", "glue-scan-fast", "glue-scan-s3-order",
-        "verify-s3-order", "config-threads", "background-cutoff"])
+        "verify-s3-order", "config-threads", "background-cutoff",
+        "background-taylor-degree"])
 def test_cli_rejects_knobs_no_suite_reads(tmp_path, monkeypatch, args):
     # flags and config keys that no suite reads are configuration errors,
     # rejected before any suite runs
@@ -397,12 +465,12 @@ def test_cache_regeneration_bit_identical(tmp_path):
     from ehglue.lattice import BackgroundCache, BackgroundField
     cache_dir = tmp_path / "cache"
     cache = BackgroundCache(str(cache_dir))
-    BackgroundField(4, degree=8, cache=cache)
+    BackgroundField(4, cache=cache)
     files = sorted(os.listdir(cache_dir))
     first = {f: (cache_dir / f).read_bytes() for f in files}
     for f in files:
         (cache_dir / f).unlink()
-    BackgroundField(4, degree=8, cache=cache)
+    BackgroundField(4, cache=cache)
     second = {f: (cache_dir / f).read_bytes() for f in sorted(os.listdir(cache_dir))}
     assert first == second
 
@@ -513,3 +581,14 @@ def test_report_diff_skips_the_timings_sidecar(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stdout.splitlines() == ["only in A: flow.csv"]
+
+
+def test_report_diff_calls_missing_paths_a_usage_error(tmp_path):
+    # exit 1 means "differences found"; a mistyped pair of paths is neither
+    script = os.path.join(SCRIPTS, "report_diff.py")
+    missing = [str(tmp_path / "before"), str(tmp_path / "after")]
+    out = subprocess.run([sys.executable, script, *missing],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "no such file or directory" in out.stderr
+    assert "Traceback" not in out.stderr

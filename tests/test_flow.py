@@ -171,8 +171,7 @@ def test_flow_suite_decay_proxy_reads_the_cached_background(tmp_path,
     # with both cutoff-16 far tables in the cache, `flow` builds none
     from ehglue import lattice, suites
     from ehglue.config import RunConfig
-    lattice.BackgroundField(16, degree=12,
-                            cache=lattice.BackgroundCache(str(tmp_path)))
+    lattice.BackgroundField(16, cache=lattice.BackgroundCache(str(tmp_path)))
 
     def no_build(*args, **kwargs):
         raise AssertionError("far table rebuilt despite a stored entry")
@@ -192,8 +191,7 @@ def test_shared_background_uses_each_cache_directory(tmp_path, monkeypatch):
     for name in ("a", "b"):
         directory = tmp_path / name
         directory.mkdir()
-        suites.shared_background(RunConfig(cutoff=4, taylor_degree=8,
-                                           cache_dir=str(directory)))
+        suites.shared_background(RunConfig(cutoff=4, cache_dir=str(directory)))
         assert len(list(directory.glob("far-table-*.ehbg"))) == 2
 
 
@@ -205,8 +203,7 @@ def test_flow_suite_evaluates_each_sphere_background_once(tmp_path,
     from ehglue import suites
     from ehglue.config import RunConfig
     monkeypatch.setattr(suites, "_backgrounds", {})
-    suites.run_flow(RunConfig(task="flow", cutoff=4, taylor_degree=8,
-                              t_max=-1e5, ode_steps=100,
-                              cache_dir=str(tmp_path)))
+    suites.run_flow(RunConfig(task="flow", cutoff=4, t_max=-1e5,
+                              ode_steps=100, cache_dir=str(tmp_path)))
     assert len(flow.PROXY_FRACTIONS) * 27 <= POINT_BLOCK
     assert len(background_calls) == 1

@@ -32,13 +32,13 @@ def test_glued_metric_rejects_a_background_of_another_cutoff(entry,
 
 
 def test_params_validation():
-    GlueParams(0.1, 0.3)                    # desk scale is allowed
+    GlueParams(0.1, 0.3, 32)                # desk scale is allowed
     with pytest.raises(ValueError):
-        GlueParams(-0.1, 0.3)
+        GlueParams(-0.1, 0.3, 32)
     with pytest.raises(ValueError):
-        GlueParams(0.2, 0.3)                # cap exceeds half the neck
+        GlueParams(0.2, 0.3, 32)            # cap exceeds half the neck
     with pytest.raises(ValueError):
-        GlueParams(0.01, 0.5)               # neck leaves the cell
+        GlueParams(0.01, 0.5, 32)           # neck leaves the cell
 
 
 def test_cutoff_saturation_and_monotonicity():
@@ -80,7 +80,7 @@ def test_cutoff_jet_chain_rule():
 
 
 def test_region_dispatch_exact():
-    params = GlueParams(0.01, 0.3)
+    params = GlueParams(0.01, 0.3, 32)
     probe = np.array([[0.15, 0, 0, 0], [0.30, 0, 0, 0], [0.22, 0, 0, 0],
                       [1.0 + 0.1, 0.0, 0.0, 0.0]])
     tags = region_tag(probe, params)
@@ -289,7 +289,7 @@ def test_glue_scan_evaluates_each_sphere_background_once(tmp_path,
     from ehglue.config import RunConfig
     monkeypatch.setattr(suites, "_backgrounds", {})
     suites.run_glue_scan(RunConfig(task="glue-scan", cutoff=4,
-                                   taylor_degree=8, cache_dir=str(tmp_path)))
+                                   cache_dir=str(tmp_path)))
     assert len(background_calls) == len(set(background_calls)) == 4
 
 

@@ -871,21 +871,21 @@ def test_far_table_under_current_header_loads_without_rebuild(
         tmp_path, monkeypatch):
     # the cache key and the canonical (3, n_monomials) payload are fixed: a
     # table stored under this header is a hit and nothing is rebuilt
-    fresh = BackgroundField(4, degree=8)
+    fresh = BackgroundField(4)
     cache = BackgroundCache(str(tmp_path))
     for odd in (False, True):
         header = {"kind": "far-table", "version": 3, "n": 4, "n0": 1,
-                  "degree": 8, "parity": "odd" if odd else "even",
+                  "degree": 12, "parity": "odd" if odd else "even",
                   "grid": "taylor-origin"}
-        assert far_table_header(4, 8, odd) == header
-        assert fresh._poly[odd].coeffs.shape == (3, 495)
+        assert far_table_header(4, odd) == header
+        assert fresh._poly[odd].coeffs.shape == (3, 1820)
         cache.store(header, fresh._poly[odd].coeffs)
 
     def no_build(*args, **kwargs):
         raise AssertionError("far table rebuilt despite a stored entry")
 
     monkeypatch.setattr(lattice, "farfield_taylor", no_build)
-    loaded = BackgroundField(4, degree=8, cache=cache)
+    loaded = BackgroundField(4, cache=cache)
     pts = np.array([[0.2, 0.1, 0.0, -0.1], [-0.05, 0.3, 0.25, 0.1]])
     for order in (0, 1, 2):
         a, b = fresh.jets(pts, order), loaded.jets(pts, order)
@@ -900,8 +900,8 @@ def test_far_table_under_older_version_is_rebuilt(tmp_path, monkeypatch):
     cache = BackgroundCache(str(tmp_path))
     for version in (1, 2):
         for odd in (False, True):
-            cache.store(dict(far_table_header(4, 8, odd), version=version),
-                        np.full((3, 495), float(version)))
+            cache.store(dict(far_table_header(4, odd), version=version),
+                        np.full((3, 1820), float(version)))
     stale = {f: f.read_bytes() for f in tmp_path.iterdir()}
     builds = []
 
@@ -910,11 +910,11 @@ def test_far_table_under_older_version_is_rebuilt(tmp_path, monkeypatch):
         return farfield_taylor(*args)
 
     monkeypatch.setattr(lattice, "farfield_taylor", counted)
-    loaded = BackgroundField(4, degree=8, cache=cache)
+    loaded = BackgroundField(4, cache=cache)
     assert len(builds) == 2
-    fresh = BackgroundField(4, degree=8)
+    fresh = BackgroundField(4)
     for odd in (False, True):
-        current = cache.load(far_table_header(4, 8, odd))
+        current = cache.load(far_table_header(4, odd))
         assert current is not None
         assert current.tobytes() == fresh._poly[odd].coeffs.tobytes()
         assert loaded._poly[odd].coeffs.tobytes() == current.tobytes()
@@ -973,7 +973,7 @@ def test_background_guard_radius(background8):
 
 def test_cache_roundtrip_bit_identical(tmp_path):
     cache = BackgroundCache(str(tmp_path))
-    header = far_table_header(4, 6, odd=False)
+    header = far_table_header(4, odd=False)
     payload = np.linspace(0.0, 1.0, 30).reshape(3, 10)
     path = cache.store(header, payload)
     loaded = cache.load(header)
@@ -988,8 +988,8 @@ def test_cache_roundtrip_bit_identical(tmp_path):
 
 def test_cached_background_field_identical(tmp_path):
     cache = BackgroundCache(str(tmp_path))
-    a = BackgroundField(4, degree=8, cache=cache)
-    b = BackgroundField(4, degree=8, cache=cache)   # cache hit
+    a = BackgroundField(4, cache=cache)
+    b = BackgroundField(4, cache=cache)   # cache hit
     pts = np.array([[0.2, 0.1, 0.0, -0.1]])
     ja = a.jets(pts, order=2)
     jb = b.jets(pts, order=2)
@@ -1006,7 +1006,7 @@ def test_cached_background_field_identical(tmp_path):
 def test_damaged_cache_header_is_a_miss(tmp_path, damage):
     cache = BackgroundCache(str(tmp_path))
     pts = np.array([[0.2, 0.1, 0.0, -0.1]])
-    built = BackgroundField(4, degree=8, cache=cache).jets(pts, order=2)
+    built = BackgroundField(4, cache=cache).jets(pts, order=2)
     files = sorted(tmp_path.iterdir())
     originals = {f: f.read_bytes() for f in files}
     start = len(BackgroundCache.MAGIC)
@@ -1014,11 +1014,10 @@ def test_damaged_cache_header_is_a_miss(tmp_path, damage):
         end = raw.index(b"\n", start) + 1
         f.write_bytes(raw[:start] + damage(json.loads(raw[start:end]))
                       + raw[end:])
-    header = far_table_header(4, 8, odd=False)
+    header = far_table_header(4, odd=False)
     assert cache.path_for(header) in {str(f) for f in files}
     assert cache.load(header) is None
-    rebuilt = BackgroundField(4, degree=8, cache=cache).jets(pts,
-                                                                   order=2)
+    rebuilt = BackgroundField(4, cache=cache).jets(pts, order=2)
     assert sorted(tmp_path.iterdir()) == files
     assert {f: f.read_bytes() for f in files} == originals
     assert np.array_equal(rebuilt.val, built.val)
@@ -1028,7 +1027,7 @@ def test_damaged_cache_header_is_a_miss(tmp_path, damage):
 def test_writes_use_private_temporary_files(tmp_path):
     # a stale directory at the old fixed temporary name must not matter
     cache = BackgroundCache(str(tmp_path))
-    header = far_table_header(4, 6, odd=True)
+    header = far_table_header(4, odd=True)
     payload = np.linspace(0.0, 1.0, 30).reshape(3, 10)
     os.mkdir(cache.path_for(header) + ".tmp")
     cache.store(header, payload)

@@ -32,14 +32,14 @@ def u_with_laplacian(x):
 
 
 def test_distributional_offdiag():
-    res = distributional_check(u_offdiag, 0, 1, "offdiag", 0.5)
+    res = distributional_check(u_offdiag, 0, 1, "offdiag", 0.5, 16)
     assert res.volume == 0.0
     assert res.surface == pytest.approx(np.pi ** 2 / 2, rel=1e-12)
     assert res.reconstructed == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distributional_diagdiff():
-    res = distributional_check(u_diagdiff, 0, 1, "diagdiff", 0.5)
+    res = distributional_check(u_diagdiff, 0, 1, "diagdiff", 0.5, 16)
     assert res.surface == pytest.approx(2 * np.pi ** 2, rel=1e-12)
     assert res.reconstructed == pytest.approx(4.0, abs=1e-10)
 
@@ -49,7 +49,7 @@ def test_distributional_constant_function():
         from ehglue.jets import Jet2
         return Jet2.constant(1.0, np.asarray(x).shape[:-1])
 
-    res = distributional_check(u_const, 0, 1, "offdiag", 0.4)
+    res = distributional_check(u_const, 0, 1, "offdiag", 0.4, 16)
     assert abs(res.surface) < 1e-13
     assert abs(res.volume) < 1e-13
 
@@ -57,13 +57,13 @@ def test_distributional_constant_function():
 def test_distributional_with_interior_term():
     # Δu ≠ 0: the interior integral carries the harmonicity defect and the
     # reconstruction still returns D1 D2 u(0) = 1
-    res = distributional_check(u_with_laplacian, 0, 1, "offdiag", 0.5)
+    res = distributional_check(u_with_laplacian, 0, 1, "offdiag", 0.5, 16)
     assert res.reconstructed == pytest.approx(1.0, abs=1e-8)
 
 
 def test_distributional_delta_independent():
-    r1 = distributional_check(u_offdiag, 0, 1, "offdiag", 0.5)
-    r2 = distributional_check(u_offdiag, 0, 1, "offdiag", 0.25)
+    r1 = distributional_check(u_offdiag, 0, 1, "offdiag", 0.5, 16)
+    r2 = distributional_check(u_offdiag, 0, 1, "offdiag", 0.25, 16)
     assert abs(r1.reconstructed - r2.reconstructed) < 1e-10
 
 
@@ -101,7 +101,7 @@ def test_single_site_fluxes():
     even = flux_single_site((1, 1, 0, 0), 0.3, s3_order=16)
     assert abs(even.value) < 1e-10
     with pytest.raises(DomainError):
-        flux_single_site((0, 0, 0, 0), 0.3)
+        flux_single_site((0, 0, 0, 0), 0.3, 16)
 
 
 def test_single_site_flux_delta_independent():
